@@ -100,7 +100,7 @@ def sensor_tick(kind: str, gains: PidGains, state: PidState, observation):
     new_state, correction = pid_update(gains, state, error, external)
     derivative = external if external is not None else error - state.last_error
     left, right = commands_from_correction(correction)
-    confidence = confidence_from_visibility(line_box.visible_fraction, kind)
+    confidence = confidence_from_visibility(line_box.visible_fraction)
     return new_state, SteeringCommand(left, right, confidence, error,
                                       new_state.integral, derivative)
 

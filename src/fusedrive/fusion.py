@@ -8,9 +8,10 @@ marks the log row with a trailing -1, instead of stopping the vehicle.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
-from .wire import MalformedDatagram, SteeringCommand, decode_command
+from .wire import MalformedDatagram, SteeringCommand, decode_command, format_field
 
 log = logging.getLogger(__name__)
 
@@ -29,11 +30,18 @@ DRIVE_LOG_HEADER = (
 
 @dataclass
 class SourceSlot:
-    """Latest state for one source: fusion view and verbatim log view."""
+    """Latest state for one source: fusion view and verbatim log view.
+
+    text is the report's six drive-log fields, formatted once at ingest.
+    """
 
     command: SteeringCommand = field(default_factory=SteeringCommand.zero)
     report: SteeringCommand = field(default_factory=SteeringCommand.zero)
     active: bool = False
+    text: str = "0,0,0,0,0,0"
+
+
+_EMPTY_SLOT = SourceSlot()
 
 
 class SourceRegistry:
@@ -59,6 +67,7 @@ class SourceRegistry:
         scaled = SteeringCommand(cmd.left / 3.0, cmd.right / 3.0,
                                  cmd.confidence / 3.0, cmd.p, cmd.i, cmd.d)
         slot.report = scaled
+        slot.text = ",".join(map(format_field, scaled.fields()))
         if scaled.left > 0 or scaled.right > 0:
             slot.command = scaled
             slot.active = True
@@ -68,9 +77,6 @@ class SourceRegistry:
 
     def commands(self):
         return [self.slots[sid].command for sid in self.order]
-
-    def any_active(self) -> bool:
-        return any(self.slots[sid].active for sid in self.order)
 
 
 def max_confidence_source(registry: SourceRegistry):
@@ -138,23 +144,16 @@ def drive_tick(registry: SourceRegistry, policy: str, previous):
     """Fuse the registry into applied motor powers.
 
     Returns ((left, right), degenerate).  Fused powers truncate to integers
-    and clamp to the motor range [0, 255]; a degenerate fusion holds the
-    previous powers.
+    and clamp to the motor range [0, 255].  A degenerate fusion holds the
+    previous powers: nobody to trust, or huge finite commands whose
+    weighted sums overflow to inf or nan.
     """
     fused = _POLICY_FNS[policy](registry)
-    if fused is None:
+    if fused is None or not (math.isfinite(fused[0]) and math.isfinite(fused[1])):
         return previous, True
     left = min(255, max(0, int(fused[0])))
     right = min(255, max(0, int(fused[1])))
     return (left, right), False
-
-
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if value == int(value):
-        return str(int(value))
-    return repr(float(value))
 
 
 class VehicleNode:
@@ -173,7 +172,8 @@ class VehicleNode:
         self.rows = []
         if slot_ids is None:
             slot_ids = (list(source_ids) + [None, None, None])[:3]
-        self.slot_ids = slot_ids
+        # A missing slot logs as the all-zero empty slot.
+        self._log_slots = [self.registry.slots.get(sid, _EMPTY_SLOT) for sid in slot_ids]
 
     def handle_datagram(self, source_id, datagram, now: float):
         """Ingest one datagram and apply fused powers; logs one row.
@@ -193,14 +193,8 @@ class VehicleNode:
         return self.applied
 
     def _log_row(self, now: float, degenerate: bool):
-        parts = [f"{now:.6f}", str(self.applied[0]), str(self.applied[1])]
-        for sid in self.slot_ids:
-            if sid is None or sid not in self.registry.slots:
-                parts.extend(["0"] * 6)
-                continue
-            r = self.registry.slots[sid].report
-            parts.extend(_fmt(v) for v in (r.left, r.right, r.confidence, r.p, r.i, r.d))
-        row = ",".join(parts)
+        left, right = self.applied
+        row = f"{now:.6f},{left},{right}," + ",".join([s.text for s in self._log_slots])
         if degenerate:
             row += ",-1"
         self.rows.append(row)

@@ -184,17 +184,17 @@ def observe(camera: CameraModel, track, pose, layout: MarkerLayout = MarkerLayou
     (MarkerObservation, LineBoxObservation); both come back invisible when
     the vehicle or the line is out of view.
     """
-    pts, tans, step = track.samples()
+    xs, ys, tans, step = track.samples()
     if camera.kind == ONBOARD:
-        return _observe_onboard(camera, pts, tans, step, track.line_width, pose, layout, rng)
-    return _observe_infrastructure(camera, pts, tans, step, track.line_width, pose, layout, rng)
+        return _observe_onboard(camera, xs, ys, tans, step, track.line_width, pose, layout, rng)
+    return _observe_infrastructure(camera, xs, ys, tans, step, track.line_width, pose, layout, rng)
 
 
-def _observe_onboard(camera, pts, tans, step, line_width, pose, layout, rng):
+def _observe_onboard(camera, xs, ys, tans, step, line_width, pose, layout, rng):
     theta = math.radians(pose.heading)
     c, s = math.cos(theta), math.sin(theta)
-    dx = pts[:, 0] - pose.x
-    dy = pts[:, 1] - pose.y
+    dx = xs - pose.x
+    dy = ys - pose.y
     u = dx * c + dy * s  # forward (m)
     v = -dx * s + dy * c  # left (m)
     depth = camera.crop_size / camera.pixels_per_meter
@@ -220,7 +220,7 @@ def _observe_onboard(camera, pts, tans, step, line_width, pose, layout, rng):
     return _NO_MARKERS, LineBoxObservation((x_px, y_px), w, h, raw, fraction)
 
 
-def _observe_infrastructure(camera, pts, tans, step, line_width, pose, layout, rng):
+def _observe_infrastructure(camera, xs, ys, tans, step, line_width, pose, layout, rng):
     theta = math.radians(pose.heading)
     hx, hy = math.cos(theta), math.sin(theta)
     half = layout.separation / 2.0
@@ -249,21 +249,21 @@ def _observe_infrastructure(camera, pts, tans, step, line_width, pose, layout, r
     wy0, wy1 = max(fy_b - half_m, y0c), min(fy_b + half_m, y1c)
     if wx0 >= wx1 or wy0 >= wy1:
         return markers, _NO_LINE
-    dx = pts[:, 0] - pose.x
-    dy = pts[:, 1] - pose.y
+    dx = xs - pose.x
+    dy = ys - pose.y
     mask = (
-        (pts[:, 0] >= wx0)
-        & (pts[:, 0] <= wx1)
-        & (pts[:, 1] >= wy0)
-        & (pts[:, 1] <= wy1)
+        (xs >= wx0)
+        & (xs <= wx1)
+        & (ys >= wy0)
+        & (ys <= wy1)
         & (dx * dx + dy * dy > layout.body_radius ** 2)
     )
     run = _longest_run(mask)
     if run is None:
         return markers, _NO_LINE
     length = run.size * step
-    cx_b = float(np.mean(pts[run, 0]))
-    cy_b = float(np.mean(pts[run, 1]))
+    cx_b = float(np.mean(xs[run]))
+    cy_b = float(np.mean(ys[run]))
     cx, cy = camera.to_pixel(cx_b, cy_b)
     cx = _clamp(cx + _jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
     cy = _clamp(cy + _jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
@@ -370,7 +370,6 @@ def onboard_offset(x_min: float, center: float = 160.0, scale: float = 0.333) ->
     return scale * (center - x_min)
 
 
-def confidence_from_visibility(fraction: float, kind: str) -> int:
+def confidence_from_visibility(fraction: float) -> int:
     """Confidence in [0, 100] from the visible fraction of a full view."""
-    del kind  # both camera kinds normalize upstream
     return int(round(100.0 * fraction))

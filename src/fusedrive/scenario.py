@@ -22,7 +22,7 @@ from .perception import (
     infrastructure_camera,
     onboard_camera,
 )
-from .world import ConfigError, Track, VehicleParams, track_from_config
+from .world import ConfigError, Track, VehicleParams, _reject_unknown, track_from_config
 
 
 def derive_seed(*parts) -> int:
@@ -76,12 +76,6 @@ class Scenario:
 
     def sensor_period_ticks(self, sensor: SensorConfig) -> int:
         return max(1, int(round(sensor.period() / self.timestep)))
-
-
-def _reject_unknown(leftover: dict, where: str):
-    if leftover:
-        key = sorted(str(k) for k in leftover)[0]
-        raise ConfigError(f"unknown key in {where}: {key}")
 
 
 def _pop(cfg: dict, key: str, default=None, required: bool = False, where: str = ""):

@@ -32,13 +32,18 @@ class SteeringCommand:
     def zero(cls):
         return cls(0, 0, 0, 0, 0, 0)
 
+    def fields(self) -> tuple:
+        """The six values in wire order."""
+        return (self.left, self.right, self.confidence, self.p, self.i, self.d)
+
     def is_zero_report(self) -> bool:
         return (self.left == 0 and self.right == 0 and self.confidence == 0
                 and self.p == 0 and self.i == 0 and self.d == 0)
 
 
-def _format_field(value) -> str:
-    # Integers drop the decimal point; floats keep shortest round-trip form.
+def format_field(value) -> str:
+    """One field as text: integral values drop the decimal point, other
+    floats keep their shortest round-trip form."""
     if isinstance(value, int):
         return str(value)
     if math.isfinite(value) and value == int(value):
@@ -48,15 +53,19 @@ def _format_field(value) -> str:
 
 def encode_command(cmd: SteeringCommand) -> str:
     """Render a command as datagram text, fields in wire order."""
-    fields = (cmd.left, cmd.right, cmd.confidence, cmd.p, cmd.i, cmd.d)
+    fields = cmd.fields()
     for f in fields:
         if not math.isfinite(f):
             raise ValueError("command fields must be finite")
-    return ";".join(_format_field(f) for f in fields)
+    return ";".join(map(format_field, fields))
 
 
 def decode_command(text) -> SteeringCommand:
-    """Parse datagram text; raises MalformedDatagram on anything unparseable."""
+    """Parse datagram text into a command of six finite numbers.
+
+    Raises MalformedDatagram on anything else, non-finite values included
+    ("inf", "nan", or a literal such as "1e400" that overflows to inf).
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -69,6 +78,8 @@ def decode_command(text) -> SteeringCommand:
         values = [float(p) for p in parts]
     except ValueError:
         raise MalformedDatagram(f"non-numeric field in {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise MalformedDatagram(f"non-finite field in {text!r}")
     return SteeringCommand(*values)
 
 

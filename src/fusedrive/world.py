@@ -45,10 +45,16 @@ class Straight:
     y0: float
     x1: float
     y1: float
+    # Derived once at construction: closest() and lower_bound() run every tick.
+    length: float = field(init=False, repr=False, compare=False)
+    _tangent: float = field(init=False, repr=False, compare=False)
+    _mid: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def length(self) -> float:
-        return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
+    def __post_init__(self):
+        dx, dy = self.x1 - self.x0, self.y1 - self.y0
+        object.__setattr__(self, "length", math.hypot(dx, dy))
+        object.__setattr__(self, "_tangent", normalize_heading(math.degrees(math.atan2(dy, dx))))
+        object.__setattr__(self, "_mid", (self.x0 + 0.5 * dx, self.y0 + 0.5 * dy))
 
     @property
     def start(self):
@@ -63,7 +69,11 @@ class Straight:
         return (self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0))
 
     def tangent_at(self, s: float) -> float:
-        return normalize_heading(math.degrees(math.atan2(self.y1 - self.y0, self.x1 - self.x0)))
+        return self._tangent
+
+    def lower_bound(self, px: float, py: float) -> float:
+        """Distance to the segment's bounding circle: never above closest()'s."""
+        return math.hypot(px - self._mid[0], py - self._mid[1]) - 0.5 * self.length
 
     def closest(self, px: float, py: float):
         """Distance to the segment plus the foot point and tangent there."""
@@ -72,7 +82,7 @@ class Straight:
         t = ((px - self.x0) * dx + (py - self.y0) * dy) / ll
         t = min(1.0, max(0.0, t))
         cx, cy = self.x0 + t * dx, self.y0 + t * dy
-        return math.hypot(px - cx, py - cy), cx, cy, self.tangent_at(0.0)
+        return math.hypot(px - cx, py - cy), cx, cy, self._tangent
 
 
 @dataclass(frozen=True)
@@ -84,22 +94,19 @@ class Arc:
     radius: float
     start_deg: float
     sweep_deg: float
+    # Derived once at construction: closest() runs every tick.
+    length: float = field(init=False, repr=False, compare=False)
+    start: tuple = field(init=False, repr=False, compare=False)
+    end: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def length(self) -> float:
-        return abs(math.radians(self.sweep_deg)) * self.radius
+    def __post_init__(self):
+        object.__setattr__(self, "length", abs(math.radians(self.sweep_deg)) * self.radius)
+        object.__setattr__(self, "start", self._point_at_angle(self.start_deg))
+        object.__setattr__(self, "end", self._point_at_angle(self.start_deg + self.sweep_deg))
 
     def _point_at_angle(self, a_deg: float):
         a = math.radians(a_deg)
         return (self.cx + self.radius * math.cos(a), self.cy + self.radius * math.sin(a))
-
-    @property
-    def start(self):
-        return self._point_at_angle(self.start_deg)
-
-    @property
-    def end(self):
-        return self._point_at_angle(self.start_deg + self.sweep_deg)
 
     def _tangent_at_angle(self, a_deg: float) -> float:
         return normalize_heading(a_deg + math.copysign(90.0, self.sweep_deg))
@@ -111,6 +118,10 @@ class Arc:
     def tangent_at(self, s: float) -> float:
         a = self.start_deg + self.sweep_deg * (s / self.length)
         return self._tangent_at_angle(a)
+
+    def lower_bound(self, px: float, py: float) -> float:
+        """Distance to the arc's full circle: never above closest()'s."""
+        return abs(math.hypot(px - self.cx, py - self.cy) - self.radius)
 
     def closest(self, px: float, py: float):
         vx, vy = px - self.cx, py - self.cy
@@ -130,12 +141,13 @@ class Arc:
         if inside:
             cx, cy = self._point_at_angle(phi)
             return abs(r - self.radius), cx, cy, self._tangent_at_angle(phi)
-        d0 = math.hypot(px - self.start[0], py - self.start[1])
-        d1 = math.hypot(px - self.end[0], py - self.end[1])
+        (sx, sy), (ex, ey) = self.start, self.end
+        d0 = math.hypot(px - sx, py - sy)
+        d1 = math.hypot(px - ex, py - ey)
         if d0 <= d1:
-            return d0, self.start[0], self.start[1], self._tangent_at_angle(self.start_deg)
+            return d0, sx, sy, self._tangent_at_angle(self.start_deg)
         end_a = self.start_deg + self.sweep_deg
-        return d1, self.end[0], self.end[1], self._tangent_at_angle(end_a)
+        return d1, ex, ey, self._tangent_at_angle(end_a)
 
 
 _SAMPLE_STEP = 0.002  # m between cached centerline samples
@@ -149,6 +161,7 @@ class Track:
     board_size: float = 2.0
     line_width: float = 0.02
     _samples: tuple = field(default=None, repr=False, compare=False)
+    _last: int = field(default=0, repr=False, compare=False)  # previous closest() pick
 
     def __post_init__(self):
         if not self.segments:
@@ -189,29 +202,70 @@ class Track:
         """Signed lateral deviation plus foot point and tangent there.
 
         Positive deviation means the point lies to the left of the track
-        direction.  Ties between segments go to the lower index.
+        direction.  Ties between segments go to the lower index: scanning
+        the segments in order, a later one replaces the pick only when it is
+        closer by more than 1e-15.
+
+        The scan is pruned.  The segment that won the previous call goes
+        first, and its distance U bounds the minimum m from above.  A segment
+        whose cheap lower bound (distance to its bounding circle, or to the
+        full circle of an arc) exceeds U + 1e-9 is skipped; the others run
+        through the unchanged scan.
+
+        This is exact.  A skipped segment lies more than 1e-9 above U, so
+        above m, and the scan's pick is never more than 1e-15 above m: a
+        skipped segment is never the pick.  Nor does it change which segment
+        is.  Take a level L between U and U + 1e-9 with no segment distance
+        within 2e-15 below it (with a handful of segments there are plenty).
+        Every segment scanned before the first one under L lies above L, so
+        that first one, at least 2e-15 lower, replaces whatever either scan
+        held.  From there both scans hold the same pick and see the same
+        candidates, since a skipped segment can never replace a pick under L.
         """
+        segs = self.segments
+        hint = self._last
+        first = segs[hint].closest(px, py)
+        bound = first[0] + 1e-9
         best = None
-        for seg in self.segments:
-            d, cx, cy, tan = seg.closest(px, py)
-            if best is None or d < best[0] - 1e-15:
-                best = (d, cx, cy, tan)
+        for i, seg in enumerate(segs):
+            if i == hint:
+                cand = first
+            elif seg.lower_bound(px, py) > bound:
+                continue
+            else:
+                cand = seg.closest(px, py)
+            if best is None or cand[0] < best[0] - 1e-15:
+                best, win = cand, i
+        self._last = win
         d, cx, cy, tan = best
         t = math.radians(tan)
         cross = math.cos(t) * (py - cy) - math.sin(t) * (px - cx)
         return math.copysign(d, cross) if d > 0.0 else 0.0, cx, cy, tan
 
     def samples(self):
-        """Dense centerline sampling: points (N,2), tangents (N,), step (m)."""
+        """Dense centerline sampling: contiguous x (N,), y (N,), tangents (N,), step (m).
+
+        Equal, point for point, to point_at(k * step); one walk along the
+        segments finds each sample's segment.
+        """
         if self._samples is None:
             n = max(8, int(round(self.total_length / _SAMPLE_STEP)))
             step = self.total_length / n
-            pts = np.empty((n, 2))
+            xs = np.empty(n)
+            ys = np.empty(n)
             tans = np.empty(n)
+            cum = self._cum.tolist()
+            last = len(self.segments) - 1
+            i = 0
             for k in range(n):
-                x, y, t = self.point_at(k * step)
-                pts[k, 0], pts[k, 1], tans[k] = x, y, t
-            self._samples = (pts, tans, step)
+                s = k * step
+                while i < last and cum[i + 1] <= s:
+                    i += 1
+                seg = self.segments[i]
+                local = s - cum[i]
+                xs[k], ys[k] = seg.point_at(local)
+                tans[k] = seg.tangent_at(local)
+            self._samples = (xs, ys, tans, step)
         return self._samples
 
 
@@ -317,7 +371,7 @@ def track_from_config(cfg: dict) -> Track:
 
 def _reject_unknown(leftover: dict, where: str):
     if leftover:
-        key = sorted(leftover)[0]
+        key = sorted(str(k) for k in leftover)[0]
         raise ConfigError(f"unknown key in {where}: {key}")
 
 

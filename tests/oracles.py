@@ -3,7 +3,8 @@
 The angle/offset oracles are deliberately line-for-line ports of the
 original controller scripts' branch structures, kept separate from the
 package implementation so the two can be compared mechanically.  The fusion
-oracle re-evaluates the three policies from their definitions.
+oracle re-evaluates the three policies from their definitions, and the track
+oracles redo ground truth and the centreline sampling the slow, plain way.
 """
 
 import math
@@ -172,3 +173,27 @@ def oracle_fuse(commands, policy):
         return (sum(c[2] * c[0] for c in commands) / total,
                 sum(c[2] * c[1] for c in commands) / total)
     raise ValueError(policy)
+
+
+def oracle_track_closest(track, px, py):
+    """Track.closest as a full scan: every segment, in index order, no pruning."""
+    best = None
+    for seg in track.segments:
+        d, cx, cy, tan = seg.closest(px, py)
+        if best is None or d < best[0] - 1e-15:
+            best = (d, cx, cy, tan)
+    d, cx, cy, tan = best
+    t = math.radians(tan)
+    cross = math.cos(t) * (py - cy) - math.sin(t) * (px - cx)
+    return math.copysign(d, cross) if d > 0.0 else 0.0, cx, cy, tan
+
+
+def oracle_track_samples(track, n, step):
+    """x, y and tangent lists from one point_at call per sample."""
+    xs, ys, tans = [], [], []
+    for k in range(n):
+        x, y, t = track.point_at(k * step)
+        xs.append(x)
+        ys.append(y)
+        tans.append(t)
+    return xs, ys, tans

@@ -226,6 +226,31 @@ class TestVehicleNode:
         # the stored report is untouched by the malformed datagram
         assert node.registry.slots["pi"].report.left == pytest.approx(30.0)
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("datagram", ["inf;inf;inf;0;0;0", "nan;nan;nan;0;0;0",
+                                          "1e400;5;100;0;0;0"])
+    def test_non_finite_datagram_holds_powers(self, policy, datagram):
+        node = VehicleNode(["pi", "cam0"], policy)
+        node.handle_datagram("cam0", "90;110;60;0;0;0", 0.1)
+        node.handle_datagram("pi", datagram, 0.2)
+        assert node.applied == (30, 36)
+        assert len(node.rows) == 2
+        assert node.rows[-1].startswith("0.200000,30,36,0,0,0,0,0,0,")
+        assert node.rows[-1].endswith(",-1")
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_overflowing_fusion_never_raises(self, policy):
+        # Finite but huge: the weighted sums overflow to inf.
+        node = VehicleNode(["pi", "cam0"], policy)
+        node.handle_datagram("cam0", "90;110;60;0;0;0", 0.1)
+        applied = node.handle_datagram("pi", "1e308;1e308;1e308;0;0;0", 0.2)
+        if policy == CONFIDENCE_WEIGHTED:
+            assert applied == (30, 36)
+            assert node.rows[-1].endswith(",-1")
+        else:
+            assert applied == (255, 255)
+            assert not node.rows[-1].endswith(",-1")
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             VehicleNode(["pi"], "median")

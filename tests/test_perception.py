@@ -171,9 +171,9 @@ class TestSmallHelpers:
         assert onboard_offset(320.0) == pytest.approx(-53.28)
 
     def test_confidence(self):
-        assert confidence_from_visibility(1.0, "onboard") == 100
-        assert confidence_from_visibility(0.0, "onboard") == 0
-        assert confidence_from_visibility(0.924, "infrastructure") == 92
+        assert confidence_from_visibility(1.0) == 100
+        assert confidence_from_visibility(0.0) == 0
+        assert confidence_from_visibility(0.924) == 92
 
     def test_front_point(self):
         from fusedrive.perception import MarkerObservation

@@ -61,6 +61,12 @@ class TestCodec:
         with pytest.raises(ValueError):
             encode_command(SteeringCommand(float("inf"), 0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("text", ["inf;inf;inf;0;0;0", "nan;nan;nan;0;0;0",
+                                      "1e400;5;100;0;0;0", "1;2;3;4;5;-inf"])
+    def test_decode_non_finite_malformed(self, text):
+        with pytest.raises(MalformedDatagram, match="non-finite"):
+            decode_command(text)
+
 
 class TestChannel:
     def test_no_loss_no_delay(self):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fusedrive.world import (
@@ -18,6 +19,8 @@ from fusedrive.world import (
     step_vehicle,
     track_from_config,
 )
+
+from oracles import oracle_track_closest, oracle_track_samples
 
 
 def square_loop_track(side=1.0, radius=0.2):
@@ -114,6 +117,102 @@ class TestLateralDeviation:
             if prev is not None:
                 assert abs(d - prev) < 0.04
             prev = d
+
+
+def _segments_track(items):
+    return track_from_config({"kind": "segments", "segments": items})
+
+
+# Tracks for the pruned ground-truth search and the centreline walk.
+FAST_PATH_TRACKS = {
+    "rounded_rectangle": lambda: track_from_config(
+        {"kind": "rounded_rectangle", "center": [1.0, 1.0], "straight": 1.0,
+         "corner_radius": 0.3}),
+    "circle": lambda: track_from_config(
+        {"kind": "circle", "center": [1.0, 1.0], "radius": 0.5}),
+    # Clockwise stadium: negative arc sweeps.
+    "segments_clockwise": lambda: _segments_track([
+        {"type": "straight", "start": [1.5, 0.7], "end": [0.5, 0.7]},
+        {"type": "arc", "center": [0.5, 1.0], "radius": 0.3,
+         "start_deg": 270.0, "sweep_deg": -180.0},
+        {"type": "straight", "start": [0.5, 1.3], "end": [1.5, 1.3]},
+        {"type": "arc", "center": [1.5, 1.0], "radius": 0.3,
+         "start_deg": 90.0, "sweep_deg": -180.0},
+    ]),
+    # A hairpin whose two straights run 1 cm apart: the loop passes close
+    # to itself, so far-apart segments tie or nearly tie.
+    "segments_hairpin": lambda: _segments_track([
+        {"type": "straight", "start": [0.5, 1.0], "end": [1.5, 1.0]},
+        {"type": "arc", "center": [1.5, 1.005], "radius": 0.005,
+         "start_deg": 270.0, "sweep_deg": 180.0},
+        {"type": "straight", "start": [1.5, 1.01], "end": [0.5, 1.01]},
+        {"type": "arc", "center": [0.5, 1.005], "radius": 0.005,
+         "start_deg": 90.0, "sweep_deg": 180.0},
+    ]),
+}
+
+
+def _probe_points(track, seed):
+    """Random board points, points near the line, and every special point."""
+    rng = random.Random(seed)
+    pts = [(rng.uniform(-0.5, 2.5), rng.uniform(-0.5, 2.5)) for _ in range(400)]
+    for _ in range(400):
+        x, y, _ = track.point_at(rng.uniform(0.0, track.total_length))
+        pts.append((x + rng.uniform(-0.03, 0.03), y + rng.uniform(-0.03, 0.03)))
+    for seg in track.segments:
+        pts.extend([seg.start, seg.end])
+        if isinstance(seg, Arc):
+            pts.append((seg.cx, seg.cy))
+    # Off the board, far and near.
+    pts.extend([(-3.0, -3.0), (10.0, 1.0), (1.0, 50.0), (-0.01, 1.0), (2.2, 2.2)])
+    # Exactly between the hairpin's straights, and on its axis of symmetry.
+    pts.extend([(x, 1.005) for x in (0.3, 0.5, 0.75, 1.0, 1.5, 1.6)])
+    pts.extend([(1.0, y) for y in (0.0, 1.0, 1.005, 1.01, 2.0)])
+    return pts
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS))
+class TestPrunedClosest:
+    """The pruned Track.closest equals the full scan, value for value."""
+
+    def test_shuffled_points_match_full_scan(self, name):
+        track = FAST_PATH_TRACKS[name]()
+        pts = _probe_points(track, 11)
+        random.Random(12).shuffle(pts)
+        for px, py in pts:
+            assert track.closest(px, py) == oracle_track_closest(track, px, py), (px, py)
+
+    def test_path_along_track_matches_full_scan(self, name):
+        # Consecutive nearby points keep the previous pick as the first guess.
+        track = FAST_PATH_TRACKS[name]()
+        rng = random.Random(13)
+        s = 0.0
+        while s < 2.0 * track.total_length:
+            x, y, _ = track.point_at(s)
+            px, py = x + rng.uniform(-0.02, 0.02), y + rng.uniform(-0.02, 0.02)
+            assert track.closest(px, py) == oracle_track_closest(track, px, py), (px, py)
+            s += 0.003
+
+    def test_every_first_guess_matches_full_scan(self, name):
+        # Whichever segment won last time, the answer is the same.
+        track = FAST_PATH_TRACKS[name]()
+        pts = _probe_points(track, 14)[::7]
+        for px, py in pts:
+            expected = oracle_track_closest(track, px, py)
+            for i in range(len(track.segments)):
+                track._last = i
+                assert track.closest(px, py) == expected, (px, py, i)
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS))
+def test_samples_equal_point_at_loop(name):
+    track = FAST_PATH_TRACKS[name]()
+    xs, ys, tans, step = track.samples()
+    assert xs.flags.c_contiguous and ys.flags.c_contiguous
+    exp_x, exp_y, exp_t = oracle_track_samples(track, len(xs), step)
+    assert np.array_equal(xs, exp_x)
+    assert np.array_equal(ys, exp_y)
+    assert np.array_equal(tans, exp_t)
 
 
 class TestStepVehicle:
