@@ -91,7 +91,7 @@ def _cmd_sweep(args) -> int:
             f"{name}={table.metrics[name][vi][0]:.4g}"
             for name in ("correction", "deviation") if name in table.metrics
         )
-        print(f"  {args.axis}={value:g}: {cells}, crash_rate={table.crash_rate[vi]:.2f}")
+        print(f"  {args.axis}={value:.10g}: {cells}, crash_rate={table.crash_rate[vi]:.2f}")
     return 0
 
 

@@ -97,14 +97,3 @@ class CrashDetector:
         else:
             self._over_since = None
         return None
-
-
-def detect_crash(deviation_series: SampleSeries, threshold_m: float = 0.25,
-                 hold_s: float = 0.5):
-    """First time |deviation| > threshold_m continuously for hold_s, or None."""
-    detector = CrashDetector(threshold_m, hold_s)
-    for t, v in zip(deviation_series.times, deviation_series.values):
-        crash = detector.update(t, v)
-        if crash is not None:
-            return crash
-    return None

@@ -1,13 +1,16 @@
-"""Deterministic fixed-timestep experiment runner.
+"""Fixed-timestep experiment runner: the one tick loop of both transports.
 
 Each tick: sensors due this tick observe the world, run their PID, pass the
 command through their outage gate, and send it into their channel; the
-vehicle node polls all channels and re-fuses per received datagram; metrics
-record; the vehicle steps.  Everything derives from the scenario seed, so a
-run is a pure function of (scenario, seed) and its artifacts are
-byte-identical across repeats.
+vehicle node takes the datagrams due now and re-fuses per datagram; metrics
+record; the vehicle steps.  `drive` is that loop for any channels; `run`
+drives it over seeded simulated channels.  Everything then derives from the
+scenario seed, so a run is a pure function of (scenario, seed) and its
+artifacts are byte-identical across repeats.  `udp.run_udp` drives the same
+loop over loopback sockets.
 """
 
+import functools
 import itertools
 import json
 import os
@@ -52,18 +55,17 @@ class RunResult:
         return 0 if self.completed else 2
 
 
-class _SensorRuntime:
-    def __init__(self, scenario: Scenario, config, seq):
+class SensorRuntime:
+    """One sensor's pipeline: PID state, seeded noise and outage streams, the
+    channel its datagrams travel on, and its error series."""
+
+    def __init__(self, scenario: Scenario, config, channel):
         self.config = config
         self.sensor_id = config.sensor_id
         self.period_ticks = scenario.sensor_period_ticks(config)
+        self.channel = channel
         self.pid_state = PidState()
         self.noise_rng = random.Random(derive_seed(scenario.seed, config.sensor_id, "noise"))
-        self.channel = SimulatedChannel(
-            ChannelModel(config.channel_loss, config.channel_delay,
-                         derive_seed(scenario.seed, config.sensor_id, "channel")),
-            seq,
-        )
         phase = 0.0
         if config.outage is not None:
             span = (config.outage.period if isinstance(config.outage, PeriodicOutage)
@@ -74,6 +76,19 @@ class _SensorRuntime:
             config.outage, phase,
             random.Random(derive_seed(scenario.seed, config.sensor_id, "outage")),
         )
+        self.errors = SampleSeries(f"error_{config.sensor_id}")
+
+    def tick(self, scenario: Scenario, pose, now: float) -> str:
+        """Observe, run the PID, gate through the outage, record the error;
+        returns the datagram text."""
+        obs = observe(self.config.camera, scenario.track, pose,
+                      scenario.markers, self.noise_rng)
+        self.pid_state, cmd = sensor_tick(self.config.kind, self.config.gains,
+                                          self.pid_state, obs)
+        dark = self.outage.active(now)
+        if not dark and not cmd.is_zero_report():
+            self.errors.append(now, cmd.p)
+        return encode_command(gate(cmd, dark))
 
 
 def _slot_ids(sensors):
@@ -93,7 +108,24 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     written there as well.
     """
     seq = itertools.count().__next__
-    sensors = [_SensorRuntime(scenario, s, seq) for s in scenario.sensors]
+    channels = [
+        SimulatedChannel(
+            ChannelModel(s.channel_loss, s.channel_delay,
+                         derive_seed(scenario.seed, s.sensor_id, "channel")),
+            seq,
+        )
+        for s in scenario.sensors
+    ]
+    return drive(scenario, channels, functools.partial(merge_deliveries, channels), out_dir)
+
+
+def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
+    """The tick loop, whatever carries the datagrams.
+
+    channels[k].send(source_id, datagram, now) carries sensor k's datagrams;
+    deliver(now) returns the (source_id, datagram) pairs due at now.
+    """
+    sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
     node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
                        _slot_ids(scenario.sensors))
     x, y, tangent = scenario.track.point_at(scenario.start_arclength)
@@ -101,27 +133,18 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
 
     correction = SampleSeries("correction")
     deviation = SampleSeries("deviation")
-    errors = {s.sensor_id: SampleSeries(f"error_{s.sensor_id}") for s in sensors}
     detector = CrashDetector(scenario.crash_threshold, scenario.crash_hold)
     crash_time = None
 
     ts = scenario.timestep
     n_ticks = scenario.n_ticks()
-    channels = [s.channel for s in sensors]
     for i in range(n_ticks):
         now = i * ts
         for s in sensors:
             if i % s.period_ticks:
                 continue
-            obs = observe(s.config.camera, scenario.track, pose,
-                          scenario.markers, s.noise_rng)
-            s.pid_state, cmd = sensor_tick(s.config.kind, s.config.gains,
-                                           s.pid_state, obs)
-            dark = s.outage.active(now)
-            if not dark and not cmd.is_zero_report():
-                errors[s.sensor_id].append(now, cmd.p)
-            s.channel.send(s.sensor_id, encode_command(gate(cmd, dark)), now)
-        delivered = merge_deliveries(channels, now)
+            s.channel.send(s.sensor_id, s.tick(scenario, pose, now), now)
+        delivered = deliver(now)
         for source_id, datagram in delivered:
             node.handle_datagram(source_id, datagram, now)
         dev = lateral_deviation(scenario.track, pose)
@@ -133,14 +156,13 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
             break
         pose = step_vehicle(pose, node.applied[0], node.applied[1], ts, scenario.vehicle)
 
-    result = assemble_result(scenario, node, sensors, correction, deviation,
-                             errors, crash_time)
+    result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result
 
 
-def assemble_result(scenario, node, sensors, correction, deviation, errors,
+def assemble_result(scenario, node, sensors, correction, deviation,
                     crash_time) -> RunResult:
     """Fold the raw run state into summaries and a RunResult."""
     completed = crash_time is None
@@ -151,7 +173,7 @@ def assemble_result(scenario, node, sensors, correction, deviation, errors,
 
     summaries = {}
     series = {"correction": correction, "deviation": deviation}
-    series.update({ser.name: ser for ser in errors.values()})
+    series.update({s.errors.name: s.errors for s in sensors})
     for name, ser in series.items():
         summaries[name] = (summarize(ser, crash_time).as_dict() if len(ser)
                            else {"count": 0})
@@ -180,7 +202,11 @@ def assemble_result(scenario, node, sensors, correction, deviation, errors,
 
 
 def write_outputs(result: RunResult, out_dir):
-    """Write drive log, metric series, and the JSON summary to out_dir."""
+    """Write drive log, metric series, and the JSON summary to out_dir.
+
+    Error series of sensors this run does not have, left by an earlier run
+    into the same directory, are removed.
+    """
     os.makedirs(out_dir, exist_ok=True)
     files = {}
 
@@ -198,6 +224,10 @@ def write_outputs(result: RunResult, out_dir):
             for t, v in zip(ser.times, ser.values):
                 fh.write(f"{t:.6f},{v!r}\n")
         files[name] = path
+    for name in os.listdir(out_dir):
+        if (name.startswith("error_") and name.endswith(".csv")
+                and name[:-4] not in result.series):
+            os.remove(os.path.join(out_dir, name))
 
     summary = {
         "scenario": result.scenario_name,

@@ -76,12 +76,21 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
 
 
 def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
-    """Run the scenario per (value, repetition) and aggregate summaries."""
+    """Run the scenario per (value, repetition) and aggregate summaries.
+
+    With out_dir, each run writes to <axis>_<value>_rep<rep>, the value in
+    the same text as the .dat value column; values that share that text
+    would share a directory and raise ConfigError before any run.
+    """
     values = list(spec.values)
+    labels = [f"{value:.10g}" for value in values]
+    for vi, label in enumerate(labels):
+        if out_dir is not None and label in labels[:vi]:
+            raise ConfigError(f"two sweep values share the run directory label {label!r}")
     metric_rows = {}
     crash_rate = []
     all_runs = []
-    for vi, value in enumerate(values):
+    for vi, (value, label) in enumerate(zip(values, labels)):
         variant = apply_axis(scenario, spec.axis, value)
         results = []
         for rep in range(spec.reps):
@@ -89,7 +98,7 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
             rep_scenario.seed = derive_seed(scenario.seed, spec.axis, value, rep)
             rep_dir = None
             if out_dir is not None:
-                rep_dir = os.path.join(out_dir, f"{spec.axis}_{value:g}_rep{rep}")
+                rep_dir = os.path.join(out_dir, f"{spec.axis}_{label}_rep{rep}")
             results.append(run(rep_scenario, rep_dir))
         all_runs.append(results)
         crash_rate.append(sum(1 for r in results if not r.completed) / len(results))

@@ -1,53 +1,40 @@
-"""Real-UDP transport: sensors and the vehicle node talk over loopback sockets.
+"""Real-UDP transport: the simulator's tick loop over loopback sockets.
 
-Each sensor runs in its own thread, paced against the wall clock, and sends
-its datagrams from its own bound socket; the vehicle node thread receives on
-its port and identifies sources by sender address.  Timing is therefore not
-deterministic; this mode exists to show the wire format and the vehicle node
-work over a real network, and it tracks the simulated channel statistically,
-not bit for bit.
+`run_udp` drives `runner.drive` with one bound socket per sensor as its
+channel and the vehicle node's socket as its delivery: each tick waits for
+the wall clock, then drains whatever datagrams have arrived and names their
+source by sender address.  Datagrams from unknown senders are dropped.
+Timing is therefore not deterministic; this mode exists to show the wire
+format and the vehicle node work over a real network, and it tracks the
+simulated channel statistically, not bit for bit.  Socket errors propagate
+to the caller.
 """
 
-import random
+import contextlib
 import socket
-import threading
 import time
 
-from .control import PidState, sensor_tick
-from .faults import OutageSchedule, PeriodicOutage, gate
-from .fusion import VehicleNode
-from .metrics import CrashDetector, SampleSeries, correction_metric
-from .perception import observe
-from .runner import RunResult, assemble_result, write_outputs, _slot_ids
-from .scenario import Scenario, derive_seed
-from .wire import encode_command
-from .world import Pose, lateral_deviation, step_vehicle
+from .runner import RunResult, drive
+from .scenario import Scenario
 
 _RECV_BYTES = 1500
-_SOCKET_TIMEOUT = 0.05
 
 
-class _UdpSensor:
-    def __init__(self, scenario, config, host, port):
-        self.config = config
-        self.sensor_id = config.sensor_id
-        self.period = scenario.sensor_period_ticks(config) * scenario.timestep
-        self.pid_state = PidState()
-        self.noise_rng = random.Random(derive_seed(scenario.seed, config.sensor_id, "noise"))
-        phase = 0.0
-        if config.outage is not None:
-            span = (config.outage.period if isinstance(config.outage, PeriodicOutage)
-                    else config.outage.interval)
-            phase = random.Random(
-                derive_seed(scenario.seed, config.sensor_id, "phase")).uniform(0.0, span)
-        self.outage = OutageSchedule(
-            config.outage, phase,
-            random.Random(derive_seed(scenario.seed, config.sensor_id, "outage")),
-        )
-        self.errors = SampleSeries(f"error_{config.sensor_id}")
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind((host, port))
-        self.addr = self.sock.getsockname()
+class _SocketChannel:
+    """A sensor's bound socket; send() puts a datagram on the wire to the vehicle."""
+
+    def __init__(self, sock, vehicle_addr):
+        self.sock = sock
+        self.vehicle_addr = vehicle_addr
+
+    def send(self, source_id, datagram: str, now: float):
+        self.sock.sendto(datagram.encode("utf-8"), self.vehicle_addr)
+
+
+def _bound(stack, host, port):
+    sock = stack.enter_context(socket.socket(socket.AF_INET, socket.SOCK_DGRAM))
+    sock.bind((host, port))
+    return sock
 
 
 def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
@@ -58,120 +45,31 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
     ephemeral ports, which keeps parallel test runs from colliding.
     """
     host = scenario.udp.host
-    vehicle_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    vehicle_sock.bind((host, scenario.udp.vehicle_port))
-    vehicle_sock.settimeout(_SOCKET_TIMEOUT)
-    vehicle_addr = vehicle_sock.getsockname()
+    base = scenario.udp.sensor_port_base
+    with contextlib.ExitStack() as stack:
+        vehicle = _bound(stack, host, scenario.udp.vehicle_port)
+        vehicle.setblocking(False)
+        vehicle_addr = vehicle.getsockname()
+        channels = []
+        sources = {}
+        for idx, cfg in enumerate(scenario.sensors):
+            sock = _bound(stack, host, base + idx if base else 0)
+            channels.append(_SocketChannel(sock, vehicle_addr))
+            sources[sock.getsockname()] = cfg.sensor_id
+        t0 = time.monotonic()
 
-    sensors = []
-    for idx, cfg in enumerate(scenario.sensors):
-        port = scenario.udp.sensor_port_base
-        if port:
-            port += idx
-        sensors.append(_UdpSensor(scenario, cfg, host, port))
-    addr_map = {s.addr: s.sensor_id for s in sensors}
-
-    node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
-                       _slot_ids(scenario.sensors))
-    lock = threading.Lock()
-    stop = threading.Event()
-    x, y, tangent = scenario.track.point_at(scenario.start_arclength)
-    shared = {"pose": Pose(x, y, tangent), "sim_now": 0.0}
-
-    def vehicle_loop():
-        while not stop.is_set():
-            try:
-                data, addr = vehicle_sock.recvfrom(_RECV_BYTES)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            source_id = addr_map.get(addr)
-            if source_id is None:
-                continue
-            with lock:
-                node.handle_datagram(source_id, data, shared["sim_now"])
-
-    def sensor_loop(s: _UdpSensor, t0: float):
-        k = 0
-        while not stop.is_set():
-            sim_t = k * s.period
-            if sim_t >= scenario.duration:
-                break
-            target = t0 + sim_t / pace
-            delay = target - time.monotonic()
-            if delay > 0:
-                if stop.wait(delay):
-                    break
-            with lock:
-                pose = shared["pose"]
-            obs = observe(s.config.camera, scenario.track, pose,
-                          scenario.markers, s.noise_rng)
-            s.pid_state, cmd = sensor_tick(s.config.kind, s.config.gains,
-                                           s.pid_state, obs)
-            dark = s.outage.active(sim_t)
-            if not dark and not cmd.is_zero_report():
-                s.errors.append(sim_t, cmd.p)
-            payload = encode_command(gate(cmd, dark)).encode("utf-8")
-            try:
-                s.sock.sendto(payload, vehicle_addr)
-            except OSError:
-                break
-            k += 1
-
-    correction = SampleSeries("correction")
-    deviation = SampleSeries("deviation")
-    detector = CrashDetector(scenario.crash_threshold, scenario.crash_hold)
-    crash_time = None
-
-    vehicle_thread = threading.Thread(target=vehicle_loop, daemon=True)
-    vehicle_thread.start()
-    t0 = time.monotonic()
-    sensor_threads = [
-        threading.Thread(target=sensor_loop, args=(s, t0), daemon=True)
-        for s in sensors
-    ]
-    for th in sensor_threads:
-        th.start()
-
-    ts = scenario.timestep
-    n_ticks = scenario.n_ticks()
-    rows_seen = 0
-    try:
-        for i in range(n_ticks):
-            now = i * ts
-            target = t0 + now / pace
-            delay = target - time.monotonic()
+        def deliver(now):
+            delay = t0 + now / pace - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            with lock:
-                pose = shared["pose"]
-                applied = node.applied
-                n_rows = len(node.rows)
-            dev = lateral_deviation(scenario.track, pose)
-            if n_rows > rows_seen:
-                rows_seen = n_rows
-                correction.append(now, correction_metric(*applied))
-                deviation.append(now, dev)
-            crash_time = detector.update(now, dev)
-            if crash_time is not None:
-                break
-            new_pose = step_vehicle(pose, applied[0], applied[1], ts, scenario.vehicle)
-            with lock:
-                shared["pose"] = new_pose
-                shared["sim_now"] = (i + 1) * ts
-    finally:
-        stop.set()
-        for th in sensor_threads:
-            th.join(timeout=2.0)
-        vehicle_thread.join(timeout=2.0)
-        vehicle_sock.close()
-        for s in sensors:
-            s.sock.close()
+            out = []
+            while True:
+                try:
+                    data, addr = vehicle.recvfrom(_RECV_BYTES)
+                except BlockingIOError:
+                    return out
+                source_id = sources.get(addr)
+                if source_id is not None:
+                    out.append((source_id, data))
 
-    errors = {s.sensor_id: s.errors for s in sensors}
-    result = assemble_result(scenario, node, sensors, correction, deviation,
-                             errors, crash_time)
-    if out_dir is not None:
-        write_outputs(result, out_dir)
-    return result
+        return drive(scenario, channels, deliver, out_dir)

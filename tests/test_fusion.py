@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedrive.fusion import (
     CONFIDENCE_WEIGHTED,
@@ -18,7 +20,7 @@ from fusedrive.fusion import (
     fuse_weighted,
     max_confidence_source,
 )
-from fusedrive.wire import SteeringCommand
+from fusedrive.wire import MalformedDatagram, SteeringCommand, decode_command
 
 from oracles import oracle_fuse
 
@@ -181,6 +183,21 @@ class TestDriveTick:
         assert degenerate and powers == (77, 33)
 
 
+_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 400, 10 ** 400).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "", " 90 ", "0x10", "1_0"]),
+    st.text(max_size=6),
+)
+# Arbitrary text and bytes, plus six-field datagrams that often parse.
+_DATAGRAM = st.one_of(
+    st.text(),
+    st.binary(),
+    st.lists(_FIELD, min_size=6, max_size=6).map(";".join),
+    st.lists(_FIELD, min_size=6, max_size=6).map(lambda f: ";".join(f).encode("utf-8")),
+)
+
+
 class TestVehicleNode:
     def test_header_columns(self):
         assert DRIVE_LOG_HEADER.split(",") == [
@@ -254,3 +271,25 @@ class TestVehicleNode:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             VehicleNode(["pi"], "median")
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=150, deadline=None)
+    @given(traffic=st.lists(st.tuples(st.sampled_from(["pi", "cam0", "stray"]), _DATAGRAM),
+                            max_size=8))
+    def test_hostile_datagrams_never_raise(self, policy, traffic):
+        node = VehicleNode(["pi", "cam0"], policy)
+        for k, (source_id, datagram) in enumerate(traffic):
+            held = node.applied
+            try:
+                decode_command(datagram)
+                rejected = False
+            except MalformedDatagram:
+                rejected = True
+            applied = node.handle_datagram(source_id, datagram, 0.1 * k)
+            assert len(node.rows) == k + 1
+            assert applied == node.applied
+            assert all(0 <= p <= 255 for p in applied)
+            assert node.rows[-1].split(",")[1:3] == [str(applied[0]), str(applied[1])]
+            if rejected:
+                assert applied == held
+                assert node.rows[-1].endswith(",-1")

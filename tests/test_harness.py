@@ -212,6 +212,20 @@ class TestRunner:
         assert summary["completed"] is True
         assert summary["metrics"]["deviation"]["count"] == len(res.series["deviation"])
 
+    def test_rerun_removes_stale_error_series(self, tmp_path):
+        cams = [{"id": f"cam{k}", "kind": "infrastructure",
+                 "camera": {"coverage": [0, 0, 2, 2], "pixels_per_meter": 300,
+                            "crop_size": 36}} for k in range(2)]
+        cfg = minimal_cfg(duration=2.0)
+        run(scenario_from_dict(dict(cfg, sensors=cfg["sensors"] + cams)), tmp_path / "out")
+        assert "error_cam1.csv" in os.listdir(tmp_path / "out")
+        (tmp_path / "out" / "notes.txt").write_text("kept", encoding="utf-8")
+        run(scenario_from_dict(cfg), tmp_path / "out")
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "correction.csv", "deviation.csv", "drive_log.csv",
+            "error_pi.csv", "notes.txt", "summary.json",
+        ]
+
 
 class TestSweep:
     def test_single_value_equals_plain_run_with_derived_seed(self):
@@ -252,6 +266,20 @@ class TestSweep:
         assert data.shape == (2, 4)
         assert data[:, 0].tolist() == [1.0, 2.0]
         assert data[0, 1] == pytest.approx(table.metrics["deviation"][0][0])
+
+    def test_run_dirs_named_like_dat_values(self, tmp_path):
+        sc = scenario_from_dict(minimal_cfg(duration=1.0))
+        sweep(sc, SweepSpec("kp", (1.0, 1.0000001), reps=1), tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("kp_*_rep0")) == [
+            "kp_1.0000001_rep0", "kp_1_rep0"]
+        _, data = read_plot_data(tmp_path / "kp_deviation.dat")
+        assert data[:, 0].tolist() == [1.0, 1.0000001]
+
+    def test_values_sharing_a_dir_label_rejected(self, tmp_path):
+        sc = scenario_from_dict(minimal_cfg(duration=1.0))
+        with pytest.raises(ConfigError, match="directory label '1'"):
+            sweep(sc, SweepSpec("kp", (1.0, 1.00000000001), reps=1), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):

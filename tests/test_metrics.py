@@ -10,10 +10,19 @@ from fusedrive.metrics import (
     CrashDetector,
     SampleSeries,
     correction_metric,
-    detect_crash,
     post_outage_window,
     summarize,
 )
+
+
+def detect_crash(deviation_series, threshold_m=0.25, hold_s=0.5):
+    """First time |deviation| > threshold_m continuously for hold_s, or None."""
+    detector = CrashDetector(threshold_m, hold_s)
+    for t, v in zip(deviation_series.times, deviation_series.values):
+        crash = detector.update(t, v)
+        if crash is not None:
+            return crash
+    return None
 
 
 def series_of(pairs, name="dev"):

@@ -4,8 +4,12 @@ These runs are paced against the wall clock and therefore not deterministic;
 assertions stay qualitative (it drives, it logs, sources resolve by address).
 """
 
-import pytest
+import socket
 
+import pytest
+import yaml
+
+from fusedrive.cli import main
 from fusedrive.runner import run
 from fusedrive.scenario import scenario_from_dict
 from fusedrive.udp import run_udp
@@ -65,3 +69,51 @@ class TestUdpTransport:
         res = run_udp(sc, tmp_path / "udp", pace=10.0)
         assert (tmp_path / "udp" / "drive_log.csv").exists()
         assert res.files
+
+
+def _failing_sendto(after):
+    """A socket.socket.sendto that raises OSError once `after` datagrams are sent."""
+    real = socket.socket.sendto
+    sent = []
+
+    def sendto(sock, data, addr):
+        if len(sent) >= after:
+            raise OSError("send failed on purpose")
+        sent.append(data)
+        return real(sock, data, addr)
+
+    return sendto
+
+
+class TestUdpFailures:
+    def test_send_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(socket.socket, "sendto", _failing_sendto(20))
+        with pytest.raises(OSError, match="on purpose"):
+            run_udp(scenario_from_dict(udp_cfg(ONBOARD)), pace=10.0)
+
+    def test_send_error_exits_one(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "udp.yaml"
+        path.write_text(yaml.safe_dump(udp_cfg(ONBOARD)), encoding="utf-8")
+        monkeypatch.setattr(socket.socket, "sendto", _failing_sendto(20))
+        code = main(["run", str(path), "--transport", "udp", "--pace", "10",
+                     "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert "on purpose" in capsys.readouterr().err
+
+    def test_unknown_sender_never_logged(self, monkeypatch):
+        real = socket.socket.sendto
+        strays = []
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+            stray.bind(("127.0.0.1", 0))
+
+            def sendto(sock, data, addr):
+                # Every sensor datagram is shadowed by one from the stray socket.
+                strays.append(real(stray, b"999;999;100;0;0;0", addr))
+                return real(sock, data, addr)
+
+            monkeypatch.setattr(socket.socket, "sendto", sendto)
+            res = run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=10.0)
+        assert res.completed
+        assert len(strays) > 10 and len(res.rows) > 10
+        for row in res.rows:
+            assert "999" not in row.split(",")
