@@ -29,9 +29,9 @@ INFRASTRUCTURE_GAINS = (1.0, 0.02, 0.5)
 
 @dataclass(frozen=True)
 class PidGains:
-    kp: float
-    ki: float
-    kd: float
+    kp: float = 0.0
+    ki: float = 0.0
+    kd: float = 0.0
 
     def __post_init__(self):
         for g in (self.kp, self.ki, self.kd):
@@ -81,11 +81,7 @@ def sensor_tick(kind: str, gains: PidGains, state: PidState, observation):
     untouched, so a sensor resumes from its pre-outage integral.
     """
     markers, line_box = observation
-    if kind == ONBOARD:
-        visible = line_box.visible
-    else:
-        visible = markers.visible and line_box.visible
-    if not visible:
+    if not line_box.visible or (kind != ONBOARD and not markers.visible):
         return state, SteeringCommand.zero()
     if kind == ONBOARD:
         error = onboard_offset(line_box.center[0])

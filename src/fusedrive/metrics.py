@@ -6,7 +6,7 @@ of that mean.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,13 +41,7 @@ class RunSummary:
     crash_time: float = None
 
     def as_dict(self):
-        return {
-            "mean_abs": self.mean_abs,
-            "std_abs": self.std_abs,
-            "sem_abs": self.sem_abs,
-            "count": self.count,
-            "crash_time": self.crash_time,
-        }
+        return asdict(self)
 
 
 def correction_metric(left_applied: float, right_applied: float) -> float:

@@ -238,8 +238,7 @@ def _observe_infrastructure(camera, xs, ys, tans, step, line_width, pose, layout
 
     # Look-ahead window around the point one marker gap ahead of the nose,
     # derived from the jittered pixels exactly as the fix computations do.
-    fx_px = ox + (ox - gx) / 2.0
-    fy_px = oy + (oy - gy) / 2.0
+    fx_px, fy_px = front_point(markers)
     half_m = camera.window_half_m()
     x0c, y0c, x1c, y1c = camera.coverage
     mx, my = (x0c + x1c) / 2.0, (y0c + y1c) / 2.0

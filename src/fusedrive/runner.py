@@ -42,7 +42,6 @@ class RunResult:
     completed: bool
     crash_time: float
     run_end: float
-    header: str
     rows: list
     series: dict
     summaries: dict
@@ -171,19 +170,16 @@ def assemble_result(scenario, node, sensors, correction, deviation,
         end for s in sensors for _, end in s.outage.windows(run_end)
     )
 
-    summaries = {}
+    def summary(values):
+        return summarize(values, crash_time).as_dict() if len(values) else {"count": 0}
+
     series = {"correction": correction, "deviation": deviation}
     series.update({s.errors.name: s.errors for s in sensors})
-    for name, ser in series.items():
-        summaries[name] = (summarize(ser, crash_time).as_dict() if len(ser)
-                           else {"count": 0})
+    summaries = {name: summary(ser) for name, ser in series.items()}
     if any(s.config.outage is not None for s in sensors):
         for name in ("correction", "deviation"):
-            window = post_outage_window(series[name], outage_ends, scenario.post_outage_k)
-            summaries[f"post_outage_{name}"] = (
-                summarize(window, crash_time).as_dict() if window.size
-                else {"count": 0}
-            )
+            summaries[f"post_outage_{name}"] = summary(
+                post_outage_window(series[name], outage_ends, scenario.post_outage_k))
 
     return RunResult(
         scenario_name=scenario.name,
@@ -193,7 +189,6 @@ def assemble_result(scenario, node, sensors, correction, deviation,
         completed=completed,
         crash_time=crash_time,
         run_end=run_end,
-        header=DRIVE_LOG_HEADER,
         rows=node.rows,
         series=series,
         summaries=summaries,
@@ -212,7 +207,7 @@ def write_outputs(result: RunResult, out_dir):
 
     path = os.path.join(out_dir, "drive_log.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.header + "\n")
+        fh.write(DRIVE_LOG_HEADER + "\n")
         for row in result.rows:
             fh.write(row + "\n")
     files["drive_log"] = path

@@ -1,12 +1,17 @@
-"""Scenario configuration: YAML loading, strict validation, seed derivation.
+"""Scenario files: the whole file format, strict validation, seed derivation.
 
 A scenario file mirrors the runtime structure: a track, a vehicle, a sensor
 list (each with camera, gains, channel, and outage settings), a fusion
-policy, and the clock.  Unknown keys anywhere are rejected so typos cannot
-silently fall back to defaults.
+policy, and the clock.  One reader, `_read`, reads every section: unknown
+keys are rejected so typos cannot silently fall back to defaults, and only
+the keys the file contains are passed on, so each default lives in the
+constructor the section feeds.  Any unreadable, non-finite or out-of-range
+value is a ConfigError at load, named by its key path.
 """
 
+import functools
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -22,8 +27,8 @@ from .perception import (
     infrastructure_camera,
     onboard_camera,
 )
-from .world import ConfigError, Track, VehicleParams, _reject_unknown, track_from_config
-
+from .wire import ChannelModel
+from .world import Arc, ConfigError, Straight, Track, VehicleParams, rounded_rectangle_segments
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed from any printable parts (order-sensitive)."""
@@ -78,209 +83,251 @@ class Scenario:
         return max(1, int(round(sensor.period() / self.timestep)))
 
 
-def _pop(cfg: dict, key: str, default=None, required: bool = False, where: str = ""):
+def _finite(value, positive=False) -> float:
+    number = float(value)
+    if not math.isfinite(number) or (positive and number <= 0.0):
+        raise ValueError(f"{value!r} is not a {'positive' if positive else 'finite'} number")
+    return number
+
+
+def _int(value, low=-math.inf, high=math.inf) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    number = int(value)
+    if not low <= number <= high:
+        raise ValueError(f"{value!r} is outside [{low}, {high}]")
+    return number
+
+
+_positive = functools.partial(_finite, positive=True)
+_count = functools.partial(_int, low=1)
+_port = functools.partial(_int, low=0, high=65535)
+
+
+def _numbers(value, n=2) -> tuple:
+    """A list of n finite numbers (a pair by default), as a tuple."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ValueError(f"expected a list of {n} numbers, got {value!r}")
+    return tuple(map(_finite, value))
+
+
+def _choice(choices, what: str, value) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {what} {value!r}")
+    return value
+
+
+def _wrap(where: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with any error it raises a ConfigError naming where."""
+    try:
+        return fn(*args, **kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _read(cfg, where: str, readers: dict, build=dict, required=(), names=None):
+    """Read one section of a scenario file and build from it.
+
+    cfg must be a mapping (None reads as empty) with only keys of readers
+    and every required one.  Each value present goes through its reader and
+    on to build, under its key or the name names gives it; absent keys are
+    not passed, so build's defaults are the only ones.  where is the key
+    path of the section, "" at the top level.
+    """
+    section = where or "scenario"
+    cfg = {} if cfg is None else cfg
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{section} must be a mapping")
+    prefix = f"{where}." if where else ""
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"missing field: {prefix}{key}")
+    unknown = sorted(str(key) for key in cfg if key not in readers)
+    if unknown:
+        raise ConfigError(f"unknown key in {section}: {unknown[0]}")
+    names = names or {}
+    fields = {names.get(key, key): _wrap(prefix + key, readers[key], value)
+              for key, value in cfg.items()}
+    return _wrap(section, build, **fields)
+
+
+def _variant(cfg, where: str, key: str, table: dict, what: str):
+    """Split a section whose allowed keys depend on its kind: returns the
+    entry of table that cfg[key] names, and cfg without that key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a mapping")
     if key not in cfg:
-        if required:
-            raise ConfigError(f"missing field: {where}{key}")
-        return default
-    return cfg.pop(key)
+        raise ConfigError(f"missing field: {where}.{key}")
+    rest = dict(cfg)
+    name = _wrap(f"{where}.{key}", _choice, table, what, rest.pop(key))
+    return table[name], rest
 
 
-def _build_outage(cfg, where: str):
+def _items(value, where: str, read) -> list:
+    """A non-empty list, each entry read by read(entry, "<where>[i]")."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return [read(item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+
+_SEGMENTS = {
+    "straight": ({"start": _numbers, "end": _numbers}, lambda start, end: Straight(*start, *end)),
+    "arc": ({"center": _numbers, "radius": _finite, "start_deg": _finite, "sweep_deg": _finite},
+            lambda center, **arc: Arc(*center, **arc)),
+}
+_SHAPES = {  # kind: (readers, segment list builder, required keys)
+    "rounded_rectangle": ({"center": _numbers, "straight": _positive, "corner_radius": _positive},
+                          rounded_rectangle_segments, ()),
+    "circle": ({"center": _numbers, "radius": _positive},
+               lambda center, radius=0.5: [Arc(*center, radius, 0.0, 360.0)], ()),
+    "segments": ({"segments": lambda v: _items(v, "track.segments", _segment)},
+                 lambda segments: segments, ("segments",)),
+}
+_TRACK_SIZE = {"board_size": _positive, "line_width": _positive}
+
+
+def _segment(cfg, where: str):
+    (readers, build), rest = _variant(cfg, where, "type", _SEGMENTS, "segment type")
+    return _read(rest, where, readers, build, required=tuple(readers))
+
+
+def track_from_config(cfg) -> Track:
+    """Build a Track from a plain-dict description.
+
+    Supported kinds: "rounded_rectangle" (center, straight, corner_radius),
+    "circle" (center, radius), and "segments" (explicit list of straight and
+    arc items); the center defaults to the middle of the board.  Raises
+    ConfigError on unknown kinds or keys, bad values, or geometry that does
+    not close or leaves the board.
+    """
+    (readers, build, required), rest = _variant(cfg, "track", "kind", _SHAPES, "track kind")
+    fields = _read(rest, "track", {**_TRACK_SIZE, **readers}, required=required)
+    size = {key: fields.pop(key) for key in _TRACK_SIZE if key in fields}
+    if "center" in readers:
+        board = size.get("board_size", Track.board_size)
+        fields.setdefault("center", (board / 2.0, board / 2.0))
+    return Track(_wrap("track", build, **fields), **size)
+
+
+_CAMERA_KEYS = {"pixels_per_meter": _positive, "image_width": _count,
+                "image_height": _count, "crop_size": _count, "noise_px": _finite}
+_SENSOR_KINDS = {  # kind: (default rate_hz, camera factory, camera readers, required keys)
+    ONBOARD: (11.0, onboard_camera, {**_CAMERA_KEYS, "look_ahead": _finite}, ()),
+    INFRASTRUCTURE: (20.0, infrastructure_camera,
+                     {**_CAMERA_KEYS, "coverage": functools.partial(_numbers, n=4)},
+                     ("coverage",)),
+}
+_OUTAGES = {
+    "none": ({}, lambda: None),
+    "periodic": ({"period": _finite, "duration": _finite}, PeriodicOutage),
+    "probabilistic": ({"interval": _finite, "threshold": _int}, ProbabilisticOutage),
+}
+_GAIN_KEYS = dict.fromkeys(("kp", "ki", "kd"), _finite)
+_CHANNEL_KEYS = {"loss": _finite,
+                 "delay": lambda v: _numbers(v) if isinstance(v, (list, tuple)) else _finite(v)}
+
+
+def _outage(cfg, where: str):
     if cfg is None:
         return None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    cfg = dict(cfg)
-    kind = _pop(cfg, "kind", required=True, where=where + ".")
-    try:
-        if kind == "none":
-            model = None
-        elif kind == "periodic":
-            model = PeriodicOutage(
-                period=float(_pop(cfg, "period", 3.0)),
-                duration=float(_pop(cfg, "duration", 0.0)),
-            )
-        elif kind == "probabilistic":
-            model = ProbabilisticOutage(
-                interval=float(_pop(cfg, "interval", 0.4)),
-                threshold=int(_pop(cfg, "threshold", 0)),
-            )
-        else:
-            raise ConfigError(f"unknown outage kind in {where}: {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    _reject_unknown(cfg, where)
-    return model
+    (readers, build), rest = _variant(cfg, where, "kind", _OUTAGES, "outage kind")
+    return _read(rest, where, readers, build)
 
 
-def _build_camera(kind: str, cfg, where: str):
-    cfg = dict(cfg or {})
-    try:
-        if kind == ONBOARD:
-            camera = onboard_camera(
-                pixels_per_meter=float(_pop(cfg, "pixels_per_meter", 2000.0)),
-                image_width=int(_pop(cfg, "image_width", 320)),
-                image_height=int(_pop(cfg, "image_height", 240)),
-                crop_size=int(_pop(cfg, "crop_size", 80)),
-                look_ahead=float(_pop(cfg, "look_ahead", 0.06)),
-                noise_px=float(_pop(cfg, "noise_px", 2.0)),
-            )
-        else:
-            coverage = _pop(cfg, "coverage", required=True, where=where + ".")
-            camera = infrastructure_camera(
-                coverage=[float(v) for v in coverage],
-                pixels_per_meter=float(_pop(cfg, "pixels_per_meter", 300.0)),
-                image_width=int(_pop(cfg, "image_width", 1280)),
-                image_height=int(_pop(cfg, "image_height", 720)),
-                crop_size=int(_pop(cfg, "crop_size", 75)),
-                noise_px=float(_pop(cfg, "noise_px", 2.0)),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    _reject_unknown(cfg, where)
-    return camera
+def _sensor(cfg, where: str) -> SensorConfig:
+    (rate_hz, camera, camera_keys, camera_required), rest = _variant(
+        cfg, where, "kind", _SENSOR_KINDS, "sensor kind")
+    kind = cfg["kind"]
+    # Gains and camera are built even when the file leaves them out.
+    fields = _read({"gains": None, "camera": None, **rest}, where, {
+        "id": str,
+        "rate_hz": _positive,
+        "gains": lambda v: (default_gains(kind) if v is None
+                            else _read(v, f"{where}.gains", _GAIN_KEYS, PidGains)),
+        "camera": lambda v: _read(v, f"{where}.camera", camera_keys, camera, camera_required),
+        "channel": lambda v: _read(v, f"{where}.channel", _CHANNEL_KEYS,
+                                   names={"loss": "channel_loss", "delay": "channel_delay"}),
+        "outage": lambda v: _outage(v, f"{where}.outage"),
+    }, required=("id",), names={"id": "sensor_id"})
+    fields.update(fields.pop("channel", {}))
+    fields.setdefault("rate_hz", rate_hz)
+    sensor = SensorConfig(kind=kind, **fields)
+    _wrap(f"{where}.channel", ChannelModel, sensor.channel_loss, sensor.channel_delay)
+    return sensor
 
 
-def _build_gains(kind: str, cfg, where: str):
-    if cfg is None:
-        return default_gains(kind)
-    cfg = dict(cfg)
-    try:
-        gains = PidGains(
-            kp=float(_pop(cfg, "kp", 0.0)),
-            ki=float(_pop(cfg, "ki", 0.0)),
-            kd=float(_pop(cfg, "kd", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    _reject_unknown(cfg, where)
-    return gains
+def _sensors(value) -> list:
+    sensors = _items(value, "sensors", _sensor)
+    ids = [s.sensor_id for s in sensors]
+    if len(set(ids)) != len(ids):
+        raise ConfigError("sensors: duplicate sensor id")
+    kinds = [s.kind for s in sensors]
+    if kinds.count(ONBOARD) > 1 or kinds.count(INFRASTRUCTURE) > 2:
+        raise ConfigError("sensors: the drive log holds one onboard and two "
+                          "infrastructure columns at most")
+    return sensors
 
 
-def _build_sensor(cfg, index: int) -> SensorConfig:
-    where = f"sensors[{index}]"
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    cfg = dict(cfg)
-    sensor_id = str(_pop(cfg, "id", required=True, where=where + "."))
-    kind = _pop(cfg, "kind", required=True, where=where + ".")
-    if kind not in (ONBOARD, INFRASTRUCTURE):
-        raise ConfigError(f"{where}.kind: unknown sensor kind {kind!r}")
-    rate = float(_pop(cfg, "rate_hz", 11.0 if kind == ONBOARD else 20.0))
-    if rate <= 0.0:
-        raise ConfigError(f"{where}.rate_hz must be positive")
-    gains = _build_gains(kind, _pop(cfg, "gains"), where + ".gains")
-    camera = _build_camera(kind, _pop(cfg, "camera"), where + ".camera")
-    channel = dict(_pop(cfg, "channel") or {})
-    loss = float(_pop(channel, "loss", 0.0))
-    delay = _pop(channel, "delay", 0.0)
-    if isinstance(delay, (list, tuple)):
-        delay = (float(delay[0]), float(delay[1]))
-    else:
-        delay = float(delay)
-    _reject_unknown(channel, where + ".channel")
-    outage = _build_outage(_pop(cfg, "outage"), where + ".outage")
-    _reject_unknown(cfg, where)
-    return SensorConfig(sensor_id, kind, rate, gains, camera, loss, delay, outage)
+_MARKER_KEYS = {"marker_separation": "separation", "body_radius": "body_radius"}
+_VEHICLE_KEYS = {
+    **dict.fromkeys(("wheel_separation", "power_to_speed", "max_power", "marker_separation"),
+                    _positive),
+    "nominal_power": _finite,
+    "body_radius": _finite,
+}
+
+
+def _vehicle(**fields) -> dict:
+    """The vehicle section feeds both the drive parameters and the roof markers."""
+    markers = {_MARKER_KEYS[key]: fields.pop(key) for key in _MARKER_KEYS if key in fields}
+    return {"vehicle": VehicleParams(**fields), "markers": MarkerLayout(**markers)}
+
+
+_SCENARIO_KEYS = {
+    "name": str,
+    "seed": _int,
+    "duration": _positive,
+    "timestep": _positive,
+    "fusion": functools.partial(_choice, POLICIES, "policy"),
+    "track": track_from_config,
+    "sensors": _sensors,
+    "vehicle": lambda v: _read(v, "vehicle", _VEHICLE_KEYS, _vehicle),
+    "start_arclength": _finite,
+    "crash": lambda v: _read(v, "crash", {"threshold_m": _finite, "hold_s": _finite},
+                             names={"threshold_m": "crash_threshold", "hold_s": "crash_hold"}),
+    "post_outage_k": _count,
+    "udp": lambda v: _read(v, "udp", {"host": str, "vehicle_port": _port,
+                                      "sensor_port_base": _port}, UdpConfig),
+}
 
 
 def scenario_from_dict(cfg, default_name: str = "scenario") -> Scenario:
     """Validate a parsed config mapping and build a Scenario."""
-    if cfg is None:
-        cfg = {}
-    if not isinstance(cfg, dict):
-        raise ConfigError("scenario must be a mapping")
-    cfg = dict(cfg)
-    track_cfg = _pop(cfg, "track", required=True, where="")
-    try:
-        track = track_from_config(track_cfg)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"track: {exc}") from None
-
-    vehicle_cfg = dict(_pop(cfg, "vehicle") or {})
-    marker_separation = float(_pop(vehicle_cfg, "marker_separation", 0.10))
-    body_radius = float(_pop(vehicle_cfg, "body_radius", 0.06))
-    try:
-        vehicle = VehicleParams(
-            wheel_separation=float(_pop(vehicle_cfg, "wheel_separation", 0.12)),
-            power_to_speed=float(_pop(vehicle_cfg, "power_to_speed", 0.0075)),
-            max_power=float(_pop(vehicle_cfg, "max_power", 255.0)),
-            nominal_power=float(_pop(vehicle_cfg, "nominal_power", 100.0 / 3.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"vehicle: {exc}") from None
-    _reject_unknown(vehicle_cfg, "vehicle")
-    markers = MarkerLayout(marker_separation, body_radius)
-
-    crash_cfg = dict(_pop(cfg, "crash") or {})
-    crash_threshold = float(_pop(crash_cfg, "threshold_m", 0.25))
-    crash_hold = float(_pop(crash_cfg, "hold_s", 0.5))
-    _reject_unknown(crash_cfg, "crash")
-
-    udp_cfg = dict(_pop(cfg, "udp") or {})
-    udp = UdpConfig(
-        host=str(_pop(udp_cfg, "host", "127.0.0.1")),
-        vehicle_port=int(_pop(udp_cfg, "vehicle_port", 5000)),
-        sensor_port_base=int(_pop(udp_cfg, "sensor_port_base", 4000)),
-    )
-    _reject_unknown(udp_cfg, "udp")
-
-    sensors_cfg = _pop(cfg, "sensors", required=True, where="")
-    if not isinstance(sensors_cfg, list) or not sensors_cfg:
-        raise ConfigError("sensors must be a non-empty list")
-    sensors = [_build_sensor(sc, i) for i, sc in enumerate(sensors_cfg)]
-    ids = [s.sensor_id for s in sensors]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("sensors: duplicate sensor id")
-    n_onboard = sum(1 for s in sensors if s.kind == ONBOARD)
-    n_infra = sum(1 for s in sensors if s.kind == INFRASTRUCTURE)
-    if n_onboard > 1 or n_infra > 2:
-        raise ConfigError("sensors: the drive log holds one onboard and two "
-                          "infrastructure columns at most")
-
-    fusion = _pop(cfg, "fusion", CONFIDENCE_WEIGHTED)
-    if fusion not in POLICIES:
-        raise ConfigError(f"fusion: unknown policy {fusion!r}")
-
-    scenario = Scenario(
-        track=track,
-        sensors=sensors,
-        name=str(_pop(cfg, "name", default_name)),
-        seed=int(_pop(cfg, "seed", 0)),
-        duration=float(_pop(cfg, "duration", 100.0)),
-        timestep=float(_pop(cfg, "timestep", 0.005)),
-        fusion=fusion,
-        vehicle=vehicle,
-        markers=markers,
-        start_arclength=float(_pop(cfg, "start_arclength", 0.0)),
-        crash_threshold=crash_threshold,
-        crash_hold=crash_hold,
-        post_outage_k=int(_pop(cfg, "post_outage_k", 5)),
-        udp=udp,
-    )
-    _reject_unknown(cfg, "scenario")
+    fields = _read(cfg, "", _SCENARIO_KEYS, required=("track", "sensors"))
+    fields.setdefault("name", default_name)
+    fields.update(fields.pop("vehicle", {}))
+    fields.update(fields.pop("crash", {}))
+    scenario = Scenario(**fields)
     _validate_clock(scenario)
     return scenario
 
 
 def _validate_clock(scenario: Scenario):
-    if scenario.duration <= 0.0:
-        raise ConfigError("duration must be positive")
+    """Reject a clock the tick loop cannot run: the timestep must tile a second,
+    no sensor may outrun it, and the tick counts the run derives must exist."""
     ts = scenario.timestep
-    if ts <= 0.0:
-        raise ConfigError("timestep must be positive")
     ticks_per_second = 1.0 / ts
-    if abs(ticks_per_second - round(ticks_per_second)) > 1e-9:
-        raise ConfigError(
-            f"timestep: period not tick-aligned (1 s is not a whole number "
-            f"of {ts} s ticks)"
-        )
-    for sensor in scenario.sensors:
+    if not (math.isfinite(ticks_per_second)
+            and abs(ticks_per_second - round(ticks_per_second)) <= 1e-9):
+        raise ConfigError(f"timestep: period not tick-aligned (1 s is not a whole "
+                          f"number of {ts} s ticks)")
+    _wrap("duration", scenario.n_ticks)
+    for i, sensor in enumerate(scenario.sensors):
         if sensor.period() < ts - 1e-12:
             raise ConfigError(f"sensors: rate {sensor.rate_hz} Hz is faster than the timestep")
+        _wrap(f"sensors[{i}].rate_hz", scenario.sensor_period_ticks, sensor)
 
 
 def load_scenario(path) -> Scenario:

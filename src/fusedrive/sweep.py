@@ -47,6 +47,12 @@ class SweepTable:
     runs: list = field(default_factory=list)  # list (per value) of RunResult lists
 
 
+_OUTAGE_AXES = {  # axis: (outage model, its kind in a scenario file, field, value type)
+    "outage_duration": (PeriodicOutage, "periodic", "duration", float),
+    "outage_threshold": (ProbabilisticOutage, "probabilistic", "threshold", int),
+}
+
+
 def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
     """A copy of the scenario with one swept parameter replaced."""
     out = copy.deepcopy(scenario)
@@ -54,25 +60,15 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
         for sensor in out.sensors:
             sensor.gains = replace(sensor.gains, **{axis: float(value)})
         return out
-    if axis == "outage_duration":
-        hit = False
-        for sensor in out.sensors:
-            if isinstance(sensor.outage, PeriodicOutage):
-                sensor.outage = replace(sensor.outage, duration=float(value))
-                hit = True
-        if not hit:
-            raise ConfigError("outage_duration sweep needs a periodic outage model")
-        return out
-    if axis == "outage_threshold":
-        hit = False
-        for sensor in out.sensors:
-            if isinstance(sensor.outage, ProbabilisticOutage):
-                sensor.outage = replace(sensor.outage, threshold=int(value))
-                hit = True
-        if not hit:
-            raise ConfigError("outage_threshold sweep needs a probabilistic outage model")
-        return out
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    if axis not in _OUTAGE_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    model, kind, name, convert = _OUTAGE_AXES[axis]
+    swept = [sensor for sensor in out.sensors if isinstance(sensor.outage, model)]
+    if not swept:
+        raise ConfigError(f"{axis} sweep needs a {kind} outage model")
+    for sensor in swept:
+        sensor.outage = replace(sensor.outage, **{name: convert(value)})
+    return out
 
 
 def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
@@ -103,11 +99,9 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
         all_runs.append(results)
         crash_rate.append(sum(1 for r in results if not r.completed) / len(results))
         for name in sorted({m for r in results for m in r.summaries}):
-            means = [r.summaries[name]["mean_abs"] for r in results
-                     if r.summaries[name].get("count")]
-            stds = [r.summaries[name]["std_abs"] for r in results
-                    if r.summaries[name].get("count")]
-            cell = ((float(np.mean(means)), float(np.mean(stds))) if means
+            counted = [r.summaries[name] for r in results if r.summaries[name].get("count")]
+            cell = ((float(np.mean([c["mean_abs"] for c in counted])),
+                     float(np.mean([c["std_abs"] for c in counted]))) if counted
                     else (math.nan, math.nan))
             metric_rows.setdefault(name, [(math.nan, math.nan)] * len(values))
             metric_rows[name][vi] = cell

@@ -11,11 +11,13 @@ to the caller.
 """
 
 import contextlib
+import math
 import socket
 import time
 
 from .runner import RunResult, drive
 from .scenario import Scenario
+from .world import ConfigError
 
 _RECV_BYTES = 1500
 
@@ -40,10 +42,12 @@ def _bound(stack, host, port):
 def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
     """Execute one scenario over loopback UDP, paced to wall clock / pace.
 
-    pace > 1 runs faster than real time at the cost of extra scheduling
-    jitter.  Ports come from the scenario's udp section; port 0 picks free
-    ephemeral ports, which keeps parallel test runs from colliding.
+    pace must be finite and positive; pace > 1 runs faster than real time,
+    with extra scheduling jitter.  Ports come from the scenario's udp section;
+    port 0 picks free ephemeral ports, so parallel test runs never collide.
     """
+    if not (math.isfinite(pace) and pace > 0.0):
+        raise ConfigError(f"pace must be finite and positive, got {pace!r}")
     host = scenario.udp.host
     base = scenario.udp.sensor_port_base
     with contextlib.ExitStack() as stack:

@@ -1,8 +1,9 @@
-"""Board geometry, track centerline, and differential-drive kinematics.
+"""Board geometry, track centerline, ground truth, and differential-drive kinematics.
 
 The board is a square with the origin in the lower-left corner, x to the
 right, y up, headings in degrees counterclockwise from +x.  A track is a
 closed loop of straight and arc segments; the vehicle follows its centerline.
+The track section of a scenario file is read by `scenario.track_from_config`.
 """
 
 import math
@@ -111,6 +112,12 @@ class Arc:
     def _tangent_at_angle(self, a_deg: float) -> float:
         return normalize_heading(a_deg + math.copysign(90.0, self.sweep_deg))
 
+    def _sweeps_over(self, a_deg: float) -> bool:
+        """Whether the arc passes the direction a_deg (deg) from its center."""
+        if self.sweep_deg >= 0.0:
+            return normalize_heading(a_deg - self.start_deg) <= self.sweep_deg
+        return normalize_heading(self.start_deg - a_deg) <= -self.sweep_deg
+
     def point_at(self, s: float):
         a = self.start_deg + self.sweep_deg * (s / self.length)
         return self._point_at_angle(a)
@@ -132,13 +139,7 @@ class Arc:
             cx, cy = self._point_at_angle(mid)
             return self.radius, cx, cy, self._tangent_at_angle(mid)
         phi = math.degrees(math.atan2(vy, vx))
-        if self.sweep_deg >= 0.0:
-            delta = normalize_heading(phi - self.start_deg)
-            inside = delta <= self.sweep_deg
-        else:
-            delta = normalize_heading(self.start_deg - phi)
-            inside = delta <= -self.sweep_deg
-        if inside:
+        if self._sweeps_over(phi):
             cx, cy = self._point_at_angle(phi)
             return abs(r - self.radius), cx, cy, self._tangent_at_angle(phi)
         (sx, sy), (ex, ey) = self.start, self.end
@@ -274,11 +275,7 @@ def _segment_extremes(seg):
     pts = [seg.start, seg.end]
     if isinstance(seg, Arc):
         for axis_deg in (0.0, 90.0, 180.0, 270.0):
-            if seg.sweep_deg >= 0.0:
-                inside = normalize_heading(axis_deg - seg.start_deg) <= seg.sweep_deg
-            else:
-                inside = normalize_heading(seg.start_deg - axis_deg) <= -seg.sweep_deg
-            if inside:
+            if seg._sweeps_over(axis_deg):
                 a = math.radians(axis_deg)
                 pts.append((seg.cx + seg.radius * math.cos(a), seg.cy + seg.radius * math.sin(a)))
     return pts
@@ -289,7 +286,7 @@ def lateral_deviation(track: Track, pose: Pose) -> float:
     return track.closest(pose.x, pose.y)[0]
 
 
-def rounded_rectangle_segments(center, straight: float, corner_radius: float):
+def rounded_rectangle_segments(center, straight: float = 1.0, corner_radius: float = 0.3):
     """Counterclockwise loop of four straights joined by quarter arcs."""
     cx, cy = center
     a = straight / 2.0
@@ -304,75 +301,6 @@ def rounded_rectangle_segments(center, straight: float, corner_radius: float):
         Straight(cx - a - r, cy + a, cx - a - r, cy - a),
         Arc(cx - a, cy - a, r, 180.0, 90.0),
     ]
-
-
-def track_from_config(cfg: dict) -> Track:
-    """Build a Track from a plain-dict description.
-
-    Supported kinds: "rounded_rectangle" (center, straight, corner_radius),
-    "circle" (center, radius), and "segments" (explicit list of straight and
-    arc items).  Raises ConfigError on unknown kinds or geometry that does
-    not close or leaves the board.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("track must be a mapping")
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    board = float(cfg.pop("board_size", 2.0))
-    width = float(cfg.pop("line_width", 0.02))
-    if kind == "rounded_rectangle":
-        center = tuple(cfg.pop("center", (board / 2.0, board / 2.0)))
-        straight = float(cfg.pop("straight", 1.0))
-        radius = float(cfg.pop("corner_radius", 0.3))
-        _reject_unknown(cfg, "track")
-        if straight <= 0.0 or radius <= 0.0:
-            raise ConfigError("rounded_rectangle needs positive straight and corner_radius")
-        segs = rounded_rectangle_segments(center, straight, radius)
-    elif kind == "circle":
-        center = tuple(cfg.pop("center", (board / 2.0, board / 2.0)))
-        radius = float(cfg.pop("radius", 0.5))
-        _reject_unknown(cfg, "track")
-        if radius <= 0.0:
-            raise ConfigError("circle needs a positive radius")
-        segs = [Arc(center[0], center[1], radius, 0.0, 360.0)]
-    elif kind == "segments":
-        items = cfg.pop("segments", None)
-        _reject_unknown(cfg, "track")
-        if not items:
-            raise ConfigError("segments track needs a non-empty segments list")
-        segs = []
-        for i, item in enumerate(items):
-            item = dict(item)
-            stype = item.pop("type", None)
-            if stype == "straight":
-                x0, y0 = item.pop("start")
-                x1, y1 = item.pop("end")
-                segs.append(Straight(float(x0), float(y0), float(x1), float(y1)))
-            elif stype == "arc":
-                ax, ay = item.pop("center")
-                segs.append(
-                    Arc(
-                        float(ax),
-                        float(ay),
-                        float(item.pop("radius")),
-                        float(item.pop("start_deg")),
-                        float(item.pop("sweep_deg")),
-                    )
-                )
-            else:
-                raise ConfigError(f"segment {i} has unknown type {stype!r}")
-            _reject_unknown(item, f"track.segments[{i}]")
-    elif kind is None:
-        raise ConfigError("track needs a kind")
-    else:
-        raise ConfigError(f"unknown track kind {kind!r}")
-    return Track(segs, board_size=board, line_width=width)
-
-
-def _reject_unknown(leftover: dict, where: str):
-    if leftover:
-        key = sorted(str(k) for k in leftover)[0]
-        raise ConfigError(f"unknown key in {where}: {key}")
 
 
 @dataclass(frozen=True)

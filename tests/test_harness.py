@@ -4,6 +4,7 @@ import copy
 import glob
 import json
 import os
+import re
 
 import pytest
 
@@ -25,6 +26,53 @@ def minimal_cfg(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def sensor_cfg(**fields):
+    cfg = minimal_cfg()
+    cfg["sensors"][0].update(fields)
+    return cfg
+
+
+PERIODIC = {"kind": "periodic", "period": 3.0, "duration": 0.4}
+
+# (key path the error must start with, config): each value is unreadable,
+# non-finite or out of range.  Each used to escape the loader as a bare
+# ValueError, TypeError, IndexError or OverflowError, or to load and then
+# fail inside run or be silently accepted.
+MALFORMED = [
+    ("sensors[0].rate_hz", sensor_cfg(rate_hz="abc")),
+    ("seed", minimal_cfg(seed="abc")),
+    ("sensors[0].channel.loss", sensor_cfg(channel={"loss": "x"})),
+    ("crash.threshold_m", minimal_cfg(crash={"threshold_m": "x"})),
+    ("udp.vehicle_port", minimal_cfg(udp={"vehicle_port": "x"})),
+    ("start_arclength", minimal_cfg(start_arclength="x")),
+    ("vehicle.marker_separation", minimal_cfg(vehicle={"marker_separation": "x"})),
+    ("sensors[0].channel", sensor_cfg(channel=[1, 2])),
+    ("vehicle", minimal_cfg(vehicle=[1])),
+    ("sensors[0].camera", sensor_cfg(camera=[1])),
+    ("sensors[0].gains", sensor_cfg(gains=[1])),
+    ("sensors[0].channel.delay", sensor_cfg(channel={"delay": [0.1]})),
+    ("sensors[0].channel", sensor_cfg(channel={"loss": 2})),
+    ("sensors[0].channel", sensor_cfg(channel={"delay": -1})),
+    ("duration", minimal_cfg(duration=float("inf"))),
+    ("duration", minimal_cfg(duration=float("nan"))),
+    ("sensors[0].rate_hz", sensor_cfg(rate_hz=float("nan"))),
+    ("post_outage_k", dict(sensor_cfg(outage=PERIODIC), post_outage_k=0)),
+    ("seed", minimal_cfg(seed=float("inf"))),
+    ("duration", minimal_cfg(duration=1e308)),
+    ("duration", minimal_cfg(duration=10 ** 400)),
+    ("timestep", minimal_cfg(timestep=5e-324)),
+    ("sensors[0].rate_hz", sensor_cfg(rate_hz=5e-324)),
+    ("sensors[0].camera.pixels_per_meter", sensor_cfg(camera={"pixels_per_meter": 0})),
+    ("sensors[0].camera", sensor_cfg(camera={"crop_size": 0})),
+    ("sensors[0].outage.threshold",
+     sensor_cfg(outage={"kind": "probabilistic", "threshold": 35.5})),
+    ("vehicle", minimal_cfg(vehicle={"wheel_separation": 0})),
+    ("vehicle", minimal_cfg(vehicle={"marker_separation": 0})),
+    ("udp", minimal_cfg(udp={"vehicle_port": 70000})),
+    ("track.line_width", minimal_cfg(track={"kind": "circle", "line_width": 0})),
+]
 
 
 class TestDeriveSeed:
@@ -134,6 +182,11 @@ class TestScenarioValidation:
     def test_track_errors_wrapped(self):
         with pytest.raises(ConfigError):
             scenario_from_dict(minimal_cfg(track={"kind": "circle", "radius": 5.0}))
+
+    @pytest.mark.parametrize("where, cfg", MALFORMED)
+    def test_malformed_value_is_config_error(self, where, cfg):
+        with pytest.raises(ConfigError, match="^" + re.escape(where)):
+            scenario_from_dict(copy.deepcopy(cfg))
 
 
 class TestRunner:
@@ -323,6 +376,18 @@ class TestCli:
         code = main(["run", str(path), "--out", str(tmp_path / "runs")])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, cfg", MALFORMED)
+    def test_malformed_file_exits_one_before_running(self, where, cfg, tmp_path,
+                                                     capsys, monkeypatch):
+        import yaml
+
+        monkeypatch.setattr("fusedrive.cli.run", pytest.fail)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
+        assert f"configuration error: {where}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_seed_override(self, tmp_path):
         path = self.write_scenario(tmp_path)

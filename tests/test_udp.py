@@ -117,3 +117,13 @@ class TestUdpFailures:
         assert len(strays) > 10 and len(res.rows) > 10
         for row in res.rows:
             assert "999" not in row.split(",")
+
+    @pytest.mark.parametrize("pace", ["0", "-1", "nan", "inf"])
+    def test_bad_pace_exits_one_before_binding(self, pace, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "udp.yaml"
+        path.write_text(yaml.safe_dump(udp_cfg(ONBOARD)), encoding="utf-8")
+        monkeypatch.setattr("fusedrive.udp.socket.socket", pytest.fail)
+        code = main(["run", str(path), "--transport", "udp", "--pace", pace,
+                     "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert "configuration error: pace" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from fusedrive.scenario import track_from_config
 from fusedrive.world import (
     Arc,
     ConfigError,
@@ -17,7 +18,6 @@ from fusedrive.world import (
     normalize_heading,
     rounded_rectangle_segments,
     step_vehicle,
-    track_from_config,
 )
 
 from oracles import oracle_track_closest, oracle_track_samples
