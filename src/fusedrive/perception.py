@@ -157,22 +157,51 @@ def _clamp(v, lo, hi):
     return min(hi, max(lo, v))
 
 
-def _longest_run(mask: np.ndarray):
-    """Longest circular run of True entries; returns index array or None."""
-    idx = np.flatnonzero(mask)
+def _longest_run(mask: np.ndarray, lo: int = 0, n: int = None):
+    """Longest circular run of True entries; returns index array or None.
+
+    mask covers samples lo .. lo + mask.size - 1 of a loop of n samples
+    (default: the whole loop, n = mask.size); indices come back absolute.
+    Ties go to the run that starts first.
+    """
+    idx = mask.nonzero()[0]
     if idx.size == 0:
         return None
-    if idx.size == mask.size:
-        return idx
+    if lo:
+        idx += lo
+    if idx[-1] - idx[0] == idx.size - 1:
+        return idx  # a single stretch, the whole loop included
+    n = mask.size if n is None else n
     breaks = np.flatnonzero(np.diff(idx) > 1)
     starts = np.concatenate([[0], breaks + 1])
     ends = np.concatenate([breaks, [idx.size - 1]])
     runs = [idx[s:e + 1] for s, e in zip(starts, ends)]
     # The sampling is circular: a run touching the tail joins one at the head.
-    if len(runs) > 1 and idx[0] == 0 and idx[-1] == mask.size - 1:
+    if idx[0] == 0 and idx[-1] == n - 1:
         runs[0] = np.concatenate([runs[-1], runs[0]])
         runs.pop()
     return max(runs, key=len)
+
+
+def _mean(a: np.ndarray) -> float:
+    """np.mean of a 1-D float64 array, bit for bit, without its call overhead."""
+    return float(np.add.reduce(a)) / a.size
+
+
+def _reach(track, x0, x1, y0, y1):
+    """Sample range [lo, hi) that holds every sample inside [x0, x1] x [y0, y1].
+
+    The range runs from the first to the last sample block whose bounding
+    box meets the rectangle; a sample inside the rectangle lies in its
+    block's box, so that block is one of them.  Returns None when no block
+    is.  When the hit blocks include the first and the last one (a window
+    across sample 0) the range is the whole loop, so circular runs still join.
+    """
+    bx0, bx1, by0, by1, block = track.sample_boxes()
+    hit = ((bx0 <= x1) & (bx1 >= x0) & (by0 <= y1) & (by1 >= y0)).nonzero()[0]
+    if hit.size == 0:
+        return None
+    return int(hit[0]) * block, (int(hit[-1]) + 1) * block
 
 
 def observe(camera: CameraModel, track, pose, layout: MarkerLayout = MarkerLayout(), rng=None):
@@ -183,44 +212,60 @@ def observe(camera: CameraModel, track, pose, layout: MarkerLayout = MarkerLayou
     the vehicle footprint, mirroring a largest-black-region search.  Returns
     (MarkerObservation, LineBoxObservation); both come back invisible when
     the vehicle or the line is out of view.
+
+    Only the samples in the blocks that the window's bounding box reaches
+    are masked (see _reach); the others cannot pass the mask.
     """
-    xs, ys, tans, step = track.samples()
     if camera.kind == ONBOARD:
-        return _observe_onboard(camera, xs, ys, tans, step, track.line_width, pose, layout, rng)
-    return _observe_infrastructure(camera, xs, ys, tans, step, track.line_width, pose, layout, rng)
+        return _observe_onboard(camera, track, pose, layout, rng)
+    return _observe_infrastructure(camera, track, pose, layout, rng)
 
 
-def _observe_onboard(camera, xs, ys, tans, step, line_width, pose, layout, rng):
+# Margin (m) around the onboard strip's box: far above the rounding in u and v.
+_STRIP_PAD = 1e-6
+
+
+def _observe_onboard(camera, track, pose, layout, rng):
     theta = math.radians(pose.heading)
     c, s = math.cos(theta), math.sin(theta)
-    dx = xs - pose.x
-    dy = ys - pose.y
-    u = dx * c + dy * s  # forward (m)
-    v = -dx * s + dy * c  # left (m)
     depth = camera.crop_size / camera.pixels_per_meter
     half_w = camera.image_width / (2.0 * camera.pixels_per_meter)
+    # Axis-aligned box of the strip's four corners.
+    mid = camera.look_ahead + depth / 2.0
+    mx, my = pose.x + mid * c, pose.y + mid * s
+    ex = depth / 2.0 * abs(c) + half_w * abs(s) + _STRIP_PAD
+    ey = depth / 2.0 * abs(s) + half_w * abs(c) + _STRIP_PAD
+    reach = _reach(track, mx - ex, mx + ex, my - ey, my + ey)
+    if reach is None:
+        return _NO_MARKERS, _NO_LINE
+    lo, hi = reach
+    xs, ys, tans, step = track.samples()
+    dx = xs[lo:hi] - pose.x
+    dy = ys[lo:hi] - pose.y
+    u = dx * c + dy * s  # forward (m)
+    v = -dx * s + dy * c  # left (m)
     mask = (
         (u >= camera.look_ahead)
         & (u <= camera.look_ahead + depth)
         & (np.abs(v) <= half_w)
         & (u * u + v * v > layout.body_radius ** 2)
     )
-    run = _longest_run(mask)
+    run = _longest_run(mask, lo, xs.size)
     if run is None:
         return _NO_MARKERS, _NO_LINE
     length = run.size * step
-    v_c = float(np.mean(v[run]))
+    v_c = _mean(v[run - lo])
     x_px = camera.image_width / 2.0 - v_c * camera.pixels_per_meter + _jitter(rng, camera.noise_px)
     x_px = _clamp(x_px, 0.0, float(camera.image_width))
     y_px = camera.crop_size / 2.0
     direction = tans[run[run.size // 2]] - pose.heading + 90.0
     w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
-                                line_width * camera.pixels_per_meter)
+                                track.line_width * camera.pixels_per_meter)
     fraction = min(1.0, length / depth)
     return _NO_MARKERS, LineBoxObservation((x_px, y_px), w, h, raw, fraction)
 
 
-def _observe_infrastructure(camera, xs, ys, tans, step, line_width, pose, layout, rng):
+def _observe_infrastructure(camera, track, pose, layout, rng):
     theta = math.radians(pose.heading)
     hx, hy = math.cos(theta), math.sin(theta)
     half = layout.separation / 2.0
@@ -248,6 +293,12 @@ def _observe_infrastructure(camera, xs, ys, tans, step, line_width, pose, layout
     wy0, wy1 = max(fy_b - half_m, y0c), min(fy_b + half_m, y1c)
     if wx0 >= wx1 or wy0 >= wy1:
         return markers, _NO_LINE
+    reach = _reach(track, wx0, wx1, wy0, wy1)
+    if reach is None:
+        return markers, _NO_LINE
+    lo, hi = reach
+    all_xs, all_ys, tans, step = track.samples()
+    xs, ys = all_xs[lo:hi], all_ys[lo:hi]
     dx = xs - pose.x
     dy = ys - pose.y
     mask = (
@@ -257,18 +308,18 @@ def _observe_infrastructure(camera, xs, ys, tans, step, line_width, pose, layout
         & (ys <= wy1)
         & (dx * dx + dy * dy > layout.body_radius ** 2)
     )
-    run = _longest_run(mask)
+    run = _longest_run(mask, lo, all_xs.size)
     if run is None:
         return markers, _NO_LINE
     length = run.size * step
-    cx_b = float(np.mean(xs[run]))
-    cy_b = float(np.mean(ys[run]))
+    cx_b = _mean(all_xs[run])
+    cy_b = _mean(all_ys[run])
     cx, cy = camera.to_pixel(cx_b, cy_b)
     cx = _clamp(cx + _jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
     cy = _clamp(cy + _jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
     direction = tans[run[run.size // 2]]
     w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
-                                line_width * camera.pixels_per_meter)
+                                track.line_width * camera.pixels_per_meter)
     fraction = min(1.0, length / half_m)
     return markers, LineBoxObservation((cx, cy), w, h, raw, fraction)
 

@@ -311,6 +311,10 @@ def scenario_from_dict(cfg, default_name: str = "scenario") -> Scenario:
     fields.update(fields.pop("crash", {}))
     scenario = Scenario(**fields)
     _validate_clock(scenario)
+    base, count = scenario.udp.sensor_port_base, len(scenario.sensors)
+    if base and base + count - 1 > 65535:
+        raise ConfigError(f"udp.sensor_port_base: {base} gives {count} sensors ports "
+                          f"up to {base + count - 1}, past 65535")
     return scenario
 
 

@@ -152,6 +152,7 @@ class Arc:
 
 
 _SAMPLE_STEP = 0.002  # m between cached centerline samples
+_SAMPLE_BLOCK = 64  # samples per bounding box in Track.sample_boxes()
 
 
 @dataclass
@@ -162,6 +163,7 @@ class Track:
     board_size: float = 2.0
     line_width: float = 0.02
     _samples: tuple = field(default=None, repr=False, compare=False)
+    _boxes: tuple = field(default=None, repr=False, compare=False)
     _last: int = field(default=0, repr=False, compare=False)  # previous closest() pick
 
     def __post_init__(self):
@@ -268,6 +270,20 @@ class Track:
                 tans[k] = seg.tangent_at(local)
             self._samples = (xs, ys, tans, step)
         return self._samples
+
+    def sample_boxes(self):
+        """Bounding boxes of consecutive sample blocks: x_lo, x_hi, y_lo, y_hi, block.
+
+        Box i bounds samples i * block to (i + 1) * block - 1; the last block
+        may be shorter.
+        """
+        if self._boxes is None:
+            xs, ys, _, _ = self.samples()
+            starts = np.arange(0, xs.size, _SAMPLE_BLOCK)
+            self._boxes = (np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts),
+                           np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts),
+                           _SAMPLE_BLOCK)
+        return self._boxes
 
 
 def _segment_extremes(seg):

@@ -5,10 +5,22 @@ original controller scripts' branch structures, kept separate from the
 package implementation so the two can be compared mechanically.  The fusion
 oracle re-evaluates the three policies from their definitions, and the track
 oracles redo ground truth and the centreline sampling the slow, plain way.
+The observe oracle masks every centreline sample on every frame, as the
+camera model first did.
 """
 
 import math
 import random
+
+import numpy as np
+
+from fusedrive.perception import (
+    ONBOARD,
+    LineBoxObservation,
+    MarkerLayout,
+    MarkerObservation,
+    fold_line_angle,
+)
 
 
 def oracle_compute_robot_angle(greencx, greency, orangecx, orangecy):
@@ -197,3 +209,114 @@ def oracle_track_samples(track, n, step):
         ys.append(y)
         tans.append(t)
     return xs, ys, tans
+
+
+def _oracle_longest_run(mask):
+    """Longest circular run of True entries over the whole mask, or None."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return None
+    if idx.size == mask.size:
+        return idx
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks, [idx.size - 1]])
+    runs = [idx[s:e + 1] for s, e in zip(starts, ends)]
+    if len(runs) > 1 and idx[0] == 0 and idx[-1] == mask.size - 1:
+        runs[0] = np.concatenate([runs[-1], runs[0]])
+        runs.pop()
+    return max(runs, key=len)
+
+
+def _oracle_jitter(rng, noise_px):
+    if rng is None or noise_px <= 0.0:
+        return 0.0
+    return rng.uniform(-noise_px, noise_px)
+
+
+def _oracle_clamp(v, lo, hi):
+    return min(hi, max(lo, v))
+
+
+def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
+    """perception.observe with the mask evaluated on every centreline sample."""
+    xs, ys, tans, step = track.samples()
+    line_width = track.line_width
+    jitter, clamp = _oracle_jitter, _oracle_clamp
+    no_markers = MarkerObservation((0.0, 0.0), (0.0, 0.0), False)
+    no_line = LineBoxObservation((0.0, 0.0), 0.0, 0.0, 0.0, 0.0)
+    theta = math.radians(pose.heading)
+    if camera.kind == ONBOARD:
+        c, s = math.cos(theta), math.sin(theta)
+        dx = xs - pose.x
+        dy = ys - pose.y
+        u = dx * c + dy * s
+        v = -dx * s + dy * c
+        depth = camera.crop_size / camera.pixels_per_meter
+        half_w = camera.image_width / (2.0 * camera.pixels_per_meter)
+        mask = (
+            (u >= camera.look_ahead)
+            & (u <= camera.look_ahead + depth)
+            & (np.abs(v) <= half_w)
+            & (u * u + v * v > layout.body_radius ** 2)
+        )
+        run = _oracle_longest_run(mask)
+        if run is None:
+            return no_markers, no_line
+        length = run.size * step
+        v_c = float(np.mean(v[run]))
+        x_px = camera.image_width / 2.0 - v_c * camera.pixels_per_meter + jitter(rng, camera.noise_px)
+        x_px = clamp(x_px, 0.0, float(camera.image_width))
+        y_px = camera.crop_size / 2.0
+        direction = tans[run[run.size // 2]] - pose.heading + 90.0
+        w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
+                                    line_width * camera.pixels_per_meter)
+        fraction = min(1.0, length / depth)
+        return no_markers, LineBoxObservation((x_px, y_px), w, h, raw, fraction)
+
+    hx, hy = math.cos(theta), math.sin(theta)
+    half = layout.separation / 2.0
+    green_b = (pose.x - half * hx, pose.y - half * hy)
+    orange_b = (pose.x + half * hx, pose.y + half * hy)
+    if not (camera.covers(*green_b) and camera.covers(*orange_b)):
+        return no_markers, no_line
+    gx, gy = camera.to_pixel(*green_b)
+    ox, oy = camera.to_pixel(*orange_b)
+    gx = clamp(gx + jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
+    gy = clamp(gy + jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
+    ox = clamp(ox + jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
+    oy = clamp(oy + jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
+    markers = MarkerObservation((gx, gy), (ox, oy), True)
+    fx_px, fy_px = ox + (ox - gx) / 2.0, oy + (oy - gy) / 2.0
+    half_m = camera.window_half_m()
+    x0c, y0c, x1c, y1c = camera.coverage
+    mx, my = (x0c + x1c) / 2.0, (y0c + y1c) / 2.0
+    fx_b = mx + (fx_px - camera.image_width / 2.0) / camera.pixels_per_meter
+    fy_b = my - (fy_px - camera.image_height / 2.0) / camera.pixels_per_meter
+    wx0, wx1 = max(fx_b - half_m, x0c), min(fx_b + half_m, x1c)
+    wy0, wy1 = max(fy_b - half_m, y0c), min(fy_b + half_m, y1c)
+    if wx0 >= wx1 or wy0 >= wy1:
+        return markers, no_line
+    dx = xs - pose.x
+    dy = ys - pose.y
+    mask = (
+        (xs >= wx0)
+        & (xs <= wx1)
+        & (ys >= wy0)
+        & (ys <= wy1)
+        & (dx * dx + dy * dy > layout.body_radius ** 2)
+    )
+    run = _oracle_longest_run(mask)
+    if run is None:
+        return markers, no_line
+    length = run.size * step
+    cx_b = float(np.mean(xs[run]))
+    cy_b = float(np.mean(ys[run]))
+    cx, cy = camera.to_pixel(cx_b, cy_b)
+    cx = clamp(cx + jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
+    cy = clamp(cy + jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
+    direction = tans[run[run.size // 2]]
+    w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
+                                line_width * camera.pixels_per_meter)
+    fraction = min(1.0, length / half_m)
+    return markers, LineBoxObservation((cx, cy), w, h, raw, fraction)

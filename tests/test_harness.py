@@ -36,6 +36,17 @@ def sensor_cfg(**fields):
 
 PERIODIC = {"kind": "periodic", "period": 3.0, "duration": 0.4}
 
+
+def with_cameras(count):
+    """minimal_cfg plus `count` infrastructure cameras."""
+    cfg = minimal_cfg()
+    cfg["sensors"] += [{"id": f"cam{i}", "kind": "infrastructure",
+                        "camera": {"coverage": [0.0, 0.0, 2.0, 2.0]}} for i in range(count)]
+    return cfg
+
+
+TWO_SENSORS, THREE_SENSORS = with_cameras(1), with_cameras(2)
+
 # (key path the error must start with, config): each value is unreadable,
 # non-finite or out of range.  Each used to escape the loader as a bare
 # ValueError, TypeError, IndexError or OverflowError, or to load and then
@@ -72,6 +83,9 @@ MALFORMED = [
     ("vehicle", minimal_cfg(vehicle={"marker_separation": 0})),
     ("udp", minimal_cfg(udp={"vehicle_port": 70000})),
     ("track.line_width", minimal_cfg(track={"kind": "circle", "line_width": 0})),
+    # Sensor i binds sensor_port_base + i: the last port must exist.
+    ("udp.sensor_port_base", dict(TWO_SENSORS, udp={"sensor_port_base": 65535})),
+    ("udp.sensor_port_base", dict(THREE_SENSORS, udp={"sensor_port_base": 65534})),
 ]
 
 
@@ -187,6 +201,12 @@ class TestScenarioValidation:
     def test_malformed_value_is_config_error(self, where, cfg):
         with pytest.raises(ConfigError, match="^" + re.escape(where)):
             scenario_from_dict(copy.deepcopy(cfg))
+
+    @pytest.mark.parametrize("base, cfg", [(65534, TWO_SENSORS), (65535, minimal_cfg()),
+                                           (0, THREE_SENSORS)])
+    def test_sensor_ports_up_to_65535_load(self, base, cfg):
+        cfg = dict(copy.deepcopy(cfg), udp={"sensor_port_base": base})
+        assert scenario_from_dict(cfg).udp.sensor_port_base == base
 
 
 class TestRunner:

@@ -4,10 +4,13 @@ virtual camera geometry."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fusedrive.perception import (
     MarkerLayout,
+    _longest_run,
+    _mean,
     compute_robot_angle,
     confidence_from_visibility,
     direction_fix,
@@ -23,6 +26,7 @@ from fusedrive.perception import (
 from fusedrive.world import Pose, Track, rounded_rectangle_segments
 
 import oracles
+from test_world import FAST_PATH_TRACKS
 
 
 def _norm360(a):
@@ -277,3 +281,132 @@ class TestObserveInfrastructure:
         markers, box = observe(cam, _track(), Pose(1.0, 1.0, 0.0))
         assert markers.visible
         assert not box.visible
+
+
+class TestLongestRun:
+    """Pins the circular run search; the first four hold for any mask size."""
+
+    @staticmethod
+    def _mask(n, true_at):
+        mask = np.zeros(n, dtype=bool)
+        mask[list(true_at)] = True
+        return mask
+
+    def test_run_across_sample_zero_joins_the_head(self):
+        mask = self._mask(12, [0, 1, 4, 5, 6, 9, 10, 11])
+        assert _longest_run(mask).tolist() == [9, 10, 11, 0, 1]
+
+    def test_tie_goes_to_the_first_run_the_wrapped_one(self):
+        # The wrapped run 11, 0, 1 and the later run 5, 6, 7 both hold three.
+        mask = self._mask(12, [0, 1, 5, 6, 7, 11])
+        assert _longest_run(mask).tolist() == [11, 0, 1]
+        # Without the wrap the first plain run wins the tie.
+        mask = self._mask(12, [2, 3, 5, 6])
+        assert _longest_run(mask).tolist() == [2, 3]
+
+    def test_all_true(self):
+        assert _longest_run(np.ones(7, dtype=bool)).tolist() == list(range(7))
+
+    def test_single_stretch_and_none(self):
+        assert _longest_run(self._mask(12, [3, 4, 5, 6])).tolist() == [3, 4, 5, 6]
+        assert _longest_run(self._mask(12, [0])).tolist() == [0]
+        assert _longest_run(np.zeros(5, dtype=bool)) is None
+
+    def test_window_gives_absolute_indices_of_the_full_search(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo + 1, n + 1))
+            full = np.zeros(n, dtype=bool)
+            full[lo:hi] = rng.random(hi - lo) < 0.6
+            want = _longest_run(full)
+            got = _longest_run(full[lo:hi], lo, n)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tolist() == want.tolist(), (n, lo, hi, full)
+
+
+def test_mean_equals_np_mean_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for size in range(1, 401):
+        for scale in (1.0, 1e-3, 1e6):
+            a = (rng.standard_normal(size) + rng.uniform(-2.0, 2.0)) * scale
+            assert np.add.reduce(a) / a.size == np.mean(a)
+            assert _mean(a) == np.mean(a)
+
+
+_OBSERVE_CAMERAS = {
+    "onboard_2000": onboard_camera(),
+    "onboard_1300": onboard_camera(pixels_per_meter=1300.0),
+    "infra_crop36": infrastructure_camera((0.0, 0.0, 2.0, 2.0), crop_size=36),
+    "infra_crop75": infrastructure_camera((0.0, 0.0, 2.0, 2.0), crop_size=75),
+    "infra_clipped": infrastructure_camera((0.85, 0.1, 1.9, 1.35)),
+}
+
+
+def _near_line(track, rng, s, turn, spread=0.03):
+    x, y, tan = track.point_at(s)
+    return Pose(x + rng.uniform(-spread, spread), y + rng.uniform(-spread, spread),
+                tan + turn + rng.uniform(-25.0, 25.0))
+
+
+def _observe_poses(track, seed):
+    """Random, near-line, wrap, reversed and board-edge poses."""
+    rng = random.Random(seed)
+    length = track.total_length
+    poses = [Pose(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 360.0))
+             for _ in range(120)]
+    poses += [_near_line(track, rng, rng.uniform(0.0, length), 0.0) for _ in range(120)]
+    # Within 0.15 m of arclength 0, where the sampling wraps, both ways.
+    poses += [_near_line(track, rng, rng.uniform(-0.15, 0.15), rng.choice((0.0, 180.0)), 0.01)
+              for _ in range(160)]
+    poses += [_near_line(track, rng, rng.uniform(0.0, length), 180.0) for _ in range(80)]
+    for _ in range(80):
+        edge = rng.choice((0.0, 2.0)) + rng.uniform(-0.06, 0.06)
+        along = rng.uniform(0.0, 2.0)
+        x, y = (edge, along) if rng.random() < 0.5 else (along, edge)
+        poses.append(Pose(x, y, rng.uniform(0.0, 360.0)))
+    return poses
+
+
+def _strip_edge_poses(track, camera):
+    """Heading-0 poses that put a sample block's extreme sample on a strip edge.
+
+    With heading 0, u and v are plain differences, so a block whose only
+    candidate samples sit exactly on the edge is found only if the window's
+    box reaches the block's box; each pose is also nudged by a few ulps.
+    """
+    x_lo, x_hi, y_lo, y_hi, _ = track.sample_boxes()
+    near = camera.look_ahead
+    far = near + camera.crop_size / camera.pixels_per_meter
+    half_w = camera.image_width / (2.0 * camera.pixels_per_meter)
+    poses = []
+    for i in range(x_lo.size):
+        mid_x = (x_lo[i] + x_hi[i]) / 2.0
+        mid_y = (y_lo[i] + y_hi[i]) / 2.0
+        for px, py in ((x_hi[i] - near, mid_y - half_w / 2.0),
+                       (x_lo[i] - far, mid_y + half_w / 2.0),
+                       (mid_x - (near + far) / 2.0, y_hi[i] + half_w),
+                       (mid_x - (near + far) / 2.0, y_lo[i] - half_w)):
+            for k in (-2, -1, 0, 1, 2):
+                poses.append(Pose(px + k * np.spacing(px), py, 0.0))
+                poses.append(Pose(px, py + k * np.spacing(py), 0.0))
+    return poses
+
+
+@pytest.mark.parametrize("camera_name", sorted(_OBSERVE_CAMERAS))
+@pytest.mark.parametrize("track_name", sorted(FAST_PATH_TRACKS))
+def test_observe_matches_full_mask_oracle(track_name, camera_name):
+    track = FAST_PATH_TRACKS[track_name]()
+    camera = _OBSERVE_CAMERAS[camera_name]
+    poses = _observe_poses(track, 23)
+    if camera.kind == "onboard":
+        poses += _strip_edge_poses(track, camera)
+    seen = 0
+    for k, pose in enumerate(poses):
+        got = observe(camera, track, pose, rng=random.Random(k))
+        want = oracles.oracle_observe(camera, track, pose, rng=random.Random(k))
+        assert got == want, pose
+        seen += want[1].visible
+    assert seen > len(poses) // 10

@@ -215,6 +215,18 @@ def test_samples_equal_point_at_loop(name):
     assert np.array_equal(tans, exp_t)
 
 
+@pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS))
+def test_sample_boxes_bound_each_block(name):
+    track = FAST_PATH_TRACKS[name]()
+    xs, ys, _, _ = track.samples()
+    x_lo, x_hi, y_lo, y_hi, block = track.sample_boxes()
+    starts = range(0, xs.size, block)
+    assert x_lo.size == len(starts)
+    for i, k in enumerate(starts):
+        assert (x_lo[i], x_hi[i]) == (min(xs[k:k + block]), max(xs[k:k + block]))
+        assert (y_lo[i], y_hi[i]) == (min(ys[k:k + block]), max(ys[k:k + block]))
+
+
 class TestStepVehicle:
     def test_straight_displacement(self):
         p = VehicleParams()
