@@ -90,6 +90,13 @@ def _finite(value, positive=False) -> float:
     return number
 
 
+def _non_negative(value) -> float:
+    number = _finite(value)
+    if number < 0.0:
+        raise ValueError(f"{value!r} is negative")
+    return number
+
+
 def _int(value, low=-math.inf, high=math.inf) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
@@ -295,7 +302,7 @@ _SCENARIO_KEYS = {
     "sensors": _sensors,
     "vehicle": lambda v: _read(v, "vehicle", _VEHICLE_KEYS, _vehicle),
     "start_arclength": _finite,
-    "crash": lambda v: _read(v, "crash", {"threshold_m": _finite, "hold_s": _finite},
+    "crash": lambda v: _read(v, "crash", {"threshold_m": _positive, "hold_s": _non_negative},
                              names={"threshold_m": "crash_threshold", "hold_s": "crash_hold"}),
     "post_outage_k": _count,
     "udp": lambda v: _read(v, "udp", {"host": str, "vehicle_port": _port,

@@ -8,6 +8,8 @@ and aggregates the per-run summaries into one table row per value.
 import copy
 import math
 import os
+import re
+import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,13 +78,20 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
 
     With out_dir, each run writes to <axis>_<value>_rep<rep>, the value in
     the same text as the .dat value column; values that share that text
-    would share a directory and raise ConfigError before any run.
+    would share a directory and raise ConfigError before any run.  Before
+    the first run, what an earlier sweep of this axis left there and this
+    one will not write over is removed: <axis>_*_rep<n> directories of
+    other runs, and <axis>_*.dat tables, which are all written anew.
     """
     values = list(spec.values)
     labels = [f"{value:.10g}" for value in values]
     for vi, label in enumerate(labels):
         if out_dir is not None and label in labels[:vi]:
             raise ConfigError(f"two sweep values share the run directory label {label!r}")
+    if out_dir is not None:
+        _remove_stale(out_dir, spec.axis,
+                      {f"{spec.axis}_{label}_rep{rep}" for label in labels
+                       for rep in range(spec.reps)})
     metric_rows = {}
     crash_rate = []
     all_runs = []
@@ -109,6 +118,19 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     if out_dir is not None:
         emit_plot_data(table, out_dir)
     return table
+
+
+def _remove_stale(out_dir, axis: str, run_dirs: set):
+    """Remove the axis's run directories not in run_dirs and its .dat tables."""
+    if not os.path.isdir(out_dir):
+        return
+    run_dir = re.compile(re.escape(axis) + r"_.+_rep\d+")
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if run_dir.fullmatch(name) and name not in run_dirs and os.path.isdir(path):
+            shutil.rmtree(path)
+        elif name.startswith(axis + "_") and name.endswith(".dat") and os.path.isfile(path):
+            os.remove(path)
 
 
 def emit_plot_data(table: SweepTable, out_dir) -> list:

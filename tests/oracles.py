@@ -6,7 +6,8 @@ package implementation so the two can be compared mechanically.  The fusion
 oracle re-evaluates the three policies from their definitions, and the track
 oracles redo ground truth and the centreline sampling the slow, plain way.
 The observe oracle masks every centreline sample on every frame, as the
-camera model first did.
+camera model first did.  The drive oracle is the tick loop as it was before
+ground truth was skipped: it searches the centreline on every tick.
 """
 
 import math
@@ -14,6 +15,8 @@ import random
 
 import numpy as np
 
+from fusedrive.fusion import VehicleNode
+from fusedrive.metrics import CrashDetector, SampleSeries, correction_metric
 from fusedrive.perception import (
     ONBOARD,
     LineBoxObservation,
@@ -21,6 +24,8 @@ from fusedrive.perception import (
     MarkerObservation,
     fold_line_angle,
 )
+from fusedrive.runner import SensorRuntime, _slot_ids, assemble_result, write_outputs
+from fusedrive.world import Pose, lateral_deviation, step_vehicle
 
 
 def oracle_compute_robot_angle(greencx, greency, orangecx, orangecy):
@@ -320,3 +325,42 @@ def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
                                 line_width * camera.pixels_per_meter)
     fraction = min(1.0, length / half_m)
     return markers, LineBoxObservation((cx, cy), w, h, raw, fraction)
+
+
+def oracle_drive(scenario, channels, deliver, out_dir=None):
+    """runner.drive with the exact centreline search on every tick."""
+    sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
+    node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
+                       _slot_ids(scenario.sensors))
+    x, y, tangent = scenario.track.point_at(scenario.start_arclength)
+    pose = Pose(x, y, tangent)
+
+    correction = SampleSeries("correction")
+    deviation = SampleSeries("deviation")
+    detector = CrashDetector(scenario.crash_threshold, scenario.crash_hold)
+    crash_time = None
+
+    ts = scenario.timestep
+    n_ticks = scenario.n_ticks()
+    for i in range(n_ticks):
+        now = i * ts
+        for s in sensors:
+            if i % s.period_ticks:
+                continue
+            s.channel.send(s.sensor_id, s.tick(scenario, pose, now), now)
+        delivered = deliver(now)
+        for source_id, datagram in delivered:
+            node.handle_datagram(source_id, datagram, now)
+        dev = lateral_deviation(scenario.track, pose)
+        if delivered:
+            correction.append(now, correction_metric(*node.applied))
+            deviation.append(now, dev)
+        crash_time = detector.update(now, dev)
+        if crash_time is not None:
+            break
+        pose = step_vehicle(pose, node.applied[0], node.applied[1], ts, scenario.vehicle)
+
+    result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
+    if out_dir is not None:
+        write_outputs(result, out_dir)
+    return result

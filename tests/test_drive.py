@@ -1,0 +1,126 @@
+"""The tick loop searches ground truth only where it is read, and that is exact.
+
+`runner.drive` feeds the crash detector a distance bound instead of the
+exact centreline search on ticks that deliver nothing and stay clear of the
+crash threshold.  Every case here runs the loop both ways, the oracle
+searching on every tick, and compares the results with ==.  The cases push
+the bound to fail often: tiny thresholds, no hold, long gaps between
+deliveries, crashing runs and a start far off the line.
+"""
+
+import copy
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from fusedrive import runner
+from fusedrive.faults import ProbabilisticOutage
+from fusedrive.scenario import load_scenario
+from fusedrive.sweep import apply_axis
+
+from oracles import oracle_drive
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _load(name, duration=20.0, **fields):
+    scenario = load_scenario(SCENARIOS / f"{name}.yaml")
+    scenario.duration = duration
+    for key, value in fields.items():
+        setattr(scenario, key, value)
+    return scenario
+
+
+def _one_hz(name, **fields):
+    scenario = _load(name, duration=60.0, **fields)
+    scenario.sensors = [dataclasses.replace(s, rate_hz=1.0) for s in scenario.sensors]
+    return scenario
+
+
+def _blackout_grid(outage_threshold):
+    """combined_weighted on a lossy, delayed channel under random blackouts."""
+    base = _load("combined_weighted", duration=100.0)
+    outage = ProbabilisticOutage(interval=0.4, threshold=0)
+    base.sensors = [
+        dataclasses.replace(s, channel_loss=0.2, channel_delay=(0.0, 0.03), outage=outage)
+        for s in base.sensors
+    ]
+    return apply_axis(base, "outage_threshold", outage_threshold)
+
+
+def _start_off_line(scenario, x, y, heading):
+    """Start the vehicle at (x, y, heading) instead of on the centreline."""
+    scenario.track.point_at = lambda s: (x, y, heading)
+    return scenario
+
+
+# The thresholds and holds are chosen so that the runs crash part-way, after
+# many ticks on which the bound reaches the threshold; two complete.
+CASES = {
+    "onboard_threshold_0.002": lambda: _load("baseline_onboard", crash_threshold=0.002),
+    "onboard_threshold_0.01": lambda: _load("baseline_onboard", crash_threshold=0.01),
+    "weighted_threshold_0.002": lambda: _load("combined_weighted", crash_threshold=0.002),
+    "weighted_threshold_0.01": lambda: _load("combined_weighted", crash_threshold=0.01),
+    "onboard_hold_0": lambda: _load("baseline_onboard", crash_threshold=0.005, crash_hold=0.0),
+    "onboard_hold_one_tick": lambda: _load("baseline_onboard", crash_threshold=0.005,
+                                           crash_hold=0.005),
+    "weighted_hold_0": lambda: _load("combined_weighted", crash_threshold=0.005,
+                                     crash_hold=0.0),
+    "onboard_1hz": lambda: _one_hz("baseline_onboard"),
+    "onboard_1hz_threshold_0.5": lambda: _one_hz("baseline_onboard", crash_threshold=0.5),
+    "weighted_1hz": lambda: _one_hz("combined_weighted"),
+    "blackout_grid_50": lambda: _blackout_grid(50),
+    "blackout_grid_65": lambda: _blackout_grid(65),
+    "start_off_line_crash": lambda: _start_off_line(_load("baseline_onboard"),
+                                                    1.9, 0.1, 45.0),
+    "start_off_line_wide_threshold": lambda: _start_off_line(
+        _load("combined_weighted", crash_threshold=1.0), 0.4, 0.4, 200.0),
+}
+COMPLETING = {"onboard_threshold_0.01", "start_off_line_wide_threshold"}
+
+
+def _run_both(scenario, monkeypatch):
+    actual = runner.run(copy.deepcopy(scenario))
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "drive", oracle_drive)
+        expected = runner.run(copy.deepcopy(scenario))
+    return actual, expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_skipping_ground_truth_changes_nothing(case, monkeypatch):
+    actual, expected = _run_both(CASES[case](), monkeypatch)
+    assert actual.rows == expected.rows
+    assert actual.series.keys() == expected.series.keys()
+    for name, series in expected.series.items():
+        assert actual.series[name].times == series.times, name
+        assert actual.series[name].values == series.values, name
+    assert actual.summaries == expected.summaries
+    assert actual.completed == expected.completed == (case in COMPLETING)
+    assert actual.crash_time == expected.crash_time
+
+
+def test_ground_truth_searched_on_delivery_ticks_and_few_others(monkeypatch):
+    scenario = load_scenario(SCENARIOS / "baseline_onboard.yaml")
+    searched = []          # the tick of each centreline search
+    tick = [0]             # ticks stepped so far
+    search, step = runner.lateral_deviation, runner.step_vehicle
+
+    def counted_search(track, pose):
+        searched.append(tick[0])
+        return search(track, pose)
+
+    def counted_step(*args):
+        tick[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(runner, "lateral_deviation", counted_search)
+    monkeypatch.setattr(runner, "step_vehicle", counted_step)
+    result = runner.run(scenario)
+    assert result.completed
+    delivery_ticks = {round(t / scenario.timestep) for t in result.series["deviation"].times}
+    assert len(delivery_ticks) > 1000
+    assert delivery_ticks <= set(searched)
+    assert len(searched) == len(set(searched))
+    assert len(searched) < scenario.n_ticks() / 4

@@ -7,7 +7,7 @@ float in every build alike; these pins can.  They were generated once, from
 the simulator before its tick-loop hot paths were optimised, and must never
 be regenerated to make a change pass.  A change that alters outputs on
 purpose has to say so and justify the new digests.  Runs use the shipped
-durations.
+durations; the two sweeps are shortened.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ import pytest
 from fusedrive.faults import ProbabilisticOutage
 from fusedrive.runner import run
 from fusedrive.scenario import load_scenario
+from fusedrive.sweep import SweepSpec, sweep
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -157,3 +158,149 @@ def test_lossy_blackout_variant_matches_golden(tmp_path):
         for s in scenario.sensors
     ]
     assert _output_digests(scenario, tmp_path) == LOSSY_BLACKOUT
+
+
+# Two short sweeps written to disk, pinned file by file: the .dat tables and
+# every run directory.  The outage sweep crashes one of its runs.
+SWEEP_KP = {
+    "kp_1_rep0/correction.csv":
+        "939bf164880c498f550c445fb48a6dd56b7921dcf2b8a4742f8052288f4b0b64",
+    "kp_1_rep0/deviation.csv":
+        "e53c2b7d44a0599f06446a19ca1f8b724f7536448b8f1724c12e0c30cc7420a4",
+    "kp_1_rep0/drive_log.csv":
+        "25d23460e920cb7dfe1bc2ca418d612078e0afaa423036597dd7f623194ce153",
+    "kp_1_rep0/error_pi.csv":
+        "d630dca59974b1fa99aa38a35107d6709f756f7d13705406152746105753b902",
+    "kp_1_rep0/summary.json":
+        "e75b70e015a75bc36b3702f57f3e8a8a1dc51b523eefc71ac62ebea78198b2ca",
+    "kp_1_rep1/correction.csv":
+        "0d1fdb9b3a922f699a254979856f77268bbf2eecf4e0b828b9708292b3e38016",
+    "kp_1_rep1/deviation.csv":
+        "9b0daedf8897ccbf8c5f045ac1770941426d97994e7741a20a3a26bfec7602e9",
+    "kp_1_rep1/drive_log.csv":
+        "ac7ab47258ff146723746de3634c85cd82df2ca5828e514763d6798a73757a97",
+    "kp_1_rep1/error_pi.csv":
+        "02fc169db3f7171ddce9f89a07df48af0e4a68721a3fb7368634388abab24e33",
+    "kp_1_rep1/summary.json":
+        "e7643f171eb1b323b73458f192a9f007f2ed2128c80be9b8b5955cde08fdce14",
+    "kp_2_rep0/correction.csv":
+        "6ff931d7ce1a9cce43c8bbd86fae411fae1927eb465d94d7ceb3cba9e7580114",
+    "kp_2_rep0/deviation.csv":
+        "fdb11a6f8ca46fa6d7ae281e772cdef296b20bb829e948e029ec504082c6d3b1",
+    "kp_2_rep0/drive_log.csv":
+        "af7d2b6cdab8daf3fad6c4faa1eed8fdde66c77bf5963c6ca04681ee464dc8ea",
+    "kp_2_rep0/error_pi.csv":
+        "7353a57ff20d8f98974e7d087eb7ffa04e10b068b3c4bafd2697ae10ddedf149",
+    "kp_2_rep0/summary.json":
+        "a3bb300d192b3e7b5f5cad73294edc4377d2e88a269825d1d5975bbe5ff651e5",
+    "kp_2_rep1/correction.csv":
+        "34ecf7c48f4e7a6bda7024cf66da02155c347ed335c45302aa3198e2258e6d4c",
+    "kp_2_rep1/deviation.csv":
+        "605ae1cb9dd3d7a385fc31d1d0523198a6ea3dfb8f2a1cf394c41904ef87c307",
+    "kp_2_rep1/drive_log.csv":
+        "df91417b084a8786a8de3a8c4c9711f0d0cc0ebbddfae174a7867da144a4710c",
+    "kp_2_rep1/error_pi.csv":
+        "2acf5651efcea7e8a1667e337cf6bae6e1220781ee223385f6ebb1e7cbe32b4f",
+    "kp_2_rep1/summary.json":
+        "61f51e7e88cfa3cb6ff83d17854a06779c3ece4ab4ce569574aabafebb44330c",
+    "kp_correction.dat":
+        "3080bd31cd2c3b57adc998a1da7cc34ac41c331e2c1122856a3218fc61ca6b3b",
+    "kp_deviation.dat":
+        "fbd6800a3c22e7fed398a87c8758a44d1c733f11db0a3bdad25c9ad1228d536e",
+    "kp_error_pi.dat":
+        "0714a3f43ce5bac136c969f4abde40025b3d1745d67f90179b40da824cf04da6",
+}
+
+SWEEP_OUTAGE_THRESHOLD = {
+    "outage_threshold_20_rep0/correction.csv":
+        "9b8f4a5f47bed3810fa7d06987b9c35d70f73f4fb7a9dd4806718e0f9866f509",
+    "outage_threshold_20_rep0/deviation.csv":
+        "8f1d9fbd8baf43cc045eb1073a22872cbb129f8c916b36fbc91069f3eb382679",
+    "outage_threshold_20_rep0/drive_log.csv":
+        "a776f7cef9f9494da0301a27db57f292bf4343935c35f8a5eb3651723d002b51",
+    "outage_threshold_20_rep0/error_cam0.csv":
+        "37f9766d6d022bfd4284ee2b6f80fbb3138359c8c9458cd6b5d73c9ed5b851a8",
+    "outage_threshold_20_rep0/error_cam1.csv":
+        "e95e320b988a4629c8757a746b9546c9a76ac49dad310648fb793ce15987cab5",
+    "outage_threshold_20_rep0/error_pi.csv":
+        "1e459901afe98c053b9654385acc04c436f6d01baea1333effc6f626634c6ba3",
+    "outage_threshold_20_rep0/summary.json":
+        "5bb2f37e2ecb33b10facd3dfb64a0bafa5347696cf0fe36dba443e8535da9440",
+    "outage_threshold_20_rep1/correction.csv":
+        "b1eaf1e3474b5c125cffe4e69e380ca6ee0e12f1852aba96824426e531b6f890",
+    "outage_threshold_20_rep1/deviation.csv":
+        "543d29dc2b2232f02098bad0889adef2b915e5ab5cba5507b3259644684c11d6",
+    "outage_threshold_20_rep1/drive_log.csv":
+        "a43b57fb17a5d3695c0dea4e5daa5c4bce6a56d1a6389f1cb5f7a5a69b8ce56b",
+    "outage_threshold_20_rep1/error_cam0.csv":
+        "02eac21b42d833a7953b5adc75af188744e8cc3f696a80cb472976bd90819101",
+    "outage_threshold_20_rep1/error_cam1.csv":
+        "f306f05f351bdf8ff65a2a4c6f649f5a39defe220051ad7b9aacec10cce65bb8",
+    "outage_threshold_20_rep1/error_pi.csv":
+        "096ef53fd0cd8668b6910e2c2e0974351d4f976b4b621a8b0280084a5a88e7f8",
+    "outage_threshold_20_rep1/summary.json":
+        "e53e79cf40c15c4ad8215b17a3eb3e9f993d3248151b1decda36372a8201f9ab",
+    "outage_threshold_65_rep0/correction.csv":
+        "fd09941eba5de0d345d4ef76afc68e922323fda78ed6434e6085bfc1fd0d0005",
+    "outage_threshold_65_rep0/deviation.csv":
+        "b9ff67471b101fcc39c0e36a3c0684093b0c2c80d22f6a79610aebacb0964eab",
+    "outage_threshold_65_rep0/drive_log.csv":
+        "6a8ad4132006c39aa7b88322a3e3d5bbca0089da6e00fe4e674d71a43cb93173",
+    "outage_threshold_65_rep0/error_cam0.csv":
+        "9ba58bc1407ac7a2782777c7581b53cd78b3783b8e7767c631959c26537e1f59",
+    "outage_threshold_65_rep0/error_cam1.csv":
+        "f9f1760fda353804fc6934bd494e93b7999df7278e420f5d363ee411a82e2550",
+    "outage_threshold_65_rep0/error_pi.csv":
+        "ea9ed87e6ad4c8a5eed8bc55107bc6a822e235cd8e8b4c81e2edc1564fb0e2fe",
+    "outage_threshold_65_rep0/summary.json":
+        "e15f5f8f4fb6e6176e3e4cca403b51248278eb4591090ba6886e77c77e71c7f9",
+    "outage_threshold_65_rep1/correction.csv":
+        "b120debb0da3c43bf15bf92d70b4cbd33640b84b5205e37ebec05f1091abe69c",
+    "outage_threshold_65_rep1/deviation.csv":
+        "98263d4951f99c9c9347fcd12460d13e7b28ae5cdbf4cc1db1bbab667d022be6",
+    "outage_threshold_65_rep1/drive_log.csv":
+        "6c183189066c1a8b1d291b79802277eb30a0b190faa046e006d120e045f1f373",
+    "outage_threshold_65_rep1/error_cam0.csv":
+        "f426c3699965f2a851770203c8f9aee1e86c8cad878a91849026b402c386659a",
+    "outage_threshold_65_rep1/error_cam1.csv":
+        "6b4aff2b08f98879e068821374e9dad84bc4f34d1590f57683c8b011b29d0bf3",
+    "outage_threshold_65_rep1/error_pi.csv":
+        "828dc79b97952b129df7df32fed7ab92eaf86d23c13283fc750d6ce648ae95ec",
+    "outage_threshold_65_rep1/summary.json":
+        "93bf5cea71bb17e55ac723a97aafb0d7921ccb445950cc5920b5c9ee7e03ca81",
+    "outage_threshold_correction.dat":
+        "93293fe3c99ea070217dee1ba2ae1d19f5a6674f736f3694d7d760995e9c27b3",
+    "outage_threshold_deviation.dat":
+        "28825447bf4c855b7cc493f4ee7ce9f277456edb1a7ab830db91331069956e4f",
+    "outage_threshold_error_cam0.dat":
+        "0e400faae362467097334f43a82c6967ccebc50ecf330284c49bfa08b50b3923",
+    "outage_threshold_error_cam1.dat":
+        "a661610de59ff69ff5181e946a0115f38accd8d85e262b8308691685e98f09a9",
+    "outage_threshold_error_pi.dat":
+        "acc4e76f16b9417ec45448f43730a11f4d4a9c72a8ea12ad1cb2e6cb2dd10a8b",
+    "outage_threshold_post_outage_correction.dat":
+        "f98af88f3ca0643d2468c929f31c62277dfd766faf6203dfc84efdf61a38ea5c",
+    "outage_threshold_post_outage_deviation.dat":
+        "f5e03538be18254accd25676a02910a1dcd8a83023431a2fde36c493c08b9c69",
+}
+
+
+def _sweep_digests(scenario, spec, out_dir):
+    sweep(scenario, spec, out_dir)
+    return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
+def test_kp_sweep_matches_golden(tmp_path):
+    scenario = load_scenario(SCENARIOS / "sweep_kp.yaml")
+    scenario.duration = 10.0
+    assert _sweep_digests(scenario, SweepSpec("kp", (1.0, 2.0), reps=2), tmp_path) == SWEEP_KP
+
+
+def test_outage_threshold_sweep_matches_golden(tmp_path):
+    scenario = load_scenario(SCENARIOS / "combined_weighted.yaml")
+    scenario.duration = 20.0
+    for sensor in scenario.sensors:
+        sensor.outage = ProbabilisticOutage(interval=0.4, threshold=0)
+    spec = SweepSpec("outage_threshold", (20, 65), reps=2)
+    assert _sweep_digests(scenario, spec, tmp_path) == SWEEP_OUTAGE_THRESHOLD

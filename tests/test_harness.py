@@ -86,6 +86,10 @@ MALFORMED = [
     # Sensor i binds sensor_port_base + i: the last port must exist.
     ("udp.sensor_port_base", dict(TWO_SENSORS, udp={"sensor_port_base": 65535})),
     ("udp.sensor_port_base", dict(THREE_SENSORS, udp={"sensor_port_base": 65534})),
+    ("crash.threshold_m", minimal_cfg(crash={"threshold_m": 0})),
+    ("crash.threshold_m", minimal_cfg(crash={"threshold_m": -0.1})),
+    # Used to load; the run then reported a crash at -4.965 s, before its start.
+    ("crash.hold_s", minimal_cfg(crash={"threshold_m": 0.0001, "hold_s": -5})),
 ]
 
 
@@ -347,6 +351,21 @@ class TestSweep:
             "kp_1.0000001_rep0", "kp_1_rep0"]
         _, data = read_plot_data(tmp_path / "kp_deviation.dat")
         assert data[:, 0].tolist() == [1.0, 1.0000001]
+
+    def test_rerun_leaves_only_its_own_outputs(self, tmp_path):
+        sc = scenario_from_dict(minimal_cfg(duration=1.0))
+        outage = dict(sensor_cfg(outage=PERIODIC), duration=1.0)
+        sweep(scenario_from_dict(outage), SweepSpec("kp", (1.0, 2.0), reps=2), tmp_path)
+        assert (tmp_path / "kp_post_outage_deviation.dat").exists()
+        (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+        sweep(sc, SweepSpec("kp", (1.0,), reps=1), tmp_path)
+        assert sorted(os.listdir(tmp_path)) == [
+            "kp_1_rep0", "kp_correction.dat", "kp_deviation.dat", "kp_error_pi.dat",
+            "notes.txt",
+        ]
+        assert sorted(os.listdir(tmp_path / "kp_1_rep0")) == [
+            "correction.csv", "deviation.csv", "drive_log.csv", "error_pi.csv", "summary.json",
+        ]
 
     def test_values_sharing_a_dir_label_rejected(self, tmp_path):
         sc = scenario_from_dict(minimal_cfg(duration=1.0))
