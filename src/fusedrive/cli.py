@@ -1,8 +1,8 @@
 """Command-line entry points: run, sweep, summarize.
 
 Exit codes: 0 for a completed run, 2 when the run ended in a crash, 1 for
-configuration problems.  The default output directory comes from --out, then
-the FUSEDRIVE_OUT environment variable, then ./runs.
+configuration problems and usage errors.  The default output directory comes
+from --out, then the FUSEDRIVE_OUT environment variable, then ./runs.
 """
 
 import argparse
@@ -29,8 +29,14 @@ def _parse_values(text):
         raise ConfigError(f"cannot parse sweep values {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not argparse's 2: 2 means the run crashed
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusedrive",
         description="Line-following vehicle simulator with networked sensor fusion",
     )

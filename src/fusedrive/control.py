@@ -1,8 +1,8 @@
 """Per-sensor PID steering with a decayed integral, plus command synthesis.
 
 Each sensor runs its own controller.  The integral term is a decayed sum
-(new = error + decay * old, updated before use) rather than a plain sum, so
-it cannot wind up past error_bound / (1 - decay).  Infrastructure sensors
+(new = error + DECAY * old, updated before use) rather than a plain sum, so
+it cannot wind up past error_bound / (1 - DECAY).  Infrastructure sensors
 supply the line-to-vehicle angle as an external derivative; the on-vehicle
 sensor falls back to consecutive error differences.
 """
@@ -23,8 +23,7 @@ from .perception import (
 )
 from .wire import SteeringCommand
 
-ONBOARD_GAINS = (1.5, 0.15, 4.5)
-INFRASTRUCTURE_GAINS = (1.0, 0.02, 0.5)
+DECAY = 0.9  # weight of the old integral in each update
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,6 @@ class PidState:
 
     integral: float = 0.0
     last_error: float = 0.0
-    decay: float = 0.9
 
 
 def pid_update(gains: PidGains, state: PidState, error: float,
@@ -56,13 +54,13 @@ def pid_update(gains: PidGains, state: PidState, error: float,
     a sensor can measure the error rate directly) replaces the finite
     difference of errors.
     """
-    integral = error + state.decay * state.integral
+    integral = error + DECAY * state.integral
     if external_derivative is not None:
         derivative = external_derivative
     else:
         derivative = error - state.last_error
     correction = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return PidState(integral, error, state.decay), correction
+    return PidState(integral, error), correction
 
 
 def commands_from_correction(correction: float):
@@ -73,37 +71,38 @@ def commands_from_correction(correction: float):
     return int(100.0 - correction), int(100.0 + correction)
 
 
-def sensor_tick(kind: str, gains: PidGains, state: PidState, observation):
+def sensor_tick(camera, gains: PidGains, state: PidState, observation):
     """Turn one camera frame into a steering command.
 
-    observation is the (markers, line_box) pair from perception.observe.
+    observation is the (markers, line_box) pair observe gave for camera.
     An empty frame yields a zero-report and leaves the controller state
     untouched, so a sensor resumes from its pre-outage integral.
     """
     markers, line_box = observation
-    if not line_box.visible or (kind != ONBOARD and not markers.visible):
+    onboard = camera.kind == ONBOARD
+    if not line_box.visible or (not onboard and not markers.visible):
         return state, SteeringCommand.zero()
-    if kind == ONBOARD:
-        error = onboard_offset(line_box.center[0])
-        external = None
+    if onboard:
+        error = onboard_offset(line_box.center[0], camera.image_width / 2.0)
+        derivative = error - state.last_error
     else:
         vehicle_angle = compute_robot_angle(markers.green, markers.orange)
         line_angle = disambiguate_line_angle(
             line_box.width, line_box.height, line_box.raw_angle, vehicle_angle
         )
-        external = direction_fix(line_angle, vehicle_angle)
+        derivative = direction_fix(line_angle, vehicle_angle)
         error = position_fix(front_point(markers), line_box.center, vehicle_angle)
-    new_state, correction = pid_update(gains, state, error, external)
-    derivative = external if external is not None else error - state.last_error
+    new_state, correction = pid_update(gains, state, error, derivative)
     left, right = commands_from_correction(correction)
     confidence = confidence_from_visibility(line_box.visible_fraction)
     return new_state, SteeringCommand(left, right, confidence, error,
                                       new_state.integral, derivative)
 
 
+_DEFAULT_GAINS = {ONBOARD: (1.5, 0.15, 4.5), INFRASTRUCTURE: (1.0, 0.02, 0.5)}
+
+
 def default_gains(kind: str) -> PidGains:
-    if kind == ONBOARD:
-        return PidGains(*ONBOARD_GAINS)
-    if kind == INFRASTRUCTURE:
-        return PidGains(*INFRASTRUCTURE_GAINS)
-    raise ValueError(f"unknown sensor kind {kind!r}")
+    if kind not in _DEFAULT_GAINS:
+        raise ValueError(f"unknown sensor kind {kind!r}")
+    return PidGains(*_DEFAULT_GAINS[kind])

@@ -11,6 +11,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+from .perception import INFRASTRUCTURE, ONBOARD
 from .wire import MalformedDatagram, SteeringCommand, decode_command, format_field
 
 log = logging.getLogger(__name__)
@@ -18,7 +19,6 @@ log = logging.getLogger(__name__)
 MAXIMUM_CONFIDENCE = "maximum_confidence"
 SIMPLE_AVERAGE = "simple_average"
 CONFIDENCE_WEIGHTED = "confidence_weighted"
-POLICIES = (MAXIMUM_CONFIDENCE, SIMPLE_AVERAGE, CONFIDENCE_WEIGHTED)
 
 DRIVE_LOG_HEADER = (
     "time,left,right,"
@@ -28,16 +28,27 @@ DRIVE_LOG_HEADER = (
 )
 
 
+def log_slots(sensors):
+    """Source ids of the drive log's column groups (pi, cam0, cam1), None for
+    an empty one: the onboard sensor, then the infrastructure ones in order."""
+    onboard = [s.sensor_id for s in sensors if s.camera.kind == ONBOARD]
+    infra = [s.sensor_id for s in sensors if s.camera.kind == INFRASTRUCTURE]
+    if len(onboard) > 1 or len(infra) > 2:
+        raise ValueError("the drive log holds one onboard and two "
+                         "infrastructure columns at most")
+    return tuple((onboard + [None])[:1] + (infra + [None, None])[:2])
+
+
 @dataclass
 class SourceSlot:
-    """Latest state for one source: fusion view and verbatim log view.
+    """Latest state for one source: what fusion reads and what the log prints.
 
-    text is the report's six drive-log fields, formatted once at ingest.
+    command is the scaled report while it commands positive power, else the
+    zero command; text is the scaled report's six drive-log fields,
+    formatted once at ingest.
     """
 
     command: SteeringCommand = field(default_factory=SteeringCommand.zero)
-    report: SteeringCommand = field(default_factory=SteeringCommand.zero)
-    active: bool = False
     text: str = "0,0,0,0,0,0"
 
 
@@ -48,17 +59,16 @@ class SourceRegistry:
     """Ordered per-source command store; order fixes the max tie-break."""
 
     def __init__(self, source_ids):
-        self.order = list(source_ids)
-        if len(set(self.order)) != len(self.order):
+        self.slots = {sid: SourceSlot() for sid in source_ids}
+        if len(self.slots) != len(source_ids):
             raise ValueError("duplicate source ids")
-        self.slots = {sid: SourceSlot() for sid in self.order}
 
     def ingest(self, source_id, cmd: SteeringCommand):
         """Store a decoded command, scaling powers and confidence by 1/3.
 
-        A source is active only while it commands positive power; anything
-        else (zero-reports included) parks it inactive on the zero command.
-        Unknown sources are logged and ignored.
+        A source counts only while it commands positive power; anything
+        else (zero-reports included) parks it on the zero command.  Unknown
+        sources are logged and ignored.
         """
         slot = self.slots.get(source_id)
         if slot is None:
@@ -66,38 +76,24 @@ class SourceRegistry:
             return
         scaled = SteeringCommand(cmd.left / 3.0, cmd.right / 3.0,
                                  cmd.confidence / 3.0, cmd.p, cmd.i, cmd.d)
-        slot.report = scaled
         slot.text = ",".join(map(format_field, scaled.fields()))
-        if scaled.left > 0 or scaled.right > 0:
-            slot.command = scaled
-            slot.active = True
-        else:
-            slot.command = SteeringCommand.zero()
-            slot.active = False
+        positive = scaled.left > 0 or scaled.right > 0
+        slot.command = scaled if positive else SteeringCommand.zero()
 
     def commands(self):
-        return [self.slots[sid].command for sid in self.order]
-
-
-def max_confidence_source(registry: SourceRegistry):
-    """Index of the highest-confidence source; later sources win ties."""
-    best = None
-    best_conf = None
-    for idx, cmd in enumerate(registry.commands()):
-        if best_conf is None or cmd.confidence >= best_conf:
-            best, best_conf = idx, cmd.confidence
-    return best
+        return [slot.command for slot in self.slots.values()]
 
 
 def fuse_max(registry: SourceRegistry):
-    """Adopt the command of the most confident source outright.
+    """Adopt the command of the most confident source outright; later
+    sources win ties.
 
     Returns None when every stored confidence is zero (nothing to trust).
     """
     cmds = registry.commands()
     if not cmds or all(c.confidence == 0 for c in cmds):
         return None
-    chosen = cmds[max_confidence_source(registry)]
+    chosen = max(reversed(cmds), key=lambda c: c.confidence)
     return chosen.left, chosen.right
 
 
@@ -138,6 +134,7 @@ _POLICY_FNS = {
     SIMPLE_AVERAGE: fuse_simple_avg,
     CONFIDENCE_WEIGHTED: fuse_weighted,
 }
+POLICIES = tuple(_POLICY_FNS)
 
 
 def drive_tick(registry: SourceRegistry, policy: str, previous):
@@ -160,7 +157,8 @@ class VehicleNode:
     """Receives datagrams, fuses them, and keeps the drive log.
 
     slot_ids maps the three log column groups (pi, cam0, cam1) to source
-    ids; missing slots stay all-zero in the log.
+    ids, as log_slots gives them; missing slots stay all-zero in the log.
+    By default the sources fill the groups in order.
     """
 
     def __init__(self, source_ids, policy: str, slot_ids=None):

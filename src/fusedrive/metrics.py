@@ -76,7 +76,7 @@ def post_outage_window(series: SampleSeries, outage_end_times, k: int = 5):
 class CrashDetector:
     """Flags the first time |deviation| exceeds a threshold for a hold time."""
 
-    def __init__(self, threshold_m: float = 0.25, hold_s: float = 0.5):
+    def __init__(self, threshold_m: float, hold_s: float):
         self.threshold_m = threshold_m
         self.hold_s = hold_s
         self._over_since = None

@@ -45,12 +45,12 @@ class CameraModel:
 
     kind: str
     pixels_per_meter: float
-    image_width: int = 320
-    image_height: int = 240
-    crop_size: int = 80
-    coverage: tuple = None
-    look_ahead: float = 0.06
-    noise_px: float = 2.0
+    image_width: int
+    image_height: int
+    crop_size: int
+    coverage: tuple
+    look_ahead: float
+    noise_px: float
 
     def __post_init__(self):
         if self.kind not in (ONBOARD, INFRASTRUCTURE):
@@ -70,8 +70,6 @@ class CameraModel:
                 raise ValueError("coverage rectangle does not fit in the image")
 
     def covers(self, x: float, y: float) -> bool:
-        if self.coverage is None:
-            return True
         x0, y0, x1, y1 = self.coverage
         return x0 <= x <= x1 and y0 <= y <= y1
 
@@ -188,20 +186,43 @@ def _mean(a: np.ndarray) -> float:
     return float(np.add.reduce(a)) / a.size
 
 
-def _reach(track, x0, x1, y0, y1):
-    """Sample range [lo, hi) that holds every sample inside [x0, x1] x [y0, y1].
+def _window(track, x0, x1, y0, y1):
+    """(lo, xs, ys): columns from sample lo on that hold every sample inside
+    [x0, x1] x [y0, y1], or None when none can be.
 
-    The range runs from the first to the last sample block whose bounding
+    The slice runs from the first to the last sample block whose bounding
     box meets the rectangle; a sample inside the rectangle lies in its
-    block's box, so that block is one of them.  Returns None when no block
-    is.  When the hit blocks include the first and the last one (a window
-    across sample 0) the range is the whole loop, so circular runs still join.
+    block's box, so that block is one of them.  When the hit blocks include
+    the first and the last one (a window across sample 0) the slice is the
+    whole loop, so circular runs still join.
     """
-    bx0, bx1, by0, by1, block = track.sample_boxes()
+    xs, ys, _, _, bx0, bx1, by0, by1, block = track.sampling()
     hit = ((bx0 <= x1) & (bx1 >= x0) & (by0 <= y1) & (by1 >= y0)).nonzero()[0]
     if hit.size == 0:
         return None
-    return int(hit[0]) * block, (int(hit[-1]) + 1) * block
+    lo, hi = int(hit[0]) * block, (int(hit[-1]) + 1) * block
+    return lo, xs[lo:hi], ys[lo:hi]
+
+
+def _line_box(camera, track, mask, lo, center, heading, full_m):
+    """Box of the longest run of mask (entry 0 is sample lo), or _NO_LINE.
+
+    center(idx) gives its center pixel from the run's indices into mask;
+    heading is the board direction (deg) of image up, None for the board's
+    +y; full_m is the chunk length of a full view.
+    """
+    xs, _, tans, step, *_ = track.sampling()
+    run = _longest_run(mask, lo, xs.size)
+    if run is None:
+        return _NO_LINE
+    length = run.size * step
+    chunk_center = center(run - lo)
+    direction = tans[run[run.size // 2]]
+    if heading is not None:
+        direction = direction - heading + 90.0
+    w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
+                                track.line_width * camera.pixels_per_meter)
+    return LineBoxObservation(chunk_center, w, h, raw, min(1.0, length / full_m))
 
 
 def observe(camera: CameraModel, track, pose, layout: MarkerLayout = MarkerLayout(), rng=None):
@@ -214,7 +235,7 @@ def observe(camera: CameraModel, track, pose, layout: MarkerLayout = MarkerLayou
     the vehicle or the line is out of view.
 
     Only the samples in the blocks that the window's bounding box reaches
-    are masked (see _reach); the others cannot pass the mask.
+    are masked (see _window); the others cannot pass the mask.
     """
     if camera.kind == ONBOARD:
         return _observe_onboard(camera, track, pose, layout, rng)
@@ -235,13 +256,12 @@ def _observe_onboard(camera, track, pose, layout, rng):
     mx, my = pose.x + mid * c, pose.y + mid * s
     ex = depth / 2.0 * abs(c) + half_w * abs(s) + _STRIP_PAD
     ey = depth / 2.0 * abs(s) + half_w * abs(c) + _STRIP_PAD
-    reach = _reach(track, mx - ex, mx + ex, my - ey, my + ey)
-    if reach is None:
+    window = _window(track, mx - ex, mx + ex, my - ey, my + ey)
+    if window is None:
         return _NO_MARKERS, _NO_LINE
-    lo, hi = reach
-    xs, ys, tans, step = track.samples()
-    dx = xs[lo:hi] - pose.x
-    dy = ys[lo:hi] - pose.y
+    lo, xs, ys = window
+    dx = xs - pose.x
+    dy = ys - pose.y
     u = dx * c + dy * s  # forward (m)
     v = -dx * s + dy * c  # left (m)
     mask = (
@@ -250,19 +270,13 @@ def _observe_onboard(camera, track, pose, layout, rng):
         & (np.abs(v) <= half_w)
         & (u * u + v * v > layout.body_radius ** 2)
     )
-    run = _longest_run(mask, lo, xs.size)
-    if run is None:
-        return _NO_MARKERS, _NO_LINE
-    length = run.size * step
-    v_c = _mean(v[run - lo])
-    x_px = camera.image_width / 2.0 - v_c * camera.pixels_per_meter + _jitter(rng, camera.noise_px)
-    x_px = _clamp(x_px, 0.0, float(camera.image_width))
-    y_px = camera.crop_size / 2.0
-    direction = tans[run[run.size // 2]] - pose.heading + 90.0
-    w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
-                                track.line_width * camera.pixels_per_meter)
-    fraction = min(1.0, length / depth)
-    return _NO_MARKERS, LineBoxObservation((x_px, y_px), w, h, raw, fraction)
+
+    def center(idx):
+        x_px = (camera.image_width / 2.0 - _mean(v[idx]) * camera.pixels_per_meter
+                + _jitter(rng, camera.noise_px))
+        return _clamp(x_px, 0.0, float(camera.image_width)), camera.crop_size / 2.0
+
+    return _NO_MARKERS, _line_box(camera, track, mask, lo, center, pose.heading, depth)
 
 
 def _observe_infrastructure(camera, track, pose, layout, rng):
@@ -293,12 +307,10 @@ def _observe_infrastructure(camera, track, pose, layout, rng):
     wy0, wy1 = max(fy_b - half_m, y0c), min(fy_b + half_m, y1c)
     if wx0 >= wx1 or wy0 >= wy1:
         return markers, _NO_LINE
-    reach = _reach(track, wx0, wx1, wy0, wy1)
-    if reach is None:
+    window = _window(track, wx0, wx1, wy0, wy1)
+    if window is None:
         return markers, _NO_LINE
-    lo, hi = reach
-    all_xs, all_ys, tans, step = track.samples()
-    xs, ys = all_xs[lo:hi], all_ys[lo:hi]
+    lo, xs, ys = window
     dx = xs - pose.x
     dy = ys - pose.y
     mask = (
@@ -308,20 +320,13 @@ def _observe_infrastructure(camera, track, pose, layout, rng):
         & (ys <= wy1)
         & (dx * dx + dy * dy > layout.body_radius ** 2)
     )
-    run = _longest_run(mask, lo, all_xs.size)
-    if run is None:
-        return markers, _NO_LINE
-    length = run.size * step
-    cx_b = _mean(all_xs[run])
-    cy_b = _mean(all_ys[run])
-    cx, cy = camera.to_pixel(cx_b, cy_b)
-    cx = _clamp(cx + _jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
-    cy = _clamp(cy + _jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
-    direction = tans[run[run.size // 2]]
-    w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
-                                track.line_width * camera.pixels_per_meter)
-    fraction = min(1.0, length / half_m)
-    return markers, LineBoxObservation((cx, cy), w, h, raw, fraction)
+
+    def center(idx):
+        cx, cy = camera.to_pixel(_mean(xs[idx]), _mean(ys[idx]))
+        return (_clamp(cx + _jitter(rng, camera.noise_px), 0.0, float(camera.image_width)),
+                _clamp(cy + _jitter(rng, camera.noise_px), 0.0, float(camera.image_height)))
+
+    return markers, _line_box(camera, track, mask, lo, center, None, half_m)
 
 
 def front_point(markers: MarkerObservation):
@@ -415,9 +420,10 @@ def position_fix(front, line_center, vehicle_angle: float) -> float:
     return offset
 
 
-def onboard_offset(x_min: float, center: float = 160.0, scale: float = 0.333) -> float:
-    """Steering error from the line center column of the on-vehicle camera."""
-    return scale * (center - x_min)
+def onboard_offset(x_min: float, center: float) -> float:
+    """Steering error from the line center column of the on-vehicle camera,
+    whose image center column is center: 0.333 per pixel."""
+    return 0.333 * (center - x_min)
 
 
 def confidence_from_visibility(fraction: float) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .control import PidState, sensor_tick
 from .faults import OutageSchedule, PeriodicOutage, gate
-from .fusion import DRIVE_LOG_HEADER, VehicleNode
+from .fusion import DRIVE_LOG_HEADER, VehicleNode, log_slots
 from .metrics import (
     CrashDetector,
     SampleSeries,
@@ -28,7 +28,7 @@ from .metrics import (
     post_outage_window,
     summarize,
 )
-from .perception import INFRASTRUCTURE, ONBOARD, observe
+from .perception import observe
 from .scenario import Scenario, derive_seed
 from .wire import ChannelModel, SimulatedChannel, encode_command, merge_deliveries
 from .world import Pose, lateral_deviation, step_vehicle
@@ -46,8 +46,6 @@ class RunResult:
     rows: list
     series: dict
     summaries: dict
-    outage_ends: list
-    out_dir: str = None
     files: dict = field(default_factory=dict)
 
     @property
@@ -61,7 +59,6 @@ class SensorRuntime:
 
     def __init__(self, scenario: Scenario, config, channel):
         self.config = config
-        self.sensor_id = config.sensor_id
         self.period_ticks = scenario.sensor_period_ticks(config)
         self.channel = channel
         self.pid_state = PidState()
@@ -83,22 +80,12 @@ class SensorRuntime:
         returns the datagram text."""
         obs = observe(self.config.camera, scenario.track, pose,
                       scenario.markers, self.noise_rng)
-        self.pid_state, cmd = sensor_tick(self.config.kind, self.config.gains,
+        self.pid_state, cmd = sensor_tick(self.config.camera, self.config.gains,
                                           self.pid_state, obs)
         dark = self.outage.active(now)
         if not dark and not cmd.is_zero_report():
             self.errors.append(now, cmd.p)
         return encode_command(gate(cmd, dark))
-
-
-def _slot_ids(sensors):
-    onboard = [s.sensor_id for s in sensors if s.kind == ONBOARD]
-    infra = [s.sensor_id for s in sensors if s.kind == INFRASTRUCTURE]
-    return (
-        onboard[0] if onboard else None,
-        infra[0] if len(infra) > 0 else None,
-        infra[1] if len(infra) > 1 else None,
-    )
 
 
 def run(scenario: Scenario, out_dir=None) -> RunResult:
@@ -143,7 +130,7 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     """
     sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
     node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
-                       _slot_ids(scenario.sensors))
+                       log_slots(scenario.sensors))
     x, y, tangent = scenario.track.point_at(scenario.start_arclength)
     pose = Pose(x, y, tangent)
 
@@ -161,7 +148,7 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
         for s in sensors:
             if i % s.period_ticks:
                 continue
-            s.channel.send(s.sensor_id, s.tick(scenario, pose, now), now)
+            s.channel.send(s.config.sensor_id, s.tick(scenario, pose, now), now)
         delivered = deliver(now)
         for source_id, datagram in delivered:
             node.handle_datagram(source_id, datagram, now)
@@ -190,9 +177,6 @@ def assemble_result(scenario, node, sensors, correction, deviation,
     """Fold the raw run state into summaries and a RunResult."""
     completed = crash_time is None
     run_end = scenario.duration if completed else crash_time
-    outage_ends = sorted(
-        end for s in sensors for _, end in s.outage.windows(run_end)
-    )
 
     def summary(values):
         return summarize(values, crash_time).as_dict() if len(values) else {"count": 0}
@@ -201,9 +185,10 @@ def assemble_result(scenario, node, sensors, correction, deviation,
     series.update({s.errors.name: s.errors for s in sensors})
     summaries = {name: summary(ser) for name, ser in series.items()}
     if any(s.config.outage is not None for s in sensors):
+        ends = sorted(end for s in sensors for _, end in s.outage.windows(run_end))
         for name in ("correction", "deviation"):
             summaries[f"post_outage_{name}"] = summary(
-                post_outage_window(series[name], outage_ends, scenario.post_outage_k))
+                post_outage_window(series[name], ends, scenario.post_outage_k))
 
     return RunResult(
         scenario_name=scenario.name,
@@ -216,7 +201,6 @@ def assemble_result(scenario, node, sensors, correction, deviation,
         rows=node.rows,
         series=series,
         summaries=summaries,
-        outage_ends=outage_ends,
     )
 
 
@@ -262,5 +246,4 @@ def write_outputs(result: RunResult, out_dir):
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     files["summary"] = path
-    result.out_dir = out_dir
     result.files = files

@@ -19,7 +19,7 @@ import yaml
 
 from .control import PidGains, default_gains
 from .faults import PeriodicOutage, ProbabilisticOutage
-from .fusion import POLICIES, CONFIDENCE_WEIGHTED
+from .fusion import POLICIES, CONFIDENCE_WEIGHTED, log_slots
 from .perception import (
     INFRASTRUCTURE,
     ONBOARD,
@@ -47,7 +47,6 @@ class UdpConfig:
 @dataclass
 class SensorConfig:
     sensor_id: str
-    kind: str
     rate_hz: float
     gains: PidGains
     camera: object
@@ -260,7 +259,7 @@ def _sensor(cfg, where: str) -> SensorConfig:
     }, required=("id",), names={"id": "sensor_id"})
     fields.update(fields.pop("channel", {}))
     fields.setdefault("rate_hz", rate_hz)
-    sensor = SensorConfig(kind=kind, **fields)
+    sensor = SensorConfig(**fields)
     _wrap(f"{where}.channel", ChannelModel, sensor.channel_loss, sensor.channel_delay)
     return sensor
 
@@ -270,10 +269,7 @@ def _sensors(value) -> list:
     ids = [s.sensor_id for s in sensors]
     if len(set(ids)) != len(ids):
         raise ConfigError("sensors: duplicate sensor id")
-    kinds = [s.kind for s in sensors]
-    if kinds.count(ONBOARD) > 1 or kinds.count(INFRASTRUCTURE) > 2:
-        raise ConfigError("sensors: the drive log holds one onboard and two "
-                          "infrastructure columns at most")
+    _wrap("sensors", log_slots, sensors)
     return sensors
 
 
@@ -281,7 +277,6 @@ _MARKER_KEYS = {"marker_separation": "separation", "body_radius": "body_radius"}
 _VEHICLE_KEYS = {
     **dict.fromkeys(("wheel_separation", "power_to_speed", "max_power", "marker_separation"),
                     _positive),
-    "nominal_power": _finite,
     "body_radius": _finite,
 }
 

@@ -133,18 +133,15 @@ def _remove_stale(out_dir, axis: str, run_dirs: set):
             os.remove(path)
 
 
-def emit_plot_data(table: SweepTable, out_dir) -> list:
+def emit_plot_data(table: SweepTable, out_dir):
     """One whitespace-column .dat file per metric: value, mean, std, crash_rate."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
     for name, cells in sorted(table.metrics.items()):
         path = os.path.join(out_dir, f"{table.axis}_{name}.dat")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# {table.axis} mean_abs std_abs crash_rate\n")
             for value, (mean, std), rate in zip(table.values, cells, table.crash_rate):
                 fh.write(f"{value:.10g} {mean:.10g} {std:.10g} {rate:.10g}\n")
-        paths.append(path)
-    return paths
 
 
 def read_plot_data(path):

@@ -37,8 +37,7 @@ class SteeringCommand:
         return (self.left, self.right, self.confidence, self.p, self.i, self.d)
 
     def is_zero_report(self) -> bool:
-        return (self.left == 0 and self.right == 0 and self.confidence == 0
-                and self.p == 0 and self.i == 0 and self.d == 0)
+        return not any(self.fields())
 
 
 def format_field(value) -> str:
@@ -129,20 +128,13 @@ class SimulatedChannel:
         delay = lo if lo == hi else self._rng.uniform(lo, hi)
         heapq.heappush(self._heap, (now + delay, self._seq(), source_id, datagram))
 
-    def poll(self, now: float):
-        """Datagrams whose delivery time has arrived, in delivery order."""
-        out = []
-        while self._heap and self._heap[0][0] <= now + 1e-12:
-            _, _, source_id, datagram = heapq.heappop(self._heap)
-            out.append((source_id, datagram))
-        return out
-
     def pending(self) -> int:
         return len(self._heap)
 
 
 def merge_deliveries(channels, now: float):
-    """Poll several channels and interleave their deliveries.
+    """The (source_id, datagram) pairs due by now on any of the channels, in
+    delivery order; they leave their channels.
 
     Channels must share a sequence counter; the merge re-sorts by the
     (delivery time, sequence) key each channel's heap was ordered by.

@@ -152,7 +152,7 @@ class Arc:
 
 
 _SAMPLE_STEP = 0.002  # m between cached centerline samples
-_SAMPLE_BLOCK = 64  # samples per bounding box in Track.sample_boxes()
+_SAMPLE_BLOCK = 64  # samples per bounding box in Track.sampling()
 
 
 @dataclass
@@ -162,8 +162,7 @@ class Track:
     segments: list
     board_size: float = 2.0
     line_width: float = 0.02
-    _samples: tuple = field(default=None, repr=False, compare=False)
-    _boxes: tuple = field(default=None, repr=False, compare=False)
+    _sampling: tuple = field(default=None, repr=False, compare=False)
     _last: int = field(default=0, repr=False, compare=False)  # previous closest() pick
 
     def __post_init__(self):
@@ -185,8 +184,7 @@ class Track:
                     raise ConfigError(
                         f"segment {i} leaves the board at ({px:.3f}, {py:.3f})"
                     )
-        self._lengths = [seg.length for seg in self.segments]
-        self._cum = np.concatenate([[0.0], np.cumsum(self._lengths)])
+        self._cum = np.concatenate([[0.0], np.cumsum([seg.length for seg in self.segments])])
         self.total_length = float(self._cum[-1])
 
     def point_at(self, s: float):
@@ -249,9 +247,9 @@ class Track:
         """Dense centerline sampling: contiguous x (N,), y (N,), tangents (N,), step (m).
 
         Equal, point for point, to point_at(k * step); one walk along the
-        segments finds each sample's segment.
+        segments finds each sample's segment.  Built once, with sampling().
         """
-        if self._samples is None:
+        if self._sampling is None:
             n = max(8, int(round(self.total_length / _SAMPLE_STEP)))
             step = self.total_length / n
             xs = np.empty(n)
@@ -268,22 +266,20 @@ class Track:
                 local = s - cum[i]
                 xs[k], ys[k] = seg.point_at(local)
                 tans[k] = seg.tangent_at(local)
-            self._samples = (xs, ys, tans, step)
-        return self._samples
+            starts = np.arange(0, n, _SAMPLE_BLOCK)
+            boxes = [f.reduceat(c, starts) for c in (xs, ys) for f in (np.minimum, np.maximum)]
+            self._sampling = (xs, ys, tans, step, *boxes, _SAMPLE_BLOCK)
+        return self._sampling[:4]
 
-    def sample_boxes(self):
-        """Bounding boxes of consecutive sample blocks: x_lo, x_hi, y_lo, y_hi, block.
+    def sampling(self):
+        """samples() plus block boxes: xs, ys, tans, step, x_lo, x_hi, y_lo, y_hi, block.
 
         Box i bounds samples i * block to (i + 1) * block - 1; the last block
         may be shorter.
         """
-        if self._boxes is None:
-            xs, ys, _, _ = self.samples()
-            starts = np.arange(0, xs.size, _SAMPLE_BLOCK)
-            self._boxes = (np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts),
-                           np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts),
-                           _SAMPLE_BLOCK)
-        return self._boxes
+        if self._sampling is None:
+            self.samples()
+        return self._sampling
 
 
 def _segment_extremes(seg):
@@ -330,11 +326,6 @@ class VehicleParams:
     wheel_separation: float = 0.12
     power_to_speed: float = 0.0075
     max_power: float = 255.0
-    nominal_power: float = 100.0 / 3.0
-
-    @property
-    def nominal_speed(self) -> float:
-        return self.power_to_speed * self.nominal_power
 
 
 def step_vehicle(pose: Pose, left: float, right: float, dt: float, params: VehicleParams) -> Pose:

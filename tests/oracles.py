@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from fusedrive.fusion import VehicleNode
+from fusedrive.fusion import VehicleNode, log_slots
 from fusedrive.metrics import CrashDetector, SampleSeries, correction_metric
 from fusedrive.perception import (
     ONBOARD,
@@ -24,7 +24,7 @@ from fusedrive.perception import (
     MarkerObservation,
     fold_line_angle,
 )
-from fusedrive.runner import SensorRuntime, _slot_ids, assemble_result, write_outputs
+from fusedrive.runner import SensorRuntime, assemble_result, write_outputs
 from fusedrive.world import Pose, lateral_deviation, step_vehicle
 
 
@@ -331,7 +331,7 @@ def oracle_drive(scenario, channels, deliver, out_dir=None):
     """runner.drive with the exact centreline search on every tick."""
     sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
     node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
-                       _slot_ids(scenario.sensors))
+                       log_slots(scenario.sensors))
     x, y, tangent = scenario.track.point_at(scenario.start_arclength)
     pose = Pose(x, y, tangent)
 
@@ -347,7 +347,7 @@ def oracle_drive(scenario, channels, deliver, out_dir=None):
         for s in sensors:
             if i % s.period_ticks:
                 continue
-            s.channel.send(s.sensor_id, s.tick(scenario, pose, now), now)
+            s.channel.send(s.config.sensor_id, s.tick(scenario, pose, now), now)
         delivered = deliver(now)
         for source_id, datagram in delivered:
             node.handle_datagram(source_id, datagram, now)

@@ -49,6 +49,7 @@ from fusedrive.wire import (
     SteeringCommand,
     decode_command,
     encode_command,
+    merge_deliveries,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -150,7 +151,7 @@ def test_controller_hand_evaluations_and_integral_bound():
 def _random_registry(rng):
     n = rng.randint(1, 5)
     reg = SourceRegistry([f"s{i}" for i in range(n)])
-    for sid in reg.order:
+    for sid in reg.slots:
         if rng.random() < 0.2:
             cmd = SteeringCommand.zero()
         else:
@@ -190,7 +191,7 @@ def test_fusion_policies_match_brute_force_definitions():
             conf = rng.uniform(1.0, 120.0)
             reg = SourceRegistry([f"s{i}" for i in range(n)])
             live = 0
-            for sid in reg.order:
+            for sid in reg.slots:
                 if rng.random() < 0.3:
                     reg.ingest(sid, SteeringCommand.zero())
                 else:
@@ -211,7 +212,7 @@ def test_fusion_policies_match_brute_force_definitions():
         # winner at all.
         for confs in itertools.product((0, 10, 20, 30), repeat=3):
             reg = SourceRegistry(["a", "b", "c"])
-            for i, sid in enumerate(reg.order):
+            for i, sid in enumerate(reg.slots):
                 reg.ingest(sid, SteeringCommand(30 * (i + 1), 60 * (i + 1),
                                                 3 * confs[i], 0.0, 0.0, 0.0))
             got = fuse_max(reg)
@@ -245,7 +246,7 @@ def test_wire_codec_identity_and_channel_statistics():
         total = 100_000
         for i in range(total):
             channel.send("cam", "x", i * 1e-4)
-        delivered = len(channel.poll(1e9))
+        delivered = len(merge_deliveries([channel], 1e9))
         assert abs(delivered / total - (1.0 - loss)) <= 0.01
 
         def transcript(seed):
@@ -253,9 +254,10 @@ def test_wire_codec_identity_and_channel_statistics():
             out = []
             for i in range(2_000):
                 ch.send("cam", f"datagram-{i}", i * 0.01)
-                for src, datagram in ch.poll(i * 0.01):
+                for src, datagram in merge_deliveries([ch], i * 0.01):
                     out.append((i, src, datagram))
-            out.extend(("end", src, datagram) for src, datagram in ch.poll(1e9))
+            out.extend(("end", src, datagram)
+                       for src, datagram in merge_deliveries([ch], 1e9))
             return out
 
         assert transcript(46) == transcript(46)

@@ -117,14 +117,14 @@ def _invisible():
 class TestSensorTick:
     def test_invisible_zero_report(self):
         state = PidState(integral=4.2, last_error=1.0)
-        new_state, cmd = sensor_tick("onboard", default_gains("onboard"), state,
+        new_state, cmd = sensor_tick(onboard_camera(), default_gains("onboard"), state,
                                      _invisible())
         assert cmd.is_zero_report()
         assert new_state == state  # outage must not disturb the integral
 
     def test_onboard_centered(self):
         obs = (MarkerObservation((0, 0), (0, 0), False), _visible_box(160.0))
-        state, cmd = sensor_tick("onboard", default_gains("onboard"), PidState(), obs)
+        state, cmd = sensor_tick(onboard_camera(), default_gains("onboard"), PidState(), obs)
         assert (cmd.left, cmd.right) == (100, 100)
         assert cmd.confidence == 100
         assert cmd.p == 0.0
@@ -133,10 +133,20 @@ class TestSensorTick:
 
     def test_onboard_offset_error(self):
         obs = (MarkerObservation((0, 0), (0, 0), False), _visible_box(100.0))
-        _, cmd = sensor_tick("onboard", PidGains(1.0, 0.0, 0.0), PidState(), obs)
+        _, cmd = sensor_tick(onboard_camera(), PidGains(1.0, 0.0, 0.0), PidState(), obs)
         assert cmd.p == pytest.approx(0.333 * 60.0)
         assert cmd.left == int(100 - cmd.p)
         assert cmd.right == int(100 + cmd.p)
+
+    @pytest.mark.parametrize("width", [320, 400, 640])
+    def test_onboard_error_from_the_frames_center_column(self, width):
+        # A pose on the line of a straight: any image width sees no error.
+        track = Track(rounded_rectangle_segments((1.0, 1.0), 1.0, 0.3))
+        cam = onboard_camera(image_width=width)
+        obs = observe(cam, track, Pose(1.0, 0.2, 0.0))
+        assert obs[1].visible
+        _, cmd = sensor_tick(cam, PidGains(1.0, 0.0, 0.0), PidState(), obs)
+        assert abs(cmd.p) < 1e-6
 
     def test_infrastructure_hand_case(self):
         # Geometry chosen to give P = 10. Vehicle at heading 0, line center
@@ -145,7 +155,7 @@ class TestSensorTick:
         track = Track(rounded_rectangle_segments((1.0, 1.0), 1.0, 0.3))
         cam = infrastructure_camera((0.0, 0.0, 2.0, 2.0))
         markers, box = observe(cam, track, Pose(1.0, 0.2, 0.0))
-        state, cmd = sensor_tick("infrastructure", default_gains("infrastructure"),
+        state, cmd = sensor_tick(cam, default_gains("infrastructure"),
                                  PidState(), (markers, box))
         assert not cmd.is_zero_report()
         assert cmd.left + cmd.right == pytest.approx(200, abs=1)
@@ -156,7 +166,7 @@ class TestSensorTick:
         box = _visible_box()
         markers = MarkerObservation((0, 0), (0, 0), False)
         state = PidState(integral=2.0)
-        new_state, cmd = sensor_tick("infrastructure",
+        new_state, cmd = sensor_tick(infrastructure_camera((0.0, 0.0, 2.0, 2.0)),
                                      default_gains("infrastructure"),
                                      state, (markers, box))
         assert cmd.is_zero_report()
@@ -166,10 +176,11 @@ class TestSensorTick:
         rng = random.Random(23)
         state = PidState()
         gains = default_gains("onboard")
+        cam = onboard_camera()
         for _ in range(500):
             obs = (MarkerObservation((0, 0), (0, 0), False),
                    _visible_box(rng.uniform(120, 200)))
-            state, cmd = sensor_tick("onboard", gains, state, obs)
+            state, cmd = sensor_tick(cam, gains, state, obs)
             # Truncation moves each side below its exact value by < 1.
             assert 198 <= cmd.left + cmd.right <= 200
 

@@ -18,7 +18,6 @@ from fusedrive.fusion import (
     fuse_max,
     fuse_simple_avg,
     fuse_weighted,
-    max_confidence_source,
 )
 from fusedrive.wire import MalformedDatagram, SteeringCommand, decode_command
 
@@ -34,7 +33,7 @@ _FUSE_FNS = {
 def random_registry(rng):
     n = rng.randint(1, 3)
     reg = SourceRegistry([f"s{i}" for i in range(n)])
-    for sid in reg.order:
+    for sid in reg.slots:
         if rng.random() < 0.2:
             cmd = SteeringCommand.zero()
         else:
@@ -68,23 +67,21 @@ class TestIngest:
     def test_zero_report_parks_source(self):
         reg = SourceRegistry(["pi"])
         reg.ingest("pi", SteeringCommand(90, 110, 60))
-        assert reg.slots["pi"].active
+        assert not reg.slots["pi"].command.is_zero_report()
         reg.ingest("pi", SteeringCommand.zero())
-        assert not reg.slots["pi"].active
         assert reg.slots["pi"].command.is_zero_report()
 
     def test_negative_powers_park_source(self):
         reg = SourceRegistry(["pi"])
         reg.ingest("pi", SteeringCommand(-30, -30, 60))
-        assert not reg.slots["pi"].active
         assert reg.slots["pi"].command.is_zero_report()
         # but the verbatim (scaled) report is kept for the log
-        assert reg.slots["pi"].report.left == pytest.approx(-10.0)
+        assert float(reg.slots["pi"].text.split(",")[0]) == pytest.approx(-10.0)
 
     def test_unknown_source_ignored(self):
         reg = SourceRegistry(["pi"])
         reg.ingest("ghost", SteeringCommand(90, 110, 60))
-        assert not reg.slots["pi"].active
+        assert reg.slots["pi"].command.is_zero_report()
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -109,7 +106,6 @@ class TestPolicies:
         reg = SourceRegistry(["a", "b"])
         reg.ingest("a", SteeringCommand(90, 30, 60))
         reg.ingest("b", SteeringCommand(30, 90, 60))
-        assert max_confidence_source(reg) == 1
         assert fuse_max(reg) == pytest.approx((10.0, 30.0))
 
     def test_max_returns_a_stored_command(self):
@@ -241,7 +237,7 @@ class TestVehicleNode:
         assert node.applied == (30, 36)
         assert node.rows[-1].endswith(",-1")
         # the stored report is untouched by the malformed datagram
-        assert node.registry.slots["pi"].report.left == pytest.approx(30.0)
+        assert float(node.registry.slots["pi"].text.split(",")[0]) == pytest.approx(30.0)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("datagram", ["inf;inf;inf;0;0;0", "nan;nan;nan;0;0;0",

@@ -90,6 +90,9 @@ MALFORMED = [
     ("crash.threshold_m", minimal_cfg(crash={"threshold_m": -0.1})),
     # Used to load; the run then reported a crash at -4.965 s, before its start.
     ("crash.hold_s", minimal_cfg(crash={"threshold_m": 0.0001, "hold_s": -5})),
+    # The drive log has one onboard and two infrastructure column groups.
+    ("sensors:", minimal_cfg(sensors=[{"id": f"pi{i}", "kind": "onboard"} for i in range(2)])),
+    ("sensors:", with_cameras(3)),
 ]
 
 
@@ -427,6 +430,23 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
         assert f"configuration error: {where}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("argv", [["run", "s.yaml", "--seed", "1.5"],
+                                      ["sweep", "s.yaml", "--axis", "kp", "--values", "1",
+                                       "--reps", "x"],
+                                      ["run"], ["walk", "s.yaml"]])
+    def test_usage_error_exits_one(self, argv, capsys):
+        # 2 is reserved for a run that ended in a crash.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        assert "usage: fusedrive" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: fusedrive run" in capsys.readouterr().out
 
     def test_seed_override(self, tmp_path):
         path = self.write_scenario(tmp_path)

@@ -3,6 +3,7 @@ virtual camera geometry."""
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from fusedrive.perception import (
     onboard_offset,
     position_fix,
 )
+from fusedrive.runner import run
+from fusedrive.scenario import load_scenario
 from fusedrive.world import Pose, Track, rounded_rectangle_segments
 
 import oracles
@@ -170,9 +173,9 @@ class TestPositionFix:
 
 class TestSmallHelpers:
     def test_onboard_offset(self):
-        assert onboard_offset(160.0) == 0.0
-        assert onboard_offset(0.0) == pytest.approx(53.28)
-        assert onboard_offset(320.0) == pytest.approx(-53.28)
+        assert onboard_offset(160.0, 160.0) == 0.0
+        assert onboard_offset(0.0, 160.0) == pytest.approx(53.28)
+        assert onboard_offset(320.0, 160.0) == pytest.approx(-53.28)
 
     def test_confidence(self):
         assert confidence_from_visibility(1.0) == 100
@@ -210,7 +213,7 @@ class TestObserveOnboard:
         _, box = observe(cam, _track(), Pose(1.0, 0.22, 0.0))
         assert box.center[0] == pytest.approx(160.0 + 0.02 * 2000.0, abs=1.0)
         # And the resulting error steers back toward the line.
-        assert onboard_offset(box.center[0]) < 0
+        assert onboard_offset(box.center[0], 160.0) < 0
 
     def test_line_out_of_strip(self):
         cam = onboard_camera()
@@ -377,7 +380,7 @@ def _strip_edge_poses(track, camera):
     candidate samples sit exactly on the edge is found only if the window's
     box reaches the block's box; each pose is also nudged by a few ulps.
     """
-    x_lo, x_hi, y_lo, y_hi, _ = track.sample_boxes()
+    x_lo, x_hi, y_lo, y_hi, _ = track.sampling()[4:]
     near = camera.look_ahead
     far = near + camera.crop_size / camera.pixels_per_meter
     half_w = camera.image_width / (2.0 * camera.pixels_per_meter)
@@ -410,3 +413,21 @@ def test_observe_matches_full_mask_oracle(track_name, camera_name):
         assert got == want, pose
         seen += want[1].visible
     assert seen > len(poses) // 10
+
+
+def test_a_run_builds_each_track_sampling_once(monkeypatch):
+    # Frames read the sampling through Track.sampling(); samples() only builds.
+    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                             / "combined_weighted.yaml")
+    scenario.duration = 2.0
+    calls = []
+    samples = Track.samples
+
+    def counted(track):
+        calls.append(id(track))
+        return samples(track)
+
+    monkeypatch.setattr(Track, "samples", counted)
+    result = run(scenario)
+    assert len(result.rows) > 50
+    assert calls == [id(scenario.track)]

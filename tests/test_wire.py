@@ -72,8 +72,8 @@ class TestChannel:
     def test_no_loss_no_delay(self):
         ch = SimulatedChannel(ChannelModel())
         ch.send("a", "1;2;3;4;5;6", 0.0)
-        assert ch.poll(0.0) == [("a", "1;2;3;4;5;6")]
-        assert ch.poll(0.0) == []
+        assert merge_deliveries([ch], 0.0) == [("a", "1;2;3;4;5;6")]
+        assert merge_deliveries([ch], 0.0) == []
 
     def test_total_loss(self):
         ch = SimulatedChannel(ChannelModel(loss_probability=1.0))
@@ -85,16 +85,16 @@ class TestChannel:
         ch = SimulatedChannel(ChannelModel(delay=0.05))
         ch.send("a", "first", 0.0)
         ch.send("a", "second", 0.02)
-        assert ch.poll(0.04) == []
-        assert ch.poll(0.05) == [("a", "first")]
-        assert ch.poll(0.07) == [("a", "second")]
+        assert merge_deliveries([ch], 0.04) == []
+        assert merge_deliveries([ch], 0.05) == [("a", "first")]
+        assert merge_deliveries([ch], 0.07) == [("a", "second")]
 
     def test_fifo_within_tick(self):
         ch = SimulatedChannel(ChannelModel())
         ch.send("a", "1", 0.0)
         ch.send("a", "2", 0.0)
         ch.send("a", "3", 0.0)
-        assert [d for _, d in ch.poll(0.0)] == ["1", "2", "3"]
+        assert [d for _, d in merge_deliveries([ch], 0.0)] == ["1", "2", "3"]
 
     def test_delivery_rate(self):
         ch = SimulatedChannel(ChannelModel(loss_probability=0.3, seed=7))
@@ -112,7 +112,7 @@ class TestChannel:
                 ch.send("a", str(i), i * 0.01)
             out = []
             for k in range(600):
-                out.extend(ch.poll(k * 0.01))
+                out.extend(merge_deliveries([ch], k * 0.01))
             return out
 
         assert schedule(123) == schedule(123)

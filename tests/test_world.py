@@ -219,7 +219,7 @@ def test_samples_equal_point_at_loop(name):
 def test_sample_boxes_bound_each_block(name):
     track = FAST_PATH_TRACKS[name]()
     xs, ys, _, _ = track.samples()
-    x_lo, x_hi, y_lo, y_hi, block = track.sample_boxes()
+    x_lo, x_hi, y_lo, y_hi, block = track.sampling()[4:]
     starts = range(0, xs.size, block)
     assert x_lo.size == len(starts)
     for i, k in enumerate(starts):
@@ -230,14 +230,11 @@ def test_sample_boxes_bound_each_block(name):
 class TestStepVehicle:
     def test_straight_displacement(self):
         p = VehicleParams()
-        pose = step_vehicle(Pose(1.0, 1.0, 0.0), p.nominal_power, p.nominal_power, 1.0, p)
+        # The nominal straight-line power of 100/3 runs at 0.25 m/s.
+        pose = step_vehicle(Pose(1.0, 1.0, 0.0), 100.0 / 3.0, 100.0 / 3.0, 1.0, p)
         assert pose.x == pytest.approx(1.25, abs=1e-12)
         assert pose.y == pytest.approx(1.0, abs=1e-12)
         assert pose.heading == 0.0
-
-    def test_nominal_speed_default(self):
-        p = VehicleParams()
-        assert p.nominal_speed == pytest.approx(0.25, abs=1e-12)
 
     def test_equal_powers_keep_heading(self):
         p = VehicleParams()
