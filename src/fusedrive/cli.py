@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
         if summary.get("count"):
             print(f"  {name}: mean |x| = {summary['mean_abs']:.4g} "
                   f"(std {summary['std_abs']:.4g}, n={summary['count']})")
-    return result.exit_code
+    return 0 if result.completed else 2
 
 
 def _cmd_sweep(args) -> int:
@@ -124,7 +124,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

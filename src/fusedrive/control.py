@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .perception import (
-    INFRASTRUCTURE,
     ONBOARD,
     compute_robot_angle,
     confidence_from_visibility,
@@ -76,7 +75,8 @@ def sensor_tick(camera, gains: PidGains, state: PidState, observation):
 
     observation is the (markers, line_box) pair observe gave for camera.
     An empty frame yields a zero-report and leaves the controller state
-    untouched, so a sensor resumes from its pre-outage integral.
+    untouched, so a sensor resumes from its pre-outage integral; so does a
+    correction that overflows to inf or nan, which no wheel power can carry.
     """
     markers, line_box = observation
     onboard = camera.kind == ONBOARD
@@ -93,16 +93,10 @@ def sensor_tick(camera, gains: PidGains, state: PidState, observation):
         derivative = direction_fix(line_angle, vehicle_angle)
         error = position_fix(front_point(markers), line_box.center, vehicle_angle)
     new_state, correction = pid_update(gains, state, error, derivative)
+    if not math.isfinite(correction):
+        return state, SteeringCommand.zero()
     left, right = commands_from_correction(correction)
     confidence = confidence_from_visibility(line_box.visible_fraction)
     return new_state, SteeringCommand(left, right, confidence, error,
                                       new_state.integral, derivative)
 
-
-_DEFAULT_GAINS = {ONBOARD: (1.5, 0.15, 4.5), INFRASTRUCTURE: (1.0, 0.02, 0.5)}
-
-
-def default_gains(kind: str) -> PidGains:
-    if kind not in _DEFAULT_GAINS:
-        raise ValueError(f"unknown sensor kind {kind!r}")
-    return PidGains(*_DEFAULT_GAINS[kind])

@@ -158,18 +158,15 @@ class VehicleNode:
 
     slot_ids maps the three log column groups (pi, cam0, cam1) to source
     ids, as log_slots gives them; missing slots stay all-zero in the log.
-    By default the sources fill the groups in order.
     """
 
-    def __init__(self, source_ids, policy: str, slot_ids=None):
+    def __init__(self, source_ids, policy: str, slot_ids):
         if policy not in _POLICY_FNS:
             raise ValueError(f"unknown fusion policy {policy!r}")
         self.registry = SourceRegistry(source_ids)
         self.policy = policy
         self.applied = (0, 0)
         self.rows = []
-        if slot_ids is None:
-            slot_ids = (list(source_ids) + [None, None, None])[:3]
         # A missing slot logs as the all-zero empty slot.
         self._log_slots = [self.registry.slots.get(sid, _EMPTY_SLOT) for sid in slot_ids]
 

@@ -6,7 +6,6 @@ of that mean.
 """
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,31 +31,21 @@ class SampleSeries:
         return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    mean_abs: float
-    std_abs: float
-    sem_abs: float
-    count: int
-    crash_time: float = None
-
-    def as_dict(self):
-        return asdict(self)
-
-
 def correction_metric(left_applied: float, right_applied: float) -> float:
     """Signed applied steering correction, in power units."""
     return (right_applied - left_applied) / 2.0
 
 
-def summarize(series, crash_time: float = None) -> RunSummary:
-    """Mean and population std of |x|, plus the standard error of the mean."""
+def summarize(series, crash_time: float = None) -> dict:
+    """Mean and population std of |x|, the standard error of the mean, the
+    count and crash_time; an empty series gives just {"count": 0}."""
     values = np.abs(np.asarray(getattr(series, "values", series), dtype=float))
     if values.size == 0:
-        raise ValueError("cannot summarize an empty series")
+        return {"count": 0}
     mean = float(np.mean(values))
     std = float(np.std(values))
-    return RunSummary(mean, std, std / math.sqrt(values.size), int(values.size), crash_time)
+    return {"mean_abs": mean, "std_abs": std, "sem_abs": std / math.sqrt(values.size),
+            "count": int(values.size), "crash_time": crash_time}
 
 
 def post_outage_window(series: SampleSeries, outage_end_times, k: int = 5):

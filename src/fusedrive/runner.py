@@ -48,10 +48,6 @@ class RunResult:
     summaries: dict
     files: dict = field(default_factory=dict)
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.completed else 2
-
 
 class SensorRuntime:
     """One sensor's pipeline: PID state, seeded noise and outage streams, the
@@ -178,17 +174,14 @@ def assemble_result(scenario, node, sensors, correction, deviation,
     completed = crash_time is None
     run_end = scenario.duration if completed else crash_time
 
-    def summary(values):
-        return summarize(values, crash_time).as_dict() if len(values) else {"count": 0}
-
     series = {"correction": correction, "deviation": deviation}
     series.update({s.errors.name: s.errors for s in sensors})
-    summaries = {name: summary(ser) for name, ser in series.items()}
+    summaries = {name: summarize(ser, crash_time) for name, ser in series.items()}
     if any(s.config.outage is not None for s in sensors):
         ends = sorted(end for s in sensors for _, end in s.outage.windows(run_end))
         for name in ("correction", "deviation"):
-            summaries[f"post_outage_{name}"] = summary(
-                post_outage_window(series[name], ends, scenario.post_outage_k))
+            summaries[f"post_outage_{name}"] = summarize(
+                post_outage_window(series[name], ends, scenario.post_outage_k), crash_time)
 
     return RunResult(
         scenario_name=scenario.name,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .control import PidGains, default_gains
+from .control import PidGains
 from .faults import PeriodicOutage, ProbabilisticOutage
 from .fusion import POLICIES, CONFIDENCE_WEIGHTED, log_slots
 from .perception import (
@@ -219,9 +219,10 @@ def track_from_config(cfg) -> Track:
 
 _CAMERA_KEYS = {"pixels_per_meter": _positive, "image_width": _count,
                 "image_height": _count, "crop_size": _count, "noise_px": _finite}
-_SENSOR_KINDS = {  # kind: (default rate_hz, camera factory, camera readers, required keys)
-    ONBOARD: (11.0, onboard_camera, {**_CAMERA_KEYS, "look_ahead": _finite}, ()),
-    INFRASTRUCTURE: (20.0, infrastructure_camera,
+_SENSOR_KINDS = {  # kind: (default rate_hz and gains, camera factory, its readers, required keys)
+    ONBOARD: (11.0, PidGains(1.5, 0.15, 4.5), onboard_camera,
+              {**_CAMERA_KEYS, "look_ahead": _finite}, ()),
+    INFRASTRUCTURE: (20.0, PidGains(1.0, 0.02, 0.5), infrastructure_camera,
                      {**_CAMERA_KEYS, "coverage": functools.partial(_numbers, n=4)},
                      ("coverage",)),
 }
@@ -243,14 +244,13 @@ def _outage(cfg, where: str):
 
 
 def _sensor(cfg, where: str) -> SensorConfig:
-    (rate_hz, camera, camera_keys, camera_required), rest = _variant(
+    (rate_hz, gains, camera, camera_keys, camera_required), rest = _variant(
         cfg, where, "kind", _SENSOR_KINDS, "sensor kind")
-    kind = cfg["kind"]
     # Gains and camera are built even when the file leaves them out.
     fields = _read({"gains": None, "camera": None, **rest}, where, {
         "id": str,
         "rate_hz": _positive,
-        "gains": lambda v: (default_gains(kind) if v is None
+        "gains": lambda v: (gains if v is None
                             else _read(v, f"{where}.gains", _GAIN_KEYS, PidGains)),
         "camera": lambda v: _read(v, f"{where}.camera", camera_keys, camera, camera_required),
         "channel": lambda v: _read(v, f"{where}.channel", _CHANNEL_KEYS,

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .faults import PeriodicOutage, ProbabilisticOutage
 from .runner import run
-from .scenario import Scenario, derive_seed
+from .scenario import _GAIN_KEYS, _OUTAGES, Scenario, _wrap, derive_seed
 from .world import ConfigError
 
 AXES = ("kp", "ki", "kd", "outage_duration", "outage_threshold")
@@ -33,9 +32,6 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep needs at least one value")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ConfigError("sweep values must be finite")
         if self.reps < 1:
             raise ConfigError("repetitions must be >= 1")
 
@@ -49,45 +45,55 @@ class SweepTable:
     runs: list = field(default_factory=list)  # list (per value) of RunResult lists
 
 
-_OUTAGE_AXES = {  # axis: (outage model, its kind in a scenario file, field, value type)
-    "outage_duration": (PeriodicOutage, "periodic", "duration", float),
-    "outage_threshold": (ProbabilisticOutage, "probabilistic", "threshold", int),
+_OUTAGE_AXES = {  # axis: (outage kind in a scenario file, field)
+    "outage_duration": ("periodic", "duration"),
+    "outage_threshold": ("probabilistic", "threshold"),
 }
 
 
 def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
-    """A copy of the scenario with one swept parameter replaced."""
+    """A copy of the scenario with one swept parameter replaced.
+
+    The value is read and built on as a scenario file's value for that key
+    would be, so a value the file could not hold is a ConfigError naming axis.
+    """
     out = copy.deepcopy(scenario)
-    if axis in ("kp", "ki", "kd"):
+    if axis in _GAIN_KEYS:
+        value = _wrap(axis, _GAIN_KEYS[axis], value)
         for sensor in out.sensors:
-            sensor.gains = replace(sensor.gains, **{axis: float(value)})
+            sensor.gains = _wrap(axis, replace, sensor.gains, **{axis: value})
         return out
     if axis not in _OUTAGE_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    model, kind, name, convert = _OUTAGE_AXES[axis]
+    kind, name = _OUTAGE_AXES[axis]
+    readers, model = _OUTAGES[kind]
     swept = [sensor for sensor in out.sensors if isinstance(sensor.outage, model)]
     if not swept:
         raise ConfigError(f"{axis} sweep needs a {kind} outage model")
+    value = _wrap(axis, readers[name], value)
     for sensor in swept:
-        sensor.outage = replace(sensor.outage, **{name: convert(value)})
+        sensor.outage = _wrap(axis, replace, sensor.outage, **{name: value})
     return out
 
 
 def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     """Run the scenario per (value, repetition) and aggregate summaries.
 
-    With out_dir, each run writes to <axis>_<value>_rep<rep>, the value in
-    the same text as the .dat value column; values that share that text
-    would share a directory and raise ConfigError before any run.  Before
-    the first run, what an earlier sweep of this axis left there and this
-    one will not write over is removed: <axis>_*_rep<n> directories of
-    other runs, and <axis>_*.dat tables, which are all written anew.
+    Every value is applied first, so a bad one is a ConfigError before
+    anything is removed or run.  With out_dir, each run writes to
+    <axis>_<value>_rep<rep>, the value in the same text as the .dat value
+    column; values that share that text would share a directory and raise
+    ConfigError too.  Then what an earlier sweep of this axis left there
+    and this one will not write over is removed: <axis>_*_rep<n>
+    directories of other runs, and <axis>_*.dat tables, which are all
+    written anew.
     """
     values = list(spec.values)
     labels = [f"{value:.10g}" for value in values]
     for vi, label in enumerate(labels):
         if out_dir is not None and label in labels[:vi]:
             raise ConfigError(f"two sweep values share the run directory label {label!r}")
+    variants = [apply_axis(scenario, spec.axis, value) for value in values]
     if out_dir is not None:
         _remove_stale(out_dir, spec.axis,
                       {f"{spec.axis}_{label}_rep{rep}" for label in labels
@@ -95,8 +101,7 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     metric_rows = {}
     crash_rate = []
     all_runs = []
-    for vi, (value, label) in enumerate(zip(values, labels)):
-        variant = apply_axis(scenario, spec.axis, value)
+    for vi, (value, label, variant) in enumerate(zip(values, labels, variants)):
         results = []
         for rep in range(spec.reps):
             rep_scenario = copy.deepcopy(variant)

@@ -8,7 +8,6 @@ from fusedrive.control import (
     PidGains,
     PidState,
     commands_from_correction,
-    default_gains,
     pid_update,
     sensor_tick,
 )
@@ -117,14 +116,14 @@ def _invisible():
 class TestSensorTick:
     def test_invisible_zero_report(self):
         state = PidState(integral=4.2, last_error=1.0)
-        new_state, cmd = sensor_tick(onboard_camera(), default_gains("onboard"), state,
+        new_state, cmd = sensor_tick(onboard_camera(), PidGains(1.5, 0.15, 4.5), state,
                                      _invisible())
         assert cmd.is_zero_report()
         assert new_state == state  # outage must not disturb the integral
 
     def test_onboard_centered(self):
         obs = (MarkerObservation((0, 0), (0, 0), False), _visible_box(160.0))
-        state, cmd = sensor_tick(onboard_camera(), default_gains("onboard"), PidState(), obs)
+        state, cmd = sensor_tick(onboard_camera(), PidGains(1.5, 0.15, 4.5), PidState(), obs)
         assert (cmd.left, cmd.right) == (100, 100)
         assert cmd.confidence == 100
         assert cmd.p == 0.0
@@ -155,7 +154,7 @@ class TestSensorTick:
         track = Track(rounded_rectangle_segments((1.0, 1.0), 1.0, 0.3))
         cam = infrastructure_camera((0.0, 0.0, 2.0, 2.0))
         markers, box = observe(cam, track, Pose(1.0, 0.2, 0.0))
-        state, cmd = sensor_tick(cam, default_gains("infrastructure"),
+        state, cmd = sensor_tick(cam, PidGains(1.0, 0.02, 0.5),
                                  PidState(), (markers, box))
         assert not cmd.is_zero_report()
         assert cmd.left + cmd.right == pytest.approx(200, abs=1)
@@ -167,15 +166,25 @@ class TestSensorTick:
         markers = MarkerObservation((0, 0), (0, 0), False)
         state = PidState(integral=2.0)
         new_state, cmd = sensor_tick(infrastructure_camera((0.0, 0.0, 2.0, 2.0)),
-                                     default_gains("infrastructure"),
+                                     PidGains(1.0, 0.02, 0.5),
                                      state, (markers, box))
+        assert cmd.is_zero_report()
+        assert new_state == state
+
+    @pytest.mark.parametrize("gains", [PidGains(1e308, 0.0, 0.0),  # inf
+                                       PidGains(1e308, 0.0, 1e308)])  # inf - inf: nan
+    def test_non_finite_correction_zero_report(self, gains):
+        # Error 0.333 * 60 px, falling from 100: kp * error alone overflows.
+        state = PidState(integral=4.2, last_error=100.0)
+        obs = (MarkerObservation((0, 0), (0, 0), False), _visible_box(100.0))
+        new_state, cmd = sensor_tick(onboard_camera(), gains, state, obs)
         assert cmd.is_zero_report()
         assert new_state == state
 
     def test_power_sum_invariant(self):
         rng = random.Random(23)
         state = PidState()
-        gains = default_gains("onboard")
+        gains = PidGains(1.5, 0.15, 4.5)
         cam = onboard_camera()
         for _ in range(500):
             obs = (MarkerObservation((0, 0), (0, 0), False),
@@ -184,12 +193,3 @@ class TestSensorTick:
             # Truncation moves each side below its exact value by < 1.
             assert 198 <= cmd.left + cmd.right <= 200
 
-
-class TestDefaultGains:
-    def test_values(self):
-        assert default_gains("onboard") == PidGains(1.5, 0.15, 4.5)
-        assert default_gains("infrastructure") == PidGains(1.0, 0.02, 0.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            default_gains("satellite")

@@ -204,7 +204,7 @@ class TestVehicleNode:
         ]
 
     def test_starts_stopped(self):
-        node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE)
+        node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE, ("pi", None, None))
         assert node.applied == (0, 0)
 
     def test_row_format(self):
@@ -217,13 +217,13 @@ class TestVehicleNode:
         ]
 
     def test_degenerate_row_marked(self):
-        node = VehicleNode(["pi"], CONFIDENCE_WEIGHTED)
+        node = VehicleNode(["pi"], CONFIDENCE_WEIGHTED, ("pi", None, None))
         node.handle_datagram("pi", "0;0;0;0;0;0", 0.1)
         assert node.applied == (0, 0)
         assert node.rows[-1].endswith(",-1")
 
     def test_degenerate_keeps_powers(self):
-        node = VehicleNode(["pi"], CONFIDENCE_WEIGHTED)
+        node = VehicleNode(["pi"], CONFIDENCE_WEIGHTED, ("pi", None, None))
         node.handle_datagram("pi", "90;110;60;0;0;0", 0.1)
         assert node.applied == (30, 36)
         node.handle_datagram("pi", "0;0;0;0;0;0", 0.2)
@@ -231,7 +231,7 @@ class TestVehicleNode:
         assert node.rows[-1].endswith(",-1")
 
     def test_malformed_datagram_degenerate_row(self):
-        node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE)
+        node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE, ("pi", None, None))
         node.handle_datagram("pi", "90;110;60;0;0;0", 0.1)
         node.handle_datagram("pi", "not;a;datagram", 0.2)
         assert node.applied == (30, 36)
@@ -243,7 +243,7 @@ class TestVehicleNode:
     @pytest.mark.parametrize("datagram", ["inf;inf;inf;0;0;0", "nan;nan;nan;0;0;0",
                                           "1e400;5;100;0;0;0"])
     def test_non_finite_datagram_holds_powers(self, policy, datagram):
-        node = VehicleNode(["pi", "cam0"], policy)
+        node = VehicleNode(["pi", "cam0"], policy, ("pi", "cam0", None))
         node.handle_datagram("cam0", "90;110;60;0;0;0", 0.1)
         node.handle_datagram("pi", datagram, 0.2)
         assert node.applied == (30, 36)
@@ -254,7 +254,7 @@ class TestVehicleNode:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_overflowing_fusion_never_raises(self, policy):
         # Finite but huge: the weighted sums overflow to inf.
-        node = VehicleNode(["pi", "cam0"], policy)
+        node = VehicleNode(["pi", "cam0"], policy, ("pi", "cam0", None))
         node.handle_datagram("cam0", "90;110;60;0;0;0", 0.1)
         applied = node.handle_datagram("pi", "1e308;1e308;1e308;0;0;0", 0.2)
         if policy == CONFIDENCE_WEIGHTED:
@@ -266,14 +266,14 @@ class TestVehicleNode:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            VehicleNode(["pi"], "median")
+            VehicleNode(["pi"], "median", ("pi", None, None))
 
     @pytest.mark.parametrize("policy", POLICIES)
     @settings(max_examples=150, deadline=None)
     @given(traffic=st.lists(st.tuples(st.sampled_from(["pi", "cam0", "stray"]), _DATAGRAM),
                             max_size=8))
     def test_hostile_datagrams_never_raise(self, policy, traffic):
-        node = VehicleNode(["pi", "cam0"], policy)
+        node = VehicleNode(["pi", "cam0"], policy, ("pi", "cam0", None))
         for k, (source_id, datagram) in enumerate(traffic):
             held = node.applied
             try:

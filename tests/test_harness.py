@@ -9,6 +9,7 @@ import re
 import pytest
 
 from fusedrive.cli import main
+from fusedrive.control import PidGains
 from fusedrive.runner import run
 from fusedrive.scenario import derive_seed, load_scenario, scenario_from_dict
 from fusedrive.sweep import SweepSpec, apply_axis, read_plot_data, sweep
@@ -35,6 +36,7 @@ def sensor_cfg(**fields):
 
 
 PERIODIC = {"kind": "periodic", "period": 3.0, "duration": 0.4}
+PROBABILISTIC = {"kind": "probabilistic", "interval": 0.4, "threshold": 20}
 
 
 def with_cameras(count):
@@ -93,7 +95,32 @@ MALFORMED = [
     # The drive log has one onboard and two infrastructure column groups.
     ("sensors:", minimal_cfg(sensors=[{"id": f"pi{i}", "kind": "onboard"} for i in range(2)])),
     ("sensors:", with_cameras(3)),
+    ("sensors[0].kind", sensor_cfg(kind="satellite")),
 ]
+
+# (shipped scenario file or config, axis, a good value, then one that the
+# scenario file could not hold in the key the axis replaces).
+BAD_SWEEP_VALUES = [
+    pytest.param("sweep_kp.yaml", "kp", 1.5, -1.0, id="negative-kp"),
+    pytest.param("sweep_kp.yaml", "kd", 0.0, float("nan"), id="nan-kd"),
+    pytest.param("outage_onboard.yaml", "outage_duration", 0.4, 5.0,
+                 id="duration-past-period"),
+    pytest.param(sensor_cfg(outage=PROBABILISTIC), "outage_threshold", 20, 35.5,
+                 id="fractional-threshold"),
+    pytest.param(sensor_cfg(outage=PROBABILISTIC), "outage_threshold", 20, 150,
+                 id="threshold-past-100"),
+]
+
+
+def scenario_path(source, tmp_path) -> str:
+    """A shipped scenario file by name, or a config written to tmp_path."""
+    if isinstance(source, str):
+        return os.path.join(SCENARIO_DIR, source)
+    import yaml
+
+    path = tmp_path / "swept.yaml"
+    path.write_text(yaml.safe_dump(source), encoding="utf-8")
+    return str(path)
 
 
 class TestDeriveSeed:
@@ -125,6 +152,15 @@ class TestScenarioValidation:
         assert sc.fusion == "confidence_weighted"
         assert sc.sensors[0].rate_hz == 11.0
         assert sc.sensors[0].gains.kp == 1.5
+
+    def test_kind_default_gains(self):
+        cams = with_cameras(1)["sensors"]
+        sc = scenario_from_dict(minimal_cfg(sensors=cams))
+        assert sc.sensors[0].gains == PidGains(1.5, 0.15, 4.5)
+        assert sc.sensors[1].gains == PidGains(1.0, 0.02, 0.5)
+        # A gains section replaces the kind's defaults: unset gains are 0.
+        cams[1]["gains"] = {"kp": 2.0}
+        assert scenario_from_dict(minimal_cfg(sensors=cams)).sensors[1].gains == PidGains(2.0)
 
     def test_infra_rate_default(self):
         cfg = minimal_cfg(sensors=[{
@@ -222,7 +258,7 @@ class TestRunner:
         res = run(sc)
         # 11 Hz rounds to one observation every 18 ticks of 5 ms
         assert len(res.rows) == len(range(0, 2000, 18))
-        assert res.completed and res.exit_code == 0
+        assert res.completed
 
     def test_error_series_named_by_sensor(self):
         sc = scenario_from_dict(minimal_cfg(duration=5.0))
@@ -254,7 +290,6 @@ class TestRunner:
                                        "duration": 1.0}
         res = run(scenario_from_dict(cfg))
         assert not res.completed
-        assert res.exit_code == 2
         assert res.crash_time is not None and res.crash_time < 100.0
         assert res.summaries["deviation"]["crash_time"] == res.crash_time
 
@@ -376,6 +411,22 @@ class TestSweep:
             sweep(sc, SweepSpec("kp", (1.0, 1.00000000001), reps=1), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("source, axis, good, bad", BAD_SWEEP_VALUES)
+    def test_value_a_file_could_not_hold_stops_before_anything(self, source, axis, good,
+                                                               bad, tmp_path, monkeypatch):
+        sc = load_scenario(scenario_path(source, tmp_path))
+        monkeypatch.setattr("fusedrive.sweep.run", pytest.fail)
+        kept = tmp_path / "out" / f"{axis}_9_rep0"
+        kept.mkdir(parents=True)
+        with pytest.raises(ConfigError, match=f"^{axis}: "):
+            sweep(sc, SweepSpec(axis, (good, bad), reps=1), tmp_path / "out")
+        assert kept.is_dir()
+
+    def test_threshold_read_as_a_whole_number(self):
+        sc = scenario_from_dict(sensor_cfg(outage=PROBABILISTIC))
+        threshold = apply_axis(sc, "outage_threshold", 35.0).sensors[0].outage.threshold
+        assert threshold == 35 and isinstance(threshold, int)
+
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
             SweepSpec("kq", (1.0,))
@@ -472,6 +523,27 @@ class TestCli:
         dat = tmp_path / "runs" / "tiny_kp" / "kp_deviation.dat"
         assert dat.exists()
         assert "crash_rate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source, axis, good, bad", BAD_SWEEP_VALUES)
+    def test_sweep_value_a_file_could_not_hold_exits_one(self, source, axis, good, bad,
+                                                         tmp_path, capsys, monkeypatch):
+        path = scenario_path(source, tmp_path)
+        kept = tmp_path / "runs" / f"{load_scenario(path).name}_{axis}" / f"{axis}_9_rep0"
+        kept.mkdir(parents=True)
+        monkeypatch.setattr("fusedrive.sweep.run", pytest.fail)
+        code = main(["sweep", path, "--axis", axis, "--values", f"{good},{bad}",
+                     "--reps", "1", "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert f"configuration error: {axis}: " in capsys.readouterr().err
+        assert kept.is_dir()
+
+    def test_overflowing_gain_runs_to_completion(self, tmp_path, capsys):
+        # kp 1e308 loads, and its corrections overflow to inf.
+        path = self.write_scenario(tmp_path, duration=2.0, track={"kind": "circle"},
+                                   sensors=[{"id": "pi", "kind": "onboard",
+                                             "gains": {"kp": 1e308}}])
+        assert main(["run", path, "--out", str(tmp_path / "runs")]) == 0
+        assert "completed 2 s" in capsys.readouterr().out
 
     def test_summarize(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path)

@@ -60,39 +60,36 @@ class TestSummarize:
     def test_hand_example(self):
         # |3|, |-4| -> mean 3.5, population std 0.5
         out = summarize([3.0, -4.0])
-        assert out.mean_abs == pytest.approx(3.5)
-        assert out.std_abs == pytest.approx(0.5)
-        assert out.sem_abs == pytest.approx(0.5 / math.sqrt(2))
-        assert out.count == 2
+        assert out["mean_abs"] == pytest.approx(3.5)
+        assert out["std_abs"] == pytest.approx(0.5)
+        assert out["sem_abs"] == pytest.approx(0.5 / math.sqrt(2))
+        assert out["count"] == 2
 
     def test_population_not_sample_std(self):
         values = [1.0, 2.0, 3.0, 4.0]
         out = summarize(values)
-        assert out.std_abs == pytest.approx(float(np.std(values)))
-        assert out.std_abs != pytest.approx(float(np.std(values, ddof=1)))
+        assert out["std_abs"] == pytest.approx(float(np.std(values)))
+        assert out["std_abs"] != pytest.approx(float(np.std(values, ddof=1)))
 
     def test_accepts_series(self):
         s = series_of([(0.0, -1.0), (0.1, 1.0)])
-        assert summarize(s).mean_abs == pytest.approx(1.0)
-        assert summarize(s).std_abs == pytest.approx(0.0)
+        assert summarize(s)["mean_abs"] == pytest.approx(1.0)
+        assert summarize(s)["std_abs"] == pytest.approx(0.0)
 
     def test_scale_equivariance(self):
         rng = random.Random(8)
         values = [rng.uniform(-1, 1) for _ in range(200)]
         base = summarize(values)
         scaled = summarize([7.0 * v for v in values])
-        assert scaled.mean_abs == pytest.approx(7.0 * base.mean_abs)
-        assert scaled.std_abs == pytest.approx(7.0 * base.std_abs)
-        assert scaled.sem_abs == pytest.approx(7.0 * base.sem_abs)
+        for key in ("mean_abs", "std_abs", "sem_abs"):
+            assert scaled[key] == pytest.approx(7.0 * base[key])
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
+    def test_empty_counts_zero(self):
+        assert summarize([]) == {"count": 0}
 
     def test_crash_time_carried(self):
         out = summarize([1.0], crash_time=4.5)
-        assert out.crash_time == 4.5
-        assert out.as_dict()["crash_time"] == 4.5
+        assert out["crash_time"] == 4.5
 
 
 class TestPostOutageWindow:
