@@ -23,6 +23,7 @@ from .perception import (
 from .wire import SteeringCommand
 
 DECAY = 0.9  # weight of the old integral in each update
+MAX_CORRECTION = 2.0 ** 53  # largest correction whose wheel powers stay exact integers
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,12 @@ def pid_update(gains: PidGains, state: PidState, error: float,
 def commands_from_correction(correction: float):
     """Split a correction into wheel powers around the 100 midpoint.
 
-    int() truncates toward zero, matching the integer cast on the sensors.
+    The correction clamps to +-MAX_CORRECTION first, so a huge gain sends
+    powers of at most 17 characters, not hundreds of digits; the node clamps
+    applied powers to [0, 255] anyway.  int() truncates toward zero,
+    matching the integer cast on the sensors.
     """
+    correction = min(MAX_CORRECTION, max(-MAX_CORRECTION, correction))
     return int(100.0 - correction), int(100.0 + correction)
 
 

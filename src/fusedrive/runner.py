@@ -3,7 +3,8 @@
 Each tick: sensors due this tick observe the world, run their PID, pass the
 command through their outage gate, and send it into their channel; the
 vehicle node takes the datagrams due now and re-fuses per datagram; metrics
-record; the vehicle steps.  `drive` is that loop for any channels; `run`
+record; the vehicle steps.  Ticks on which none of that can matter coast:
+the vehicle steps alone.  `drive` is that loop for any channels; `run`
 drives it over seeded simulated channels.  Everything then derives from the
 scenario seed, so a run is a pure function of (scenario, seed) and its
 artifacts are byte-identical across repeats.  `udp.run_udp` drives the same
@@ -30,8 +31,14 @@ from .metrics import (
 )
 from .perception import observe
 from .scenario import Scenario, derive_seed
-from .wire import ChannelModel, SimulatedChannel, encode_command, merge_deliveries
-from .world import Pose, lateral_deviation, step_vehicle
+from .wire import (
+    ChannelModel,
+    SimulatedChannel,
+    encode_command,
+    first_due_tick,
+    merge_deliveries,
+)
+from .world import Motion, Pose, lateral_deviation
 
 
 @dataclass
@@ -56,6 +63,7 @@ class SensorRuntime:
     def __init__(self, scenario: Scenario, config, channel):
         self.config = config
         self.period_ticks = scenario.sensor_period_ticks(config)
+        self.next_tick = 0  # the next tick with this sensor due
         self.channel = channel
         self.pid_state = PidState()
         self.noise_rng = random.Random(derive_seed(scenario.seed, config.sensor_id, "noise"))
@@ -105,24 +113,44 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
 def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     """The tick loop, whatever carries the datagrams.
 
-    channels[k].send(source_id, datagram, now) carries sensor k's datagrams;
-    deliver(now) returns the (source_id, datagram) pairs due at now.
+    channels[k].send(source_id, datagram, now) carries sensor k's datagrams
+    and channels[k].next_delivery() is the earliest time one of them can
+    arrive (-inf: any time); deliver(now) returns the (source_id, datagram)
+    pairs due at now.
 
-    Ground truth is searched only where its value is read: on ticks that
-    deliver a datagram, whose deviation sample must be exact, and on ticks
-    where the vehicle may be past the crash threshold.  Each search keeps
-    its pose and |deviation|.  On any other tick the crash detector is fed
-    bound = that |deviation| + the distance moved since + 1e-9.
+    Only event ticks run in full.  Each ends with one Motion.advance call:
+    it steps the vehicle through that tick, then coasts (steps it alone)
+    through the ticks up to the next tick with a sensor due, the first tick
+    whose merge reaches the earliest queued delivery (wire.first_due_tick),
+    or the end of the run.  It stops early at a tick whose crash bound
+    reaches crash_threshold, which then runs in full.  The bound is
+    |deviation| at the last search + the distance moved since + 1e-9.  A full
+    tick searches ground truth if it delivers a datagram, whose deviation
+    sample must be exact, or if its bound reaches the threshold; otherwise
+    the crash detector gets the bound.
 
-    This is exact.  Distance to the centreline is 1-Lipschitz, so what the
-    search would return has a magnitude of at most the bound; the 1e-9
-    covers the rounding of the search (its pick is within 1e-15 of the
-    minimum) and of hypot.  A tick is skipped only when the bound is below
-    crash_threshold, so that value is too, and the detector takes the same
-    reset branch on either.  The first tick always searches, its bound
-    being infinite.  The only state a search leaves is Track.closest's
-    hint, and closest is exact from any hint, so the searches that run
-    return what they would have.
+    This is exact: every output is what the loop gives that runs every tick
+    in full and searches on each.
+
+    A skipped search.  Distance to the centreline is 1-Lipschitz, so the
+    search would return a magnitude of at most the bound; the 1e-9 covers
+    the rounding of the search (its pick is within 1e-15 of the minimum) and
+    of hypot.  The bound stands in only while it is below the threshold, so
+    the true value is too, and the detector takes the same reset branch on
+    either.  The first tick always searches, its bound being infinite.  A
+    search leaves only Track.closest's hint, and closest is exact from any
+    hint.
+
+    A coasted tick.  There the full loop would send nothing, no sensor being
+    due.  It would merge nothing: only full ticks send, so the earliest
+    queued delivery is still ahead, and the queues are no deeper than after
+    the last full tick.  The tick's bound is below the threshold, so it would
+    skip the search as above, append no sample and reset the detector, which
+    is reset already: the full tick before the stretch fed it either a bound
+    under the threshold or a searched |deviation| below the stretch's first
+    bound.  Then it would step the vehicle under the powers it holds, as
+    Motion.advance does, one tick at a time.  A UDP channel can deliver at
+    any time, so that transport never coasts.
     """
     sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
     node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
@@ -138,13 +166,16 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     threshold = scenario.crash_threshold
     last_abs, last_x, last_y = math.inf, pose.x, pose.y
     ts = scenario.timestep
+    vehicle = scenario.vehicle
+    applied = motion = None
     n_ticks = scenario.n_ticks()
-    for i in range(n_ticks):
+    i = 0
+    while i < n_ticks:
         now = i * ts
         for s in sensors:
-            if i % s.period_ticks:
-                continue
-            s.channel.send(s.config.sensor_id, s.tick(scenario, pose, now), now)
+            if i == s.next_tick:
+                s.next_tick += s.period_ticks
+                s.channel.send(s.config.sensor_id, s.tick(scenario, pose, now), now)
         delivered = deliver(now)
         for source_id, datagram in delivered:
             node.handle_datagram(source_id, datagram, now)
@@ -160,7 +191,15 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
         crash_time = detector.update(now, dev)
         if crash_time is not None:
             break
-        pose = step_vehicle(pose, node.applied[0], node.applied[1], ts, scenario.vehicle)
+        if node.applied != applied:
+            applied = node.applied
+            motion = Motion(applied[0], applied[1], ts, vehicle)
+        due = min([ch.next_delivery() for ch in channels], default=math.inf)
+        stop = min([n_ticks, first_due_tick(due, ts, i + 1)] + [s.next_tick for s in sensors])
+        x, y, heading, stepped = motion.advance(pose.x, pose.y, pose.heading, stop - i,
+                                                last_abs, last_x, last_y, threshold)
+        pose = Pose(x, y, heading)
+        i += stepped
 
     result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
     if out_dir is not None:

@@ -32,6 +32,10 @@ class _SocketChannel:
     def send(self, source_id, datagram: str, now: float):
         self.sock.sendto(datagram.encode("utf-8"), self.vehicle_addr)
 
+    def next_delivery(self) -> float:
+        """Any time: a datagram may arrive on any tick, so every tick runs."""
+        return -math.inf
+
 
 def _bound(stack, host, port):
     sock = stack.enter_context(socket.socket(socket.AF_INET, socket.SOCK_DGRAM))

@@ -131,6 +131,10 @@ class SimulatedChannel:
     def pending(self) -> int:
         return len(self._heap)
 
+    def next_delivery(self) -> float:
+        """Delivery time of the earliest queued datagram, inf if none is queued."""
+        return self._heap[0][0] if self._heap else math.inf
+
 
 def merge_deliveries(channels, now: float):
     """The (source_id, datagram) pairs due by now on any of the channels, in
@@ -141,7 +145,24 @@ def merge_deliveries(channels, now: float):
     """
     tagged = []
     for ch in channels:
+        # Due by now: the rule first_due_tick inverts.
         while ch._heap and ch._heap[0][0] <= now + 1e-12:
             tagged.append(heapq.heappop(ch._heap))
     tagged.sort()
     return [(src, datagram) for _, _, src, datagram in tagged]
+
+
+def first_due_tick(t: float, ts: float, first: int):
+    """The first tick k >= first whose merge delivers a datagram due at t,
+    that is with t <= k * ts + 1e-12 as merge_deliveries tests it; inf when
+    t is inf."""
+    if t <= first * ts + 1e-12:
+        return first
+    if t == math.inf:
+        return t
+    k = max(first + 1, math.ceil((t - 1e-12) / ts))
+    while k * ts + 1e-12 < t:
+        k += 1
+    while k - 1 > first and (k - 1) * ts + 1e-12 >= t:
+        k -= 1
+    return k

@@ -328,23 +328,59 @@ class VehicleParams:
     max_power: float = 255.0
 
 
-def step_vehicle(pose: Pose, left: float, right: float, dt: float, params: VehicleParams) -> Pose:
-    """Advance the vehicle by dt seconds under constant wheel powers.
+class Motion:
+    """Constant wheel powers over ticks of dt seconds: the per-tick constants
+    of the kinematics, computed once per power pair.
 
-    Powers clamp to [0, max_power].  The step integrates the exact circular
-    arc, so splitting dt into sub-steps changes nothing.
+    Powers clamp to [0, max_power].  Each tick integrates the exact circular
+    arc, a straight line when |omega| < 1e-12, so splitting dt into sub-steps
+    changes nothing.
     """
-    left = min(params.max_power, max(0.0, left))
-    right = min(params.max_power, max(0.0, right))
-    v = params.power_to_speed * (left + right) / 2.0
-    omega = params.power_to_speed * (right - left) / params.wheel_separation
-    theta0 = math.radians(pose.heading)
-    if abs(omega) < 1e-12:
-        x = pose.x + v * dt * math.cos(theta0)
-        y = pose.y + v * dt * math.sin(theta0)
-        return Pose(x, y, pose.heading)
-    theta1 = theta0 + omega * dt
-    radius = v / omega
-    x = pose.x + radius * (math.sin(theta1) - math.sin(theta0))
-    y = pose.y + radius * (math.cos(theta0) - math.cos(theta1))
-    return Pose(x, y, math.degrees(theta1))
+
+    __slots__ = ("straight", "v_dt", "omega_dt", "radius")
+
+    def __init__(self, left: float, right: float, dt: float, params: VehicleParams):
+        left = min(params.max_power, max(0.0, left))
+        right = min(params.max_power, max(0.0, right))
+        v = params.power_to_speed * (left + right) / 2.0
+        omega = params.power_to_speed * (right - left) / params.wheel_separation
+        self.straight = abs(omega) < 1e-12
+        self.v_dt = v * dt
+        self.omega_dt = omega * dt
+        self.radius = 0.0 if self.straight else v / omega
+
+    def advance(self, x, y, heading, ticks, last_abs=0.0, last_x=0.0, last_y=0.0,
+                threshold=math.inf):
+        """Step from (x, y, heading deg) through one tick, then on through
+        up to `ticks` (at least 1) in all; returns the (x, y, heading)
+        reached and the number of ticks stepped.
+
+        After each tick but the last, the crash bound at the pose reached,
+        last_abs + its distance from (last_x, last_y) + 1e-9, is compared
+        with threshold, and the call stops where the bound reaches it.  The
+        pose is not checked: a non-finite one stays non-finite, and Pose
+        rejects it.
+        """
+        hypot, radians, sin, cos = math.hypot, math.radians, math.sin, math.cos
+        straight, v_dt, omega_dt, radius = self.straight, self.v_dt, self.omega_dt, self.radius
+        k = 0
+        while True:
+            theta0 = radians(heading)
+            if straight:
+                x = x + v_dt * cos(theta0)
+                y = y + v_dt * sin(theta0)
+            else:
+                theta1 = theta0 + omega_dt
+                x = x + radius * (sin(theta1) - sin(theta0))
+                y = y + radius * (cos(theta0) - cos(theta1))
+                heading = normalize_heading(math.degrees(theta1))
+            k += 1
+            if k == ticks or last_abs + hypot(x - last_x, y - last_y) + 1e-9 >= threshold:
+                return x, y, heading, k
+
+
+def step_vehicle(pose: Pose, left: float, right: float, dt: float, params: VehicleParams) -> Pose:
+    """Advance the vehicle by dt seconds under constant wheel powers: one
+    Motion tick.  A non-finite result raises ValueError."""
+    x, y, heading, _ = Motion(left, right, dt, params).advance(pose.x, pose.y, pose.heading, 1)
+    return Pose(x, y, heading)

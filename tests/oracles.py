@@ -7,7 +7,9 @@ oracle re-evaluates the three policies from their definitions, and the track
 oracles redo ground truth and the centreline sampling the slow, plain way.
 The observe oracle masks every centreline sample on every frame, as the
 camera model first did.  The drive oracle is the tick loop as it was before
-ground truth was skipped: it searches the centreline on every tick.
+ground truth was skipped and ticks coasted: every tick runs in full and
+searches the centreline.  The kinematics oracle is the one-tick step in
+closed form.
 """
 
 import math
@@ -364,3 +366,21 @@ def oracle_drive(scenario, channels, deliver, out_dir=None):
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result
+
+
+def oracle_step_vehicle(pose, left, right, dt, params):
+    """step_vehicle as one closed-form call, before its constants were shared."""
+    left = min(params.max_power, max(0.0, left))
+    right = min(params.max_power, max(0.0, right))
+    v = params.power_to_speed * (left + right) / 2.0
+    omega = params.power_to_speed * (right - left) / params.wheel_separation
+    theta0 = math.radians(pose.heading)
+    if abs(omega) < 1e-12:
+        x = pose.x + v * dt * math.cos(theta0)
+        y = pose.y + v * dt * math.sin(theta0)
+        return Pose(x, y, pose.heading)
+    theta1 = theta0 + omega * dt
+    radius = v / omega
+    x = pose.x + radius * (math.sin(theta1) - math.sin(theta0))
+    y = pose.y + radius * (math.cos(theta0) - math.cos(theta1))
+    return Pose(x, y, math.degrees(theta1))

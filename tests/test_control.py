@@ -97,6 +97,11 @@ class TestCommandsFromCorrection:
         assert commands_from_correction(100.5) == (0, 200)
         assert commands_from_correction(99.7) == (0, 199)
 
+    @pytest.mark.parametrize("correction", [2.0 ** 53, 1e300, 1.7e308])
+    def test_huge_corrections_clamp_to_exact_integers(self, correction):
+        assert commands_from_correction(correction) == (100 - 2 ** 53, 100 + 2 ** 53)
+        assert commands_from_correction(-correction) == (100 + 2 ** 53, 100 - 2 ** 53)
+
     def test_sum_before_truncation(self):
         rng = random.Random(22)
         for _ in range(1000):

@@ -1,11 +1,15 @@
-"""The tick loop searches ground truth only where it is read, and that is exact.
+"""The tick loop skips only work whose result is never read, and that is exact.
 
 `runner.drive` feeds the crash detector a distance bound instead of the
 exact centreline search on ticks that deliver nothing and stay clear of the
-crash threshold.  Every case here runs the loop both ways, the oracle
-searching on every tick, and compares the results with ==.  The cases push
-the bound to fail often: tiny thresholds, no hold, long gaps between
-deliveries, crashing runs and a start far off the line.
+crash threshold, and it coasts (steps the vehicle alone) through ticks with
+no sensor due and no datagram due.  Every case here runs the loop both ways,
+the oracle running every tick in full and searching on each, and compares
+the results with ==.  The cases push the bound to fail often (tiny
+thresholds, no hold, long gaps between deliveries, crashing runs, a start
+far off the line) and put events where coasting must stop exactly:
+deliveries landing on tick boundaries, no deliveries at all, a sensor due
+every tick, and straight-line driving off the track.
 """
 
 import copy
@@ -15,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from fusedrive import runner
+from fusedrive.control import PidGains
 from fusedrive.faults import ProbabilisticOutage
 from fusedrive.scenario import load_scenario
 from fusedrive.sweep import apply_axis
@@ -32,10 +37,14 @@ def _load(name, duration=20.0, **fields):
     return scenario
 
 
-def _one_hz(name, **fields):
-    scenario = _load(name, duration=60.0, **fields)
-    scenario.sensors = [dataclasses.replace(s, rate_hz=1.0) for s in scenario.sensors]
+def _each_sensor(scenario, **fields):
+    """The scenario with the same config fields replaced on every sensor."""
+    scenario.sensors = [dataclasses.replace(s, **fields) for s in scenario.sensors]
     return scenario
+
+
+def _one_hz(name, **fields):
+    return _each_sensor(_load(name, duration=60.0, **fields), rate_hz=1.0)
 
 
 def _blackout_grid(outage_threshold):
@@ -76,8 +85,20 @@ CASES = {
                                                     1.9, 0.1, 45.0),
     "start_off_line_wide_threshold": lambda: _start_off_line(
         _load("combined_weighted", crash_threshold=1.0), 0.4, 0.4, 200.0),
+    # Delays of whole ticks: each delivery is due on a tick boundary, within
+    # the merge's 1e-12 slack.
+    "weighted_delay_0.01": lambda: _each_sensor(_load("combined_weighted"),
+                                                channel_delay=0.01),
+    "weighted_delay_0.015": lambda: _each_sensor(_load("combined_weighted"),
+                                                 channel_delay=0.015),
+    "weighted_all_lost": lambda: _each_sensor(_load("combined_weighted"), channel_loss=1.0),
+    "onboard_200hz": lambda: _each_sensor(_load("baseline_onboard"), rate_hz=200.0),
+    # Equal powers drive straight (omega 0) off the line until the crash.
+    "weighted_gains_0": lambda: _each_sensor(_load("combined_weighted"), gains=PidGains()),
 }
-COMPLETING = {"onboard_threshold_0.01", "start_off_line_wide_threshold"}
+COMPLETING = {"onboard_threshold_0.01", "start_off_line_wide_threshold",
+              "weighted_delay_0.01", "weighted_delay_0.015", "weighted_all_lost",
+              "onboard_200hz"}
 
 
 def _run_both(scenario, monkeypatch):
@@ -104,19 +125,20 @@ def test_skipping_ground_truth_changes_nothing(case, monkeypatch):
 def test_ground_truth_searched_on_delivery_ticks_and_few_others(monkeypatch):
     scenario = load_scenario(SCENARIOS / "baseline_onboard.yaml")
     searched = []          # the tick of each centreline search
-    tick = [0]             # ticks stepped so far
-    search, step = runner.lateral_deviation, runner.step_vehicle
+    tick = [0]             # the tick of the latest merge
+    search, merge = runner.lateral_deviation, runner.merge_deliveries
 
     def counted_search(track, pose):
         searched.append(tick[0])
         return search(track, pose)
 
-    def counted_step(*args):
-        tick[0] += 1
-        return step(*args)
+    def counted_merge(channels, now):
+        # Every tick that can search merges first; coasted ticks do neither.
+        tick[0] = round(now / scenario.timestep)
+        return merge(channels, now)
 
     monkeypatch.setattr(runner, "lateral_deviation", counted_search)
-    monkeypatch.setattr(runner, "step_vehicle", counted_step)
+    monkeypatch.setattr(runner, "merge_deliveries", counted_merge)
     result = runner.run(scenario)
     assert result.completed
     delivery_ticks = {round(t / scenario.timestep) for t in result.series["deviation"].times}

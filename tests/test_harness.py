@@ -13,6 +13,7 @@ from fusedrive.control import PidGains
 from fusedrive.runner import run
 from fusedrive.scenario import derive_seed, load_scenario, scenario_from_dict
 from fusedrive.sweep import SweepSpec, apply_axis, read_plot_data, sweep
+from fusedrive.wire import SimulatedChannel
 from fusedrive.world import ConfigError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -544,6 +545,27 @@ class TestCli:
                                              "gains": {"kp": 1e308}}])
         assert main(["run", path, "--out", str(tmp_path / "runs")]) == 0
         assert "completed 2 s" in capsys.readouterr().out
+
+    def test_huge_finite_gain_keeps_power_fields_short(self, tmp_path, capsys, monkeypatch):
+        # kp 1e300: finite corrections far past 2**53 clamp before the split.
+        datagrams = []
+        send = SimulatedChannel.send
+
+        def recorded_send(channel, source_id, datagram, now):
+            datagrams.append(datagram)
+            return send(channel, source_id, datagram, now)
+
+        monkeypatch.setattr(SimulatedChannel, "send", recorded_send)
+        path = self.write_scenario(tmp_path, duration=2.0, track={"kind": "circle"},
+                                   sensors=[{"id": "pi", "kind": "onboard",
+                                             "gains": {"kp": 1e300}}])
+        assert main(["run", path, "--out", str(tmp_path / "runs")]) == 0
+        assert "completed 2 s" in capsys.readouterr().out
+        powers = [f for d in datagrams for f in d.split(";")[:2]]
+        assert max(map(len, powers)) == 17
+        log = (tmp_path / "runs" / "tiny" / "drive_log.csv").read_text().splitlines()
+        pi_powers = [f for row in log[1:] for f in row.split(",")[3:5]]
+        assert pi_powers and max(map(len, pi_powers)) <= 20
 
     def test_summarize(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path)

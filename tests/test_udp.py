@@ -9,6 +9,7 @@ import socket
 import pytest
 import yaml
 
+from fusedrive import udp
 from fusedrive.cli import main
 from fusedrive.runner import run
 from fusedrive.scenario import scenario_from_dict
@@ -69,6 +70,24 @@ class TestUdpTransport:
         res = run_udp(sc, tmp_path / "udp", pace=10.0)
         assert (tmp_path / "udp" / "drive_log.csv").exists()
         assert res.files
+
+    def test_every_tick_runs_in_full(self, monkeypatch):
+        # A socket can deliver at any time, so the loop never coasts over UDP.
+        calls = []
+        drive = udp.drive
+
+        def counting_drive(scenario, channels, deliver, out_dir=None):
+            def counted(now):
+                calls.append(now)
+                return deliver(now)
+            return drive(scenario, channels, counted, out_dir)
+
+        monkeypatch.setattr(udp, "drive", counting_drive)
+        sc = scenario_from_dict(udp_cfg(ONBOARD, duration=1.0))
+        res = run_udp(sc, pace=10.0)
+        assert res.completed
+        assert len(calls) == sc.n_ticks()
+        assert calls == [i * sc.timestep for i in range(sc.n_ticks())]
 
 
 def _failing_sendto(after):

@@ -1,6 +1,7 @@
 """Codec and simulated channel tests."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from fusedrive.wire import (
     SteeringCommand,
     decode_command,
     encode_command,
+    first_due_tick,
     merge_deliveries,
 )
 
@@ -135,6 +137,35 @@ class TestChannel:
         b.send("b", "b1", 0.015)
         out = merge_deliveries([a, b], 0.05)
         assert out == [("b", "b0"), ("a", "a0"), ("b", "b1")]
+
+    def test_next_delivery_is_earliest_queued_time(self):
+        ch = SimulatedChannel(ChannelModel(delay=(0.0, 0.03), seed=2))
+        assert ch.next_delivery() == math.inf
+        for i in range(20):
+            ch.send("a", str(i), i * 0.005)
+        while ch.pending():
+            t = ch.next_delivery()
+            assert t == min(entry[0] for entry in ch._heap)
+            assert merge_deliveries([ch], t - 2e-12) == []
+            assert merge_deliveries([ch], t)
+        assert ch.next_delivery() == math.inf
+
+    def test_first_due_tick_matches_the_merge(self):
+        # The first tick k >= first whose merge, at k * ts, delivers at t.
+        rng = random.Random(11)
+        ts = 0.005
+        for _ in range(2000):
+            first = rng.randrange(0, 20000)
+            now = first * ts
+            t = rng.choice([now + rng.uniform(-0.01, 0.05),
+                            now + rng.randrange(0, 8) * ts,      # whole ticks
+                            (first + rng.randrange(0, 8)) * ts + rng.choice([-1e-12, 1e-12])])
+            k = first
+            while not t <= k * ts + 1e-12:
+                k += 1
+            assert first_due_tick(t, ts, first) == k
+        assert first_due_tick(math.inf, ts, 3) == math.inf
+        assert first_due_tick(-math.inf, ts, 3) == 3
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from fusedrive.scenario import track_from_config
 from fusedrive.world import (
     Arc,
     ConfigError,
+    Motion,
     Pose,
     Straight,
     Track,
@@ -20,7 +21,7 @@ from fusedrive.world import (
     step_vehicle,
 )
 
-from oracles import oracle_track_closest, oracle_track_samples
+from oracles import oracle_step_vehicle, oracle_track_closest, oracle_track_samples
 
 
 def square_loop_track(side=1.0, radius=0.2):
@@ -305,6 +306,58 @@ class TestStepVehicle:
         assert pose.x == pytest.approx(1.5, abs=1e-9)
         assert pose.y == pytest.approx(1.5, abs=1e-9)
         assert pose.heading == pytest.approx(90.0, abs=1e-9)
+
+
+    def test_matches_closed_form_bit_for_bit(self):
+        p = VehicleParams()
+        rng = random.Random(5)
+        for _ in range(500):
+            pose = Pose(rng.uniform(0.2, 1.8), rng.uniform(0.2, 1.8), rng.uniform(0, 360))
+            left, right = rng.choice([(rng.uniform(-10, 265), rng.uniform(-10, 265)),
+                                      (rng.uniform(0, 255),) * 2])
+            dt = rng.choice([0.005, rng.uniform(0.001, 0.2)])
+            a = step_vehicle(pose, left, right, dt, p)
+            b = oracle_step_vehicle(pose, left, right, dt, p)
+            assert (a.x, a.y, a.heading) == (b.x, b.y, b.heading)
+
+    def test_non_finite_pose_rejected(self):
+        with pytest.raises(ValueError):
+            step_vehicle(Pose(1.7e308, 1.0, 0.0), 100.0, 100.0, 1e308, VehicleParams())
+
+
+class TestMotionStretch:
+    """One n-tick Motion.advance is n one-tick steps, bit for bit."""
+
+    @pytest.mark.parametrize("left, right, heading, wraps", [
+        (80.0, 120.0, 350.0, True),    # counterclockwise across 360 -> 0
+        (120.0, 80.0, 10.0, True),     # clockwise across 0 -> 360
+        (100.0, 100.0, 33.0, False),   # equal powers: the straight branch
+        (-20.0, 300.0, 0.0, True),     # clamped powers: a spin in place
+    ])
+    def test_stretch_equals_one_tick_steps(self, left, right, heading, wraps):
+        p, dt, n = VehicleParams(), 0.005, 400
+        pose = Pose(0.7, 1.3, heading)
+        headings = [pose.heading]
+        for _ in range(n):
+            pose = step_vehicle(pose, left, right, dt, p)
+            headings.append(pose.heading)
+        x, y, h, ticks = Motion(left, right, dt, p).advance(0.7, 1.3, heading, n)
+        assert ticks == n
+        assert (x, y, h) == (pose.x, pose.y, pose.heading)
+        assert any(abs(b - a) > 180.0 for a, b in zip(headings, headings[1:])) == wraps
+
+    def test_stops_at_first_tick_whose_bound_reaches_threshold(self):
+        # 0.00375 m per tick: the bound 0 + 3 * 0.00375 + 1e-9 first reaches 0.01.
+        p, dt = VehicleParams(), 0.005
+        motion = Motion(100.0, 100.0, dt, p)
+        x, y, h, ticks = motion.advance(1.0, 1.0, 0.0, 10, 0.0, 1.0, 1.0, 0.01)
+        assert ticks == 3
+        pose = Pose(1.0, 1.0, 0.0)
+        for _ in range(3):
+            pose = step_vehicle(pose, 100.0, 100.0, dt, p)
+        assert (x, y, h) == (pose.x, pose.y, pose.heading)
+        # The first tick is always stepped, whatever its bound.
+        assert motion.advance(1.0, 1.0, 0.0, 10, 0.01, 1.0, 1.0, 0.01)[3] == 1
 
 
 class TestNormalizeHeading:
