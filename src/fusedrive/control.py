@@ -9,6 +9,7 @@ sensor falls back to consecutive error differences.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .perception import (
     ONBOARD,
@@ -38,8 +39,7 @@ class PidGains:
                 raise ValueError("gains must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class PidState:
+class PidState(NamedTuple):
     """Controller memory: decayed error sum and the previous error."""
 
     integral: float = 0.0
@@ -88,7 +88,7 @@ def sensor_tick(camera, gains: PidGains, state: PidState, observation):
     if not line_box.visible or (not onboard and not markers.visible):
         return state, SteeringCommand.zero()
     if onboard:
-        error = onboard_offset(line_box.center[0], camera.image_width / 2.0)
+        error = onboard_offset(line_box.center[0], camera.center_x)
         derivative = error - state.last_error
     else:
         vehicle_angle = compute_robot_angle(markers.green, markers.orange)

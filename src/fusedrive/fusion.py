@@ -74,11 +74,11 @@ class SourceRegistry:
         if slot is None:
             log.warning("ignoring datagram from unknown source %r", source_id)
             return
-        scaled = SteeringCommand(cmd.left / 3.0, cmd.right / 3.0,
-                                 cmd.confidence / 3.0, cmd.p, cmd.i, cmd.d)
-        slot.text = ",".join(map(format_field, scaled.fields()))
-        positive = scaled.left > 0 or scaled.right > 0
-        slot.command = scaled if positive else SteeringCommand.zero()
+        left, right, confidence, p, i, d = cmd
+        left, right = left / 3.0, right / 3.0
+        scaled = SteeringCommand(left, right, confidence / 3.0, p, i, d)
+        slot.text = ",".join(map(format_field, scaled))
+        slot.command = scaled if left > 0 or right > 0 else SteeringCommand.zero()
 
     def commands(self):
         return [slot.command for slot in self.slots.values()]
@@ -106,13 +106,15 @@ def fuse_simple_avg(registry: SourceRegistry):
     command is spread over the others.  Returns None when no source reports
     confidence.
     """
-    cmds = registry.commands()
-    count = sum(1 for c in cmds if c.confidence != 0)
+    count = left = right = 0
+    for cmd_left, cmd_right, confidence, _, _, _ in registry.commands():
+        if confidence != 0:
+            count += 1
+        left += cmd_left
+        right += cmd_right
     if count == 0:
         return None
-    left = sum(c.left for c in cmds) / count
-    right = sum(c.right for c in cmds) / count
-    return left, right
+    return left / count, right / count
 
 
 def fuse_weighted(registry: SourceRegistry):
@@ -120,13 +122,14 @@ def fuse_weighted(registry: SourceRegistry):
 
     Returns None when the confidences sum to zero.
     """
-    cmds = registry.commands()
-    total = sum(c.confidence for c in cmds)
+    total = left = right = 0
+    for cmd_left, cmd_right, confidence, _, _, _ in registry.commands():
+        total += confidence
+        left += confidence * cmd_left
+        right += confidence * cmd_right
     if total == 0:
         return None
-    left = sum(c.confidence * c.left for c in cmds) / total
-    right = sum(c.confidence * c.right for c in cmds) / total
-    return left, right
+    return left / total, right / total
 
 
 _POLICY_FNS = {

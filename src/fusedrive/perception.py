@@ -9,10 +9,19 @@ and derive the vehicle angle, the line angle, and the angular offset to the
 line from pixel coordinates alone.
 
 Image coordinates are y-down, so projecting from the y-up board flips y.
+
+A frame reads the longest run of its mask through a slice when the run is
+one stretch of the mask (most frames), and through its index array when it
+is joined across sample 0 or split.  The slice path is exact: it holds the
+same samples in the same order as the index array, both contiguous, so
+np.add.reduce sums the same sequence the same way, and the middle tangent
+is the same sample.  The masks are built in place from the same float
+operations as the full-mask oracle in the tests.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +60,12 @@ class CameraModel:
     coverage: tuple
     look_ahead: float
     noise_px: float
+    # Derived once at construction: observe reads them every frame.
+    center_x: float = field(init=False, repr=False, compare=False)  # image center (px)
+    center_y: float = field(init=False, repr=False, compare=False)
+    crop_m: float = field(init=False, repr=False, compare=False)  # crop_size (m)
+    half_width_m: float = field(init=False, repr=False, compare=False)  # image_width / 2 (m)
+    board_mid: tuple = field(default=None, init=False, repr=False, compare=False)  # of coverage
 
     def __post_init__(self):
         if self.kind not in (ONBOARD, INFRASTRUCTURE):
@@ -68,21 +83,25 @@ class CameraModel:
             h_px = (y1 - y0) * self.pixels_per_meter
             if w_px > self.image_width - 2 * _EDGE_MARGIN_PX or h_px > self.image_height - 2 * _EDGE_MARGIN_PX:
                 raise ValueError("coverage rectangle does not fit in the image")
-
-    def covers(self, x: float, y: float) -> bool:
-        x0, y0, x1, y1 = self.coverage
-        return x0 <= x <= x1 and y0 <= y <= y1
+            object.__setattr__(self, "board_mid", ((x0 + x1) / 2.0, (y0 + y1) / 2.0))
+        object.__setattr__(self, "center_x", self.image_width / 2.0)
+        object.__setattr__(self, "center_y", self.image_height / 2.0)
+        object.__setattr__(self, "crop_m", self.crop_size / self.pixels_per_meter)
+        object.__setattr__(self, "half_width_m", self.image_width / (2.0 * self.pixels_per_meter))
 
     def to_pixel(self, x: float, y: float):
         """Project a board point to image pixels (y-down)."""
-        x0, y0, x1, y1 = self.coverage
-        mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-        px = self.image_width / 2.0 + (x - mx) * self.pixels_per_meter
-        py = self.image_height / 2.0 - (y - my) * self.pixels_per_meter
-        return px, py
+        mx, my = self.board_mid
+        return (self.center_x + (x - mx) * self.pixels_per_meter,
+                self.center_y - (y - my) * self.pixels_per_meter)
 
-    def window_half_m(self) -> float:
-        return self.crop_size / self.pixels_per_meter
+    def jitter(self, rng) -> float:
+        """rng.uniform(-noise_px, noise_px), by that method's own formula and
+        draw; 0.0 without an rng or noise."""
+        noise = self.noise_px
+        if rng is None or noise <= 0.0:
+            return 0.0
+        return -noise + (noise - -noise) * rng.random()
 
 
 def onboard_camera(pixels_per_meter=2000.0, image_width=320, image_height=240,
@@ -97,8 +116,7 @@ def infrastructure_camera(coverage, pixels_per_meter=300.0, image_width=1280,
                        crop_size, tuple(coverage), 0.0, noise_px)
 
 
-@dataclass(frozen=True)
-class MarkerObservation:
+class MarkerObservation(NamedTuple):
     """Detected roof marker centers in image pixels."""
 
     green: tuple
@@ -106,8 +124,7 @@ class MarkerObservation:
     visible: bool
 
 
-@dataclass(frozen=True)
-class LineBoxObservation:
+class LineBoxObservation(NamedTuple):
     """Bounding box of the detected line chunk, minAreaRect style.
 
     raw_angle is in [-90, 0]; together with width/height it encodes the line
@@ -145,14 +162,10 @@ def fold_line_angle(direction_deg: float, long_px: float, short_px: float):
     return short_px, long_px, 90.0 - psi
 
 
-def _jitter(rng, noise_px):
-    if rng is None or noise_px <= 0.0:
-        return 0.0
-    return rng.uniform(-noise_px, noise_px)
-
-
 def _clamp(v, lo, hi):
-    return min(hi, max(lo, v))
+    """min(hi, max(lo, v)), spelled out: the same pick, zeros' signs included."""
+    v = v if v > lo else lo
+    return v if v < hi else hi
 
 
 def _longest_run(mask: np.ndarray, lo: int = 0, n: int = None):
@@ -196,28 +209,40 @@ def _window(track, x0, x1, y0, y1):
     the first and the last one (a window across sample 0) the slice is the
     whole loop, so circular runs still join.
     """
-    xs, ys, _, _, bx0, bx1, by0, by1, block = track.sampling()
-    hit = ((bx0 <= x1) & (bx1 >= x0) & (by0 <= y1) & (by1 >= y0)).nonzero()[0]
-    if hit.size == 0:
+    hit = [i for i, (bx0, bx1, by0, by1) in enumerate(track.block_boxes())
+           if bx0 <= x1 and bx1 >= x0 and by0 <= y1 and by1 >= y0]
+    if not hit:
         return None
-    lo, hi = int(hit[0]) * block, (int(hit[-1]) + 1) * block
-    return lo, xs[lo:hi], ys[lo:hi]
+    sampling = track.sampling()
+    lo, hi = hit[0] * sampling[8], (hit[-1] + 1) * sampling[8]
+    return lo, sampling[0][lo:hi], sampling[1][lo:hi]
 
 
 def _line_box(camera, track, mask, lo, center, heading, full_m):
     """Box of the longest run of mask (entry 0 is sample lo), or _NO_LINE.
 
-    center(idx) gives its center pixel from the run's indices into mask;
-    heading is the board direction (deg) of image up, None for the board's
-    +y; full_m is the chunk length of a full view.
+    center(sel) gives its center pixel from the run's entries of the masked
+    columns, sel being a slice (one stretch) or an index array (a joined or
+    split run); heading is the board direction (deg) of image up, None for
+    the board's +y; full_m is the chunk length of a full view.
     """
-    xs, _, tans, step, *_ = track.sampling()
-    run = _longest_run(mask, lo, xs.size)
-    if run is None:
+    idx = mask.nonzero()[0]
+    size = idx.size
+    if size == 0:
         return _NO_LINE
-    length = run.size * step
-    chunk_center = center(run - lo)
-    direction = tans[run[run.size // 2]]
+    first = idx.item(0)
+    sampling = track.sampling()
+    if idx.item(-1) - first == size - 1:
+        sel = slice(first, first + size)
+        mid = lo + first + size // 2
+    else:
+        run = _longest_run(mask, lo, sampling[0].size)
+        size = run.size
+        mid = run.item(size // 2)
+        sel = run - lo
+    length = size * sampling[3]
+    chunk_center = center(sel)
+    direction = sampling[2].item(mid)
     if heading is not None:
         direction = direction - heading + 90.0
     w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
@@ -249,8 +274,8 @@ _STRIP_PAD = 1e-6
 def _observe_onboard(camera, track, pose, layout, rng):
     theta = math.radians(pose.heading)
     c, s = math.cos(theta), math.sin(theta)
-    depth = camera.crop_size / camera.pixels_per_meter
-    half_w = camera.image_width / (2.0 * camera.pixels_per_meter)
+    depth = camera.crop_m
+    half_w = camera.half_width_m
     # Axis-aligned box of the strip's four corners.
     mid = camera.look_ahead + depth / 2.0
     mx, my = pose.x + mid * c, pose.y + mid * s
@@ -262,18 +287,21 @@ def _observe_onboard(camera, track, pose, layout, rng):
     lo, xs, ys = window
     dx = xs - pose.x
     dy = ys - pose.y
-    u = dx * c + dy * s  # forward (m)
-    v = -dx * s + dy * c  # left (m)
-    mask = (
-        (u >= camera.look_ahead)
-        & (u <= camera.look_ahead + depth)
-        & (np.abs(v) <= half_w)
-        & (u * u + v * v > layout.body_radius ** 2)
-    )
+    u = dx * c  # forward (m): dx * c + dy * s
+    tmp = dy * s
+    u += tmp
+    # Left (m): -dx * s + dy * c, which is dy * c - dx * s bit for bit.
+    v = np.multiply(dy, c, out=dy)
+    v -= np.multiply(dx, s, out=dx)
+    mask = u >= camera.look_ahead
+    mask &= u <= camera.look_ahead + depth
+    mask &= np.abs(v, out=tmp) <= half_w
+    np.multiply(u, u, out=tmp)
+    tmp += np.multiply(v, v, out=dx)
+    mask &= tmp > layout.body_radius ** 2
 
-    def center(idx):
-        x_px = (camera.image_width / 2.0 - _mean(v[idx]) * camera.pixels_per_meter
-                + _jitter(rng, camera.noise_px))
+    def center(sel):
+        x_px = camera.center_x - _mean(v[sel]) * camera.pixels_per_meter + camera.jitter(rng)
         return _clamp(x_px, 0.0, float(camera.image_width)), camera.crop_size / 2.0
 
     return _NO_MARKERS, _line_box(camera, track, mask, lo, center, pose.heading, depth)
@@ -283,26 +311,28 @@ def _observe_infrastructure(camera, track, pose, layout, rng):
     theta = math.radians(pose.heading)
     hx, hy = math.cos(theta), math.sin(theta)
     half = layout.separation / 2.0
-    green_b = (pose.x - half * hx, pose.y - half * hy)
-    orange_b = (pose.x + half * hx, pose.y + half * hy)
-    if not (camera.covers(*green_b) and camera.covers(*orange_b)):
+    gbx, gby = pose.x - half * hx, pose.y - half * hy
+    obx, oby = pose.x + half * hx, pose.y + half * hy
+    x0c, y0c, x1c, y1c = camera.coverage
+    if not (x0c <= gbx <= x1c and y0c <= gby <= y1c
+            and x0c <= obx <= x1c and y0c <= oby <= y1c):
         return _NO_MARKERS, _NO_LINE
-    gx, gy = camera.to_pixel(*green_b)
-    ox, oy = camera.to_pixel(*orange_b)
-    gx = _clamp(gx + _jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
-    gy = _clamp(gy + _jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
-    ox = _clamp(ox + _jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
-    oy = _clamp(oy + _jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
+    width, height = float(camera.image_width), float(camera.image_height)
+    gx, gy = camera.to_pixel(gbx, gby)
+    ox, oy = camera.to_pixel(obx, oby)
+    gx = _clamp(gx + camera.jitter(rng), 0.0, width)
+    gy = _clamp(gy + camera.jitter(rng), 0.0, height)
+    ox = _clamp(ox + camera.jitter(rng), 0.0, width)
+    oy = _clamp(oy + camera.jitter(rng), 0.0, height)
     markers = MarkerObservation((gx, gy), (ox, oy), True)
 
     # Look-ahead window around the point one marker gap ahead of the nose,
     # derived from the jittered pixels exactly as the fix computations do.
     fx_px, fy_px = front_point(markers)
-    half_m = camera.window_half_m()
-    x0c, y0c, x1c, y1c = camera.coverage
-    mx, my = (x0c + x1c) / 2.0, (y0c + y1c) / 2.0
-    fx_b = mx + (fx_px - camera.image_width / 2.0) / camera.pixels_per_meter
-    fy_b = my - (fy_px - camera.image_height / 2.0) / camera.pixels_per_meter
+    half_m = camera.crop_m
+    mx, my = camera.board_mid
+    fx_b = mx + (fx_px - camera.center_x) / camera.pixels_per_meter
+    fy_b = my - (fy_px - camera.center_y) / camera.pixels_per_meter
     wx0, wx1 = max(fx_b - half_m, x0c), min(fx_b + half_m, x1c)
     wy0, wy1 = max(fy_b - half_m, y0c), min(fy_b + half_m, y1c)
     if wx0 >= wx1 or wy0 >= wy1:
@@ -311,20 +341,20 @@ def _observe_infrastructure(camera, track, pose, layout, rng):
     if window is None:
         return markers, _NO_LINE
     lo, xs, ys = window
+    mask = xs >= wx0
+    mask &= xs <= wx1
+    mask &= ys >= wy0
+    mask &= ys <= wy1
     dx = xs - pose.x
     dy = ys - pose.y
-    mask = (
-        (xs >= wx0)
-        & (xs <= wx1)
-        & (ys >= wy0)
-        & (ys <= wy1)
-        & (dx * dx + dy * dy > layout.body_radius ** 2)
-    )
+    dx *= dx
+    dx += np.multiply(dy, dy, out=dy)
+    mask &= dx > layout.body_radius ** 2
 
-    def center(idx):
-        cx, cy = camera.to_pixel(_mean(xs[idx]), _mean(ys[idx]))
-        return (_clamp(cx + _jitter(rng, camera.noise_px), 0.0, float(camera.image_width)),
-                _clamp(cy + _jitter(rng, camera.noise_px), 0.0, float(camera.image_height)))
+    def center(sel):
+        cx, cy = camera.to_pixel(_mean(xs[sel]), _mean(ys[sel]))
+        return (_clamp(cx + camera.jitter(rng), 0.0, width),
+                _clamp(cy + camera.jitter(rng), 0.0, height))
 
     return markers, _line_box(camera, track, mask, lo, center, None, half_m)
 

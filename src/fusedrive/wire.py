@@ -11,15 +11,15 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class MalformedDatagram(ValueError):
     """Datagram text that does not parse into six numeric fields."""
 
 
-@dataclass(frozen=True)
-class SteeringCommand:
-    """One sensor's steering vote plus its controller terms."""
+class SteeringCommand(NamedTuple):
+    """One sensor's steering vote plus its controller terms, in wire order."""
 
     left: float
     right: float
@@ -30,14 +30,13 @@ class SteeringCommand:
 
     @classmethod
     def zero(cls):
-        return cls(0, 0, 0, 0, 0, 0)
-
-    def fields(self) -> tuple:
-        """The six values in wire order."""
-        return (self.left, self.right, self.confidence, self.p, self.i, self.d)
+        return _ZERO
 
     def is_zero_report(self) -> bool:
-        return not any(self.fields())
+        return not any(self)
+
+
+_ZERO = SteeringCommand(0, 0, 0, 0, 0, 0)
 
 
 def format_field(value) -> str:
@@ -52,11 +51,9 @@ def format_field(value) -> str:
 
 def encode_command(cmd: SteeringCommand) -> str:
     """Render a command as datagram text, fields in wire order."""
-    fields = cmd.fields()
-    for f in fields:
-        if not math.isfinite(f):
-            raise ValueError("command fields must be finite")
-    return ";".join(map(format_field, fields))
+    if not all(map(math.isfinite, cmd)):
+        raise ValueError("command fields must be finite")
+    return ";".join(map(format_field, cmd))
 
 
 def decode_command(text) -> SteeringCommand:
@@ -74,12 +71,12 @@ def decode_command(text) -> SteeringCommand:
     if len(parts) != 6:
         raise MalformedDatagram(f"expected 6 fields, got {len(parts)}")
     try:
-        values = [float(p) for p in parts]
+        values = list(map(float, parts))
     except ValueError:
         raise MalformedDatagram(f"non-numeric field in {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise MalformedDatagram(f"non-finite field in {text!r}")
-    return SteeringCommand(*values)
+    return SteeringCommand._make(values)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,7 @@ class Track:
     board_size: float = 2.0
     line_width: float = 0.02
     _sampling: tuple = field(default=None, repr=False, compare=False)
+    _boxes: list = field(default=None, repr=False, compare=False)
     _last: int = field(default=0, repr=False, compare=False)  # previous closest() pick
 
     def __post_init__(self):
@@ -280,6 +281,13 @@ class Track:
         if self._sampling is None:
             self.samples()
         return self._sampling
+
+    def block_boxes(self):
+        """sampling()'s block boxes as (x_lo, x_hi, y_lo, y_hi) float tuples,
+        built on the first call: a run's first frame, not its load."""
+        if self._boxes is None:
+            self._boxes = list(zip(*(b.tolist() for b in self.sampling()[4:8])))
+        return self._boxes
 
 
 def _segment_extremes(seg):

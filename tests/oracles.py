@@ -245,6 +245,19 @@ def _oracle_clamp(v, lo, hi):
     return min(hi, max(lo, v))
 
 
+def _oracle_to_pixel(camera, x, y):
+    x0, y0, x1, y1 = camera.coverage
+    mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    px = camera.image_width / 2.0 + (x - mx) * camera.pixels_per_meter
+    py = camera.image_height / 2.0 - (y - my) * camera.pixels_per_meter
+    return px, py
+
+
+def _oracle_covers(camera, x, y):
+    x0, y0, x1, y1 = camera.coverage
+    return x0 <= x <= x1 and y0 <= y <= y1
+
+
 def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
     """perception.observe with the mask evaluated on every centreline sample."""
     xs, ys, tans, step = track.samples()
@@ -285,17 +298,17 @@ def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
     half = layout.separation / 2.0
     green_b = (pose.x - half * hx, pose.y - half * hy)
     orange_b = (pose.x + half * hx, pose.y + half * hy)
-    if not (camera.covers(*green_b) and camera.covers(*orange_b)):
+    if not (_oracle_covers(camera, *green_b) and _oracle_covers(camera, *orange_b)):
         return no_markers, no_line
-    gx, gy = camera.to_pixel(*green_b)
-    ox, oy = camera.to_pixel(*orange_b)
+    gx, gy = _oracle_to_pixel(camera, *green_b)
+    ox, oy = _oracle_to_pixel(camera, *orange_b)
     gx = clamp(gx + jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
     gy = clamp(gy + jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
     ox = clamp(ox + jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
     oy = clamp(oy + jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
     markers = MarkerObservation((gx, gy), (ox, oy), True)
     fx_px, fy_px = ox + (ox - gx) / 2.0, oy + (oy - gy) / 2.0
-    half_m = camera.window_half_m()
+    half_m = camera.crop_size / camera.pixels_per_meter
     x0c, y0c, x1c, y1c = camera.coverage
     mx, my = (x0c + x1c) / 2.0, (y0c + y1c) / 2.0
     fx_b = mx + (fx_px - camera.image_width / 2.0) / camera.pixels_per_meter
@@ -319,7 +332,7 @@ def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
     length = run.size * step
     cx_b = float(np.mean(xs[run]))
     cy_b = float(np.mean(ys[run]))
-    cx, cy = camera.to_pixel(cx_b, cy_b)
+    cx, cy = _oracle_to_pixel(camera, cx_b, cy_b)
     cx = clamp(cx + jitter(rng, camera.noise_px), 0.0, float(camera.image_width))
     cy = clamp(cy + jitter(rng, camera.noise_px), 0.0, float(camera.image_height))
     direction = tans[run[run.size // 2]]

@@ -1,8 +1,11 @@
 """Perception tests: angle math against the transliteration oracle, and the
 virtual camera geometry."""
 
+import dataclasses
+import gc
 import math
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,9 @@ from fusedrive.perception import (
     onboard_offset,
     position_fix,
 )
+import fusedrive.perception as perception
+import fusedrive.runner as runner
+from fusedrive.faults import ProbabilisticOutage
 from fusedrive.runner import run
 from fusedrive.scenario import load_scenario
 from fusedrive.world import Pose, Track, rounded_rectangle_segments
@@ -431,3 +437,77 @@ def test_a_run_builds_each_track_sampling_once(monkeypatch):
     result = run(scenario)
     assert len(result.rows) > 50
     assert calls == [id(scenario.track)]
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _lossy_blackout(scenario):
+    """The lossy, blacked-out variant that tests/test_golden.py pins."""
+    outage = ProbabilisticOutage(interval=0.4, threshold=35)
+    scenario.sensors = [
+        dataclasses.replace(s, channel_loss=0.2, channel_delay=(0.0, 0.03), outage=outage)
+        for s in scenario.sensors
+    ]
+    return scenario
+
+
+def test_observe_matches_full_mask_oracle_on_real_traffic(monkeypatch):
+    # Every frame of three 10 s runs against the full-mask oracle, from the
+    # camera, pose and RNG state observe sees; the RNG must end in the same
+    # state as the oracle's twin, so the jitter made the same draws.
+    frames = []
+    observe_in_run = runner.observe
+
+    def checked(camera, track, pose, layout, rng):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        got = observe_in_run(camera, track, pose, layout, rng)
+        assert got == oracles.oracle_observe(camera, track, pose, layout, twin), pose
+        assert rng.getstate() == twin.getstate()
+        frames.append(got[1].visible)
+        return got
+
+    split = []
+    longest_run = perception._longest_run
+
+    def counted(*args):
+        split.append(args)
+        return longest_run(*args)
+
+    monkeypatch.setattr(runner, "observe", checked)
+    monkeypatch.setattr(perception, "_longest_run", counted)
+    for name, variant in (("combined_weighted", None), ("baseline_infra", None),
+                          ("combined_weighted", _lossy_blackout)):
+        scenario = load_scenario(SCENARIOS / f"{name}.yaml")
+        scenario.duration = 10.0
+        if variant is not None:
+            variant(scenario)
+        run(scenario)
+    # Both ways of reading a run ran: the slice for one stretch of the
+    # mask, the index array for a joined or split one.
+    assert len(frames) > 1000
+    assert 0 < len(split) < sum(frames)
+
+
+def test_block_boxes_are_built_on_the_first_frame_not_at_load():
+    scenario = load_scenario(SCENARIOS / "combined_weighted.yaml")
+    scenario.track.samples()
+    assert scenario.track._boxes is None
+    scenario.duration = 0.5
+    run(scenario)
+    x_lo, x_hi, y_lo, y_hi = scenario.track.sampling()[4:8]
+    assert scenario.track.block_boxes() == list(zip(x_lo.tolist(), x_hi.tolist(),
+                                                     y_lo.tolist(), y_hi.tolist()))
+
+
+def test_a_finished_runs_track_can_be_collected():
+    # Per-track state lives on the track, so nothing keeps an old one alive.
+    scenario = load_scenario(SCENARIOS / "combined_weighted.yaml")
+    scenario.duration = 0.5
+    result = run(scenario)
+    assert result.rows
+    track = weakref.ref(scenario.track)
+    del scenario
+    gc.collect()
+    assert track() is None

@@ -1,0 +1,70 @@
+"""The per-frame value types: immutable tuples whose fields the tracer and the
+node read by name, and the wire codec's round trip over them."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fusedrive.control import PidGains, PidState, sensor_tick
+from fusedrive.perception import (
+    LineBoxObservation,
+    MarkerObservation,
+    infrastructure_camera,
+    observe,
+    onboard_camera,
+)
+from fusedrive.wire import SteeringCommand, decode_command, encode_command
+from fusedrive.world import Pose, Track, rounded_rectangle_segments
+
+VALUES = {
+    "command": (SteeringCommand(90, 110, 60, 1.5, -2.0, 0.25), "left"),
+    "pid_state": (PidState(4.2, 1.0), "integral"),
+    "markers": (MarkerObservation((1.0, 2.0), (3.0, 4.0), True), "visible"),
+    "line_box": (LineBoxObservation((160.0, 40.0), 80.0, 40.0, -0.0, 1.0), "width"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_fields_cannot_be_assigned(name):
+    value, field = VALUES[name]
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0.0)
+
+
+def test_equality_is_tuple_equality():
+    assert SteeringCommand(1, 2, 3) == (1, 2, 3, 0.0, 0.0, 0.0)
+    assert SteeringCommand.zero() == SteeringCommand(0.0, 0.0, 0.0)
+    assert SteeringCommand.zero() is SteeringCommand.zero()
+    assert PidState() == (0.0, 0.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.tuples(finite, finite, finite, finite, finite, finite))
+def test_decode_inverts_encode(fields):
+    cmd = SteeringCommand(*fields)
+    assert decode_command(encode_command(cmd)) == cmd
+
+
+def _track():
+    return Track(rounded_rectangle_segments((1.0, 1.0), 0.8, 0.3))
+
+
+def test_observation_reads_what_the_tracer_reads():
+    # perfbench's counting hooks read observe(...)[1].visible and
+    # sensor_tick(...)[1].is_zero_report().
+    track = _track()
+    x, y, tan = track.point_at(0.3)
+    pose = Pose(x, y, tan)
+    camera = infrastructure_camera((0.0, 0.0, 2.0, 2.0))
+    obs = observe(camera, track, pose)
+    assert obs[1].visible is True
+    assert obs[1].visible == (obs[1].visible_fraction > 0.0)
+    _, cmd = sensor_tick(camera, PidGains(1.0, 0.02, 0.5), PidState(), obs)
+    assert cmd.is_zero_report() is False
+
+    blind = observe(onboard_camera(), track, Pose(0.05, 0.05, 225.0))
+    assert blind[1].visible is False
+    _, cmd = sensor_tick(onboard_camera(), PidGains(1.5, 0.15, 4.5), PidState(), blind)
+    assert cmd.is_zero_report() is True
