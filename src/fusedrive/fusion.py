@@ -54,6 +54,10 @@ class SourceSlot:
 
 _EMPTY_SLOT = SourceSlot()
 
+# Drive-log text of raw / 3.0 for every raw value whose third lies in the
+# motor range [0, 255]: the scaled powers and confidences that really flow.
+_THIRDS = {k: format_field(k / 3.0) for k in range(766)}
+
 
 class SourceRegistry:
     """Ordered per-source command store; order fixes the max tie-break."""
@@ -69,15 +73,29 @@ class SourceRegistry:
         A source counts only while it commands positive power; anything
         else (zero-reports included) parks it on the zero command.  Unknown
         sources are logged and ignored.
+
+        The slot text is format_field of each scaled field.  A raw left,
+        right or confidence that is a key of _THIRDS takes its text from
+        there; any other (negative, non-integral, huge) is formatted.  The
+        lookup is exact for the ints and floats that flow (decode_command
+        yields floats).  An int or float equal to a key k has the value k,
+        and every k is exact in a float, so raw / 3.0 is the float k / 3.0
+        and format_field gives it the table's text.  -0.0 finds key 0, and
+        both format as "0".
         """
         slot = self.slots.get(source_id)
         if slot is None:
             log.warning("ignoring datagram from unknown source %r", source_id)
             return
-        left, right, confidence, p, i, d = cmd
-        left, right = left / 3.0, right / 3.0
-        scaled = SteeringCommand(left, right, confidence / 3.0, p, i, d)
-        slot.text = ",".join(map(format_field, scaled))
+        raw_left, raw_right, raw_confidence, p, i, d = cmd
+        left, right, confidence = raw_left / 3.0, raw_right / 3.0, raw_confidence / 3.0
+        slot.text = ",".join((
+            _THIRDS.get(raw_left) or format_field(left),
+            _THIRDS.get(raw_right) or format_field(right),
+            _THIRDS.get(raw_confidence) or format_field(confidence),
+            format_field(p), format_field(i), format_field(d),
+        ))
+        scaled = SteeringCommand(left, right, confidence, p, i, d)
         slot.command = scaled if left > 0 or right > 0 else SteeringCommand.zero()
 
     def commands(self):
@@ -89,11 +107,20 @@ def fuse_max(registry: SourceRegistry):
     sources win ties.
 
     Returns None when every stored confidence is zero (nothing to trust).
+    The pick is max(reversed(commands), key=confidence), taken in one pass
+    with the same comparison: a source replaces the pick only when its
+    confidence is greater.
     """
-    cmds = registry.commands()
-    if not cmds or all(c.confidence == 0 for c in cmds):
+    chosen = None
+    trusted = False
+    for cmd in reversed(registry.commands()):
+        confidence = cmd.confidence
+        if confidence != 0:
+            trusted = True
+        if chosen is None or confidence > chosen.confidence:
+            chosen = cmd
+    if not trusted:
         return None
-    chosen = max(reversed(cmds), key=lambda c: c.confidence)
     return chosen.left, chosen.right
 
 
@@ -149,11 +176,12 @@ def drive_tick(registry: SourceRegistry, policy: str, previous):
     weighted sums overflow to inf or nan.
     """
     fused = _POLICY_FNS[policy](registry)
-    if fused is None or not (math.isfinite(fused[0]) and math.isfinite(fused[1])):
+    if fused is None:
         return previous, True
-    left = min(255, max(0, int(fused[0])))
-    right = min(255, max(0, int(fused[1])))
-    return (left, right), False
+    left, right = fused
+    if not (math.isfinite(left) and math.isfinite(right)):
+        return previous, True
+    return (min(255, max(0, int(left))), min(255, max(0, int(right)))), False
 
 
 class VehicleNode:

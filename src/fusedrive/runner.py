@@ -194,8 +194,17 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
         if node.applied != applied:
             applied = node.applied
             motion = Motion(applied[0], applied[1], ts, vehicle)
-        due = min([ch.next_delivery() for ch in channels], default=math.inf)
-        stop = min([n_ticks, first_due_tick(due, ts, i + 1)] + [s.next_tick for s in sensors])
+        stop = n_ticks
+        for s in sensors:
+            if s.next_tick < stop:
+                stop = s.next_tick
+        due = math.inf
+        for ch in channels:
+            t = ch.next_delivery()
+            if t < due:
+                due = t
+        if due < math.inf:
+            stop = min(stop, first_due_tick(due, ts, i + 1))
         x, y, heading, stepped = motion.advance(pose.x, pose.y, pose.heading, stop - i,
                                                 last_abs, last_x, last_y, threshold)
         pose = Pose(x, y, heading)

@@ -147,12 +147,3 @@ def emit_plot_data(table: SweepTable, out_dir):
             fh.write(f"# {table.axis} mean_abs std_abs crash_rate\n")
             for value, (mean, std), rate in zip(table.values, cells, table.crash_rate):
                 fh.write(f"{value:.10g} {mean:.10g} {std:.10g} {rate:.10g}\n")
-
-
-def read_plot_data(path):
-    """Parse an emitted .dat file back into (column names, data array)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().lstrip("#").split()
-        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
-    return header, data

@@ -41,7 +41,21 @@ _ZERO = SteeringCommand(0, 0, 0, 0, 0, 0)
 
 def format_field(value) -> str:
     """One field as text: integral values drop the decimal point, other
-    floats keep their shortest round-trip form."""
+    floats keep their shortest round-trip form.
+
+    A Python int or float, the two types that flow, takes a short path that
+    gives the general body's text.  For an int both are str(value).  For a
+    float, value.is_integer() holds exactly when the value is finite and
+    equals int(value); then both give str(int(value)), so -0.0 gives "0".
+    Otherwise (inf and nan included) both give repr(value), which is
+    repr(float(value)) for a float.  Any other type, a numpy scalar or a
+    float subclass say, takes the general body.
+    """
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is float:
+        return str(int(value)) if value.is_integer() else repr(value)
     if isinstance(value, int):
         return str(value)
     if math.isfinite(value) and value == int(value):
@@ -114,6 +128,7 @@ class SimulatedChannel:
 
     def __init__(self, model: ChannelModel, seq=None):
         self.model = model
+        self._delay = model.delay_range()  # the model is frozen
         self._rng = random.Random(model.seed)
         self._heap = []
         self._seq = seq if seq is not None else itertools.count().__next__
@@ -121,7 +136,7 @@ class SimulatedChannel:
     def send(self, source_id, datagram: str, now: float):
         if self._rng.random() < self.model.loss_probability:
             return
-        lo, hi = self.model.delay_range()
+        lo, hi = self._delay
         delay = lo if lo == hi else self._rng.uniform(lo, hi)
         heapq.heappush(self._heap, (now + delay, self._seq(), source_id, datagram))
 

@@ -363,16 +363,15 @@ class Motion:
         up to `ticks` (at least 1) in all; returns the (x, y, heading)
         reached and the number of ticks stepped.
 
-        After each tick but the last, the crash bound at the pose reached,
-        last_abs + its distance from (last_x, last_y) + 1e-9, is compared
-        with threshold, and the call stops where the bound reaches it.  The
-        pose is not checked: a non-finite one stays non-finite, and Pose
-        rejects it.
+        After each tick, the crash bound at the pose reached, last_abs + its
+        distance from (last_x, last_y) + 1e-9, is compared with threshold,
+        and the call stops where the bound reaches it.  The pose is not
+        checked: a non-finite one stays non-finite, and Pose rejects it.
         """
-        hypot, radians, sin, cos = math.hypot, math.radians, math.sin, math.cos
+        hypot, radians, degrees, fmod = math.hypot, math.radians, math.degrees, math.fmod
+        sin, cos = math.sin, math.cos
         straight, v_dt, omega_dt, radius = self.straight, self.v_dt, self.omega_dt, self.radius
-        k = 0
-        while True:
+        for k in range(1, ticks + 1):
             theta0 = radians(heading)
             if straight:
                 x = x + v_dt * cos(theta0)
@@ -381,10 +380,17 @@ class Motion:
                 theta1 = theta0 + omega_dt
                 x = x + radius * (sin(theta1) - sin(theta0))
                 y = y + radius * (cos(theta0) - cos(theta1))
-                heading = normalize_heading(math.degrees(theta1))
-            k += 1
-            if k == ticks or last_abs + hypot(x - last_x, y - last_y) + 1e-9 >= threshold:
+                # normalize_heading(degrees(theta1)), inlined.  fmod keeps the
+                # sign and stays below 360 in size, so only a negative angle,
+                # wrapped, can round up to 360.0.
+                heading = fmod(degrees(theta1), 360.0)
+                if heading < 0.0:
+                    heading += 360.0
+                    if heading == 360.0:
+                        heading = 0.0
+            if last_abs + hypot(x - last_x, y - last_y) + 1e-9 >= threshold:
                 return x, y, heading, k
+        return x, y, heading, ticks
 
 
 def step_vehicle(pose: Pose, left: float, right: float, dt: float, params: VehicleParams) -> Pose:

@@ -9,7 +9,9 @@ The observe oracle masks every centreline sample on every frame, as the
 camera model first did.  The drive oracle is the tick loop as it was before
 ground truth was skipped and ticks coasted: every tick runs in full and
 searches the centreline.  The kinematics oracle is the one-tick step in
-closed form.
+closed form.  The text oracles are the field formatter and the maximum-
+confidence pick as they were before their fast paths.  read_plot_data reads
+an emitted sweep table back.
 """
 
 import math
@@ -162,6 +164,24 @@ def position_inputs(seed, n, integer_grid):
         if f != l:
             out.append((f, l, ang))
     return out
+
+
+def oracle_format_field(value) -> str:
+    """wire.format_field before its int and float fast paths."""
+    if isinstance(value, int):
+        return str(value)
+    if math.isfinite(value) and value == int(value):
+        return str(int(value))
+    return repr(float(value))
+
+
+def oracle_fuse_max(registry):
+    """fusion.fuse_max before it took its pick in one pass."""
+    cmds = registry.commands()
+    if not cmds or all(c.confidence == 0 for c in cmds):
+        return None
+    chosen = max(reversed(cmds), key=lambda c: c.confidence)
+    return chosen.left, chosen.right
 
 
 def oracle_fuse(commands, policy):
@@ -397,3 +417,12 @@ def oracle_step_vehicle(pose, left, right, dt, params):
     x = pose.x + radius * (math.sin(theta1) - math.sin(theta0))
     y = pose.y + radius * (math.cos(theta0) - math.cos(theta1))
     return Pose(x, y, math.degrees(theta1))
+
+
+def read_plot_data(path):
+    """Parse an emitted .dat file back into (column names, data array)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().lstrip("#").split()
+        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
+    return header, data

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from oracles import read_plot_data
 from fusedrive.control import PidGains, PidState, pid_update
 from fusedrive.faults import PeriodicOutage, ProbabilisticOutage
 from fusedrive.fusion import (
@@ -42,7 +43,7 @@ from fusedrive.perception import (
 )
 from fusedrive.runner import run
 from fusedrive.scenario import load_scenario
-from fusedrive.sweep import SweepSpec, read_plot_data, sweep
+from fusedrive.sweep import SweepSpec, sweep
 from fusedrive.wire import (
     ChannelModel,
     SimulatedChannel,

@@ -12,9 +12,11 @@ from fusedrive.cli import main
 from fusedrive.control import PidGains
 from fusedrive.runner import run
 from fusedrive.scenario import derive_seed, load_scenario, scenario_from_dict
-from fusedrive.sweep import SweepSpec, apply_axis, read_plot_data, sweep
+from fusedrive.sweep import SweepSpec, apply_axis, sweep
 from fusedrive.wire import SimulatedChannel
 from fusedrive.world import ConfigError
+
+from oracles import read_plot_data
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 

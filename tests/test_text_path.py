@@ -1,0 +1,94 @@
+"""The datagram text path against its oracles: the field formatter, the
+encoder, the drive-log text of an ingested command, and the maximum-
+confidence pick, each equal to what the code gave before its fast path."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from fusedrive.fusion import SourceRegistry, fuse_max
+from fusedrive.wire import SteeringCommand, encode_command, format_field
+
+from oracles import oracle_format_field, oracle_fuse_max
+
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53), 1e16, -1e16, 1e300, -1e300,
+    97.0, 97.0 / 3.0, 0.1, 255.0, 1.7976931348623157e308,
+]
+
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+ints = st.one_of(st.integers(), st.integers(-2 ** 70, 2 ** 70),
+                 st.sampled_from([2 ** 53 + 1, 2 ** 63, -2 ** 63 - 1, 10 ** 40]))
+numpy_scalars = st.one_of(
+    floats.map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.just(np.int64(2 ** 53 + 1)),
+)
+
+
+@given(st.one_of(floats, ints, st.booleans(), numpy_scalars))
+@example(-0.0)
+@example(97.0)
+@example(np.int64(2 ** 53 + 1))
+@example(True)
+def test_format_field_matches_oracle(value):
+    assert format_field(value) == oracle_format_field(value)
+
+
+finite_fields = st.one_of(
+    st.integers(-2 ** 60, 2 ** 60),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-1000, 2000).map(float),
+)
+
+
+@given(st.tuples(*[finite_fields] * 6))
+@example((97, 103, 255, 0.0, -0.0, 1e300))
+def test_encode_matches_oracle(fields):
+    cmd = SteeringCommand(*fields)
+    assert encode_command(cmd) == ";".join(map(oracle_format_field, cmd))
+
+
+# Raw left, right and confidence: whole numbers around the table's range
+# [0, 765], as ints and as floats, non-integral floats, and -0.0.
+raw_values = st.one_of(
+    st.integers(-1000, 2000),
+    st.integers(-1000, 2000).map(float),
+    st.floats(-1000.0, 2000.0),
+    st.just(-0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(raw_values, raw_values, raw_values, finite_fields, finite_fields, finite_fields)
+@example(291.0, 303.0, 255.0, 0.5, 1.5, -0.25)
+@example(-0.0, 765.0, 766.0, 0, 0, 0)
+@example(1.0, 2, -3.0, 0.0, 0.0, 0.0)
+def test_ingest_text_matches_oracle(left, right, confidence, p, i, d):
+    reg = SourceRegistry(["pi"])
+    reg.ingest("pi", SteeringCommand(left, right, confidence, p, i, d))
+    slot = reg.slots["pi"]
+    scaled = SteeringCommand(left / 3.0, right / 3.0, confidence / 3.0, p, i, d)
+    assert slot.text == ",".join(map(oracle_format_field, scaled))
+    expected = scaled if scaled.left > 0 or scaled.right > 0 else SteeringCommand.zero()
+    assert slot.command == expected
+    assert list(map(type, slot.command)) == list(map(type, expected))
+
+
+confidences = st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0, 60.0, math.nan]),
+                        st.floats(-100.0, 100.0))
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 900.0), st.floats(0.0, 900.0), confidences),
+                min_size=1, max_size=3))
+@example([(90.0, 30.0, 60.0), (30.0, 90.0, 60.0)])
+@example([(90.0, 30.0, 0.0), (30.0, 90.0, -30.0)])
+@example([(90.0, 30.0, math.nan), (30.0, 90.0, 30.0)])
+def test_fuse_max_matches_oracle(stored):
+    reg = SourceRegistry([f"s{k}" for k in range(len(stored))])
+    for sid, (left, right, confidence) in zip(reg.slots, stored):
+        reg.ingest(sid, SteeringCommand(left, right, confidence))
+    assert fuse_max(reg) == oracle_fuse_max(reg)

@@ -359,6 +359,19 @@ class TestMotionStretch:
         # The first tick is always stepped, whatever its bound.
         assert motion.advance(1.0, 1.0, 0.0, 10, 0.01, 1.0, 1.0, 0.01)[3] == 1
 
+    def test_tiny_clockwise_turn_from_zero_wraps_to_zero(self):
+        # omega * dt = -2e-16 rad: each tick ends at -1.1e-14 deg, which wraps
+        # to 360 - 1.1e-14, a float that rounds to 360.0 and must read 0.0.
+        p, dt = VehicleParams(), 1e-4
+        motion = Motion(100.0, 100.0 - 3.2e-11, dt, p)
+        assert not motion.straight
+        x, y, h, _ = motion.advance(0.7, 1.3, 0.0, 1)
+        assert h == 0.0
+        pose = Pose(0.7, 1.3, 0.0)
+        for _ in range(50):
+            pose = oracle_step_vehicle(pose, 100.0, 100.0 - 3.2e-11, dt, p)
+        assert motion.advance(0.7, 1.3, 0.0, 50)[:3] == (pose.x, pose.y, pose.heading)
+
 
 class TestNormalizeHeading:
     def test_wraps(self):
