@@ -106,7 +106,7 @@ def _cmd_summarize(args) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             summary = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, indent=2, sort_keys=True))

@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .world import SAMPLE_BLOCK
+
 ONBOARD = "onboard"
 INFRASTRUCTURE = "infrastructure"
 
@@ -168,26 +170,12 @@ def _clamp(v, lo, hi):
     return v if v < hi else hi
 
 
-def _longest_run(mask: np.ndarray, lo: int = 0, n: int = None):
-    """Longest circular run of True entries; returns index array or None.
-
-    mask covers samples lo .. lo + mask.size - 1 of a loop of n samples
-    (default: the whole loop, n = mask.size); indices come back absolute.
-    Ties go to the run that starts first.
-    """
-    idx = mask.nonzero()[0]
-    if idx.size == 0:
-        return None
-    if lo:
-        idx += lo
-    if idx[-1] - idx[0] == idx.size - 1:
-        return idx  # a single stretch, the whole loop included
-    n = mask.size if n is None else n
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [idx.size - 1]])
-    runs = [idx[s:e + 1] for s, e in zip(starts, ends)]
-    # The sampling is circular: a run touching the tail joins one at the head.
+def _longest_run(idx: np.ndarray, n: int):
+    """Longest circular run of idx, the sorted indices of a mask's samples in
+    a loop of n, when they form more than one stretch; ties go to the run
+    that starts first."""
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    # The sampling is circular: a run touching sample n - 1 joins one at sample 0.
     if idx[0] == 0 and idx[-1] == n - 1:
         runs[0] = np.concatenate([runs[-1], runs[0]])
         runs.pop()
@@ -209,13 +197,13 @@ def _window(track, x0, x1, y0, y1):
     the first and the last one (a window across sample 0) the slice is the
     whole loop, so circular runs still join.
     """
-    hit = [i for i, (bx0, bx1, by0, by1) in enumerate(track.block_boxes())
+    sampling = track.sampling
+    hit = [i for i, (bx0, bx1, by0, by1) in enumerate(sampling.boxes)
            if bx0 <= x1 and bx1 >= x0 and by0 <= y1 and by1 >= y0]
     if not hit:
         return None
-    sampling = track.sampling()
-    lo, hi = hit[0] * sampling[8], (hit[-1] + 1) * sampling[8]
-    return lo, sampling[0][lo:hi], sampling[1][lo:hi]
+    lo, hi = hit[0] * SAMPLE_BLOCK, (hit[-1] + 1) * SAMPLE_BLOCK
+    return lo, sampling.xs[lo:hi], sampling.ys[lo:hi]
 
 
 def _line_box(camera, track, mask, lo, center, heading, full_m):
@@ -231,18 +219,19 @@ def _line_box(camera, track, mask, lo, center, heading, full_m):
     if size == 0:
         return _NO_LINE
     first = idx.item(0)
-    sampling = track.sampling()
+    sampling = track.sampling
     if idx.item(-1) - first == size - 1:
         sel = slice(first, first + size)
         mid = lo + first + size // 2
     else:
-        run = _longest_run(mask, lo, sampling[0].size)
+        idx += lo
+        run = _longest_run(idx, sampling.xs.size)
         size = run.size
         mid = run.item(size // 2)
         sel = run - lo
-    length = size * sampling[3]
+    length = size * sampling.step
     chunk_center = center(sel)
-    direction = sampling[2].item(mid)
+    direction = sampling.tans.item(mid)
     if heading is not None:
         direction = direction - heading + 90.0
     w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,

