@@ -106,7 +106,7 @@ def _cmd_summarize(args) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             summary = json.load(fh)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, indent=2, sort_keys=True))

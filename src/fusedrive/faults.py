@@ -96,7 +96,8 @@ class OutageSchedule:
             return []
         if isinstance(m, PeriodicOutage):
             out = []
-            k = 0
+            # A window already under way at t = 0 starts one period early.
+            k = -1 if self.phase - m.period + m.duration > 0.0 else 0
             while True:
                 start = self.phase + k * m.period
                 if start > end_time:

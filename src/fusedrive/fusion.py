@@ -1,4 +1,4 @@
-"""Vehicle-control node: command registry, fusion policies, and the drive log.
+"""Vehicle-control node: per-source commands, fusion policies, and the drive log.
 
 The node keeps the latest scaled command per source and re-fuses on every
 datagram it receives.  Raw powers divide by 3.0 on ingest so full commanded
@@ -9,7 +9,6 @@ marks the log row with a trailing -1, instead of stopping the vehicle.
 
 import logging
 import math
-from dataclasses import dataclass, field
 
 from .perception import INFRASTRUCTURE, ONBOARD
 from .wire import MalformedDatagram, SteeringCommand, decode_command, format_field
@@ -39,72 +38,9 @@ def log_slots(sensors):
     return tuple((onboard + [None])[:1] + (infra + [None, None])[:2])
 
 
-@dataclass
-class SourceSlot:
-    """Latest state for one source: what fusion reads and what the log prints.
-
-    command is the scaled report while it commands positive power, else the
-    zero command; text is the scaled report's six drive-log fields,
-    formatted once at ingest.
-    """
-
-    command: SteeringCommand = field(default_factory=SteeringCommand.zero)
-    text: str = "0,0,0,0,0,0"
-
-
-_EMPTY_SLOT = SourceSlot()
-
-# Drive-log text of raw / 3.0 for every raw value whose third lies in the
-# motor range [0, 255]: the scaled powers and confidences that really flow.
-_THIRDS = {k: format_field(k / 3.0) for k in range(766)}
-
-
-class SourceRegistry:
-    """Ordered per-source command store; order fixes the max tie-break."""
-
-    def __init__(self, source_ids):
-        self.slots = {sid: SourceSlot() for sid in source_ids}
-        if len(self.slots) != len(source_ids):
-            raise ValueError("duplicate source ids")
-
-    def ingest(self, source_id, cmd: SteeringCommand):
-        """Store a decoded command, scaling powers and confidence by 1/3.
-
-        A source counts only while it commands positive power; anything
-        else (zero-reports included) parks it on the zero command.  Unknown
-        sources are logged and ignored.
-
-        The slot text is format_field of each scaled field.  A raw left,
-        right or confidence that is a key of _THIRDS takes its text from
-        there; any other (negative, non-integral, huge) is formatted.  The
-        lookup is exact for the ints and floats that flow (decode_command
-        yields floats).  An int or float equal to a key k has the value k,
-        and every k is exact in a float, so raw / 3.0 is the float k / 3.0
-        and format_field gives it the table's text.  -0.0 finds key 0, and
-        both format as "0".
-        """
-        slot = self.slots.get(source_id)
-        if slot is None:
-            log.warning("ignoring datagram from unknown source %r", source_id)
-            return
-        raw_left, raw_right, raw_confidence, p, i, d = cmd
-        left, right, confidence = raw_left / 3.0, raw_right / 3.0, raw_confidence / 3.0
-        slot.text = ",".join((
-            _THIRDS.get(raw_left) or format_field(left),
-            _THIRDS.get(raw_right) or format_field(right),
-            _THIRDS.get(raw_confidence) or format_field(confidence),
-            format_field(p), format_field(i), format_field(d),
-        ))
-        scaled = SteeringCommand(left, right, confidence, p, i, d)
-        slot.command = scaled if left > 0 or right > 0 else SteeringCommand.zero()
-
-    def commands(self):
-        return [slot.command for slot in self.slots.values()]
-
-
-def fuse_max(registry: SourceRegistry):
-    """Adopt the command of the most confident source outright; later
-    sources win ties.
+def fuse_max(commands):
+    """Adopt the most confident of the commands (one per source, in source
+    order) outright; later sources win ties.
 
     Returns None when every stored confidence is zero (nothing to trust).
     The pick is max(reversed(commands), key=confidence), taken in one pass
@@ -113,7 +49,7 @@ def fuse_max(registry: SourceRegistry):
     """
     chosen = None
     trusted = False
-    for cmd in reversed(registry.commands()):
+    for cmd in reversed(commands):
         confidence = cmd.confidence
         if confidence != 0:
             trusted = True
@@ -124,7 +60,7 @@ def fuse_max(registry: SourceRegistry):
     return chosen.left, chosen.right
 
 
-def fuse_simple_avg(registry: SourceRegistry):
+def fuse_simple_avg(commands):
     """Average the stored commands over the sources that report confidence.
 
     The numerator sums every stored command (inactive ones are zero) while
@@ -134,7 +70,7 @@ def fuse_simple_avg(registry: SourceRegistry):
     confidence.
     """
     count = left = right = 0
-    for cmd_left, cmd_right, confidence, _, _, _ in registry.commands():
+    for cmd_left, cmd_right, confidence, _, _, _ in commands:
         if confidence != 0:
             count += 1
         left += cmd_left
@@ -144,13 +80,13 @@ def fuse_simple_avg(registry: SourceRegistry):
     return left / count, right / count
 
 
-def fuse_weighted(registry: SourceRegistry):
+def fuse_weighted(commands):
     """Confidence-weighted average of the stored commands.
 
     Returns None when the confidences sum to zero.
     """
     total = left = right = 0
-    for cmd_left, cmd_right, confidence, _, _, _ in registry.commands():
+    for cmd_left, cmd_right, confidence, _, _, _ in commands:
         total += confidence
         left += confidence * cmd_left
         right += confidence * cmd_right
@@ -167,15 +103,15 @@ _POLICY_FNS = {
 POLICIES = tuple(_POLICY_FNS)
 
 
-def drive_tick(registry: SourceRegistry, policy: str, previous):
-    """Fuse the registry into applied motor powers.
+def drive_tick(commands, policy: str, previous):
+    """Fuse the stored commands into applied motor powers.
 
     Returns ((left, right), degenerate).  Fused powers truncate to integers
     and clamp to the motor range [0, 255].  A degenerate fusion holds the
     previous powers: nobody to trust, or huge finite commands whose
     weighted sums overflow to inf or nan.
     """
-    fused = _POLICY_FNS[policy](registry)
+    fused = _POLICY_FNS[policy](commands)
     if fused is None:
         return previous, True
     left, right = fused
@@ -184,22 +120,65 @@ def drive_tick(registry: SourceRegistry, policy: str, previous):
     return (min(255, max(0, int(left))), min(255, max(0, int(right)))), False
 
 
-class VehicleNode:
-    """Receives datagrams, fuses them, and keeps the drive log.
+# Drive-log text of raw / 3.0 for every raw value whose third lies in the
+# motor range [0, 255]: the scaled powers and confidences that really flow.
+_THIRDS = {k: format_field(k / 3.0) for k in range(766)}
 
-    slot_ids maps the three log column groups (pi, cam0, cam1) to source
-    ids, as log_slots gives them; missing slots stay all-zero in the log.
+
+class VehicleNode:
+    """Receives datagrams, keeps each source's latest command, fuses them,
+    and keeps the drive log.
+
+    commands and texts hold, per source in source_ids order (which fixes the
+    max tie-break), the command fusion reads and the six drive-log fields
+    the log prints.  slot_ids maps the three log column groups (pi, cam0,
+    cam1) to source ids, as log_slots gives them; a missing slot reads the
+    extra all-zero text at the end of texts.
     """
 
     def __init__(self, source_ids, policy: str, slot_ids):
         if policy not in _POLICY_FNS:
             raise ValueError(f"unknown fusion policy {policy!r}")
-        self.registry = SourceRegistry(source_ids)
+        self._index = {sid: k for k, sid in enumerate(source_ids)}
+        if len(self._index) != len(source_ids):
+            raise ValueError("duplicate source ids")
         self.policy = policy
         self.applied = (0, 0)
         self.rows = []
-        # A missing slot logs as the all-zero empty slot.
-        self._log_slots = [self.registry.slots.get(sid, _EMPTY_SLOT) for sid in slot_ids]
+        self.commands = [SteeringCommand.zero()] * len(source_ids)
+        self.texts = ["0,0,0,0,0,0"] * (len(source_ids) + 1)
+        self._log_slots = [self._index.get(sid, len(source_ids)) for sid in slot_ids]
+
+    def ingest(self, source_id, cmd: SteeringCommand):
+        """Store a decoded command, scaling powers and confidence by 1/3.
+
+        A source counts only while it commands positive power; anything
+        else (zero-reports included) parks it on the zero command.  Unknown
+        sources are logged and ignored.
+
+        The stored text is format_field of each scaled field.  A raw left,
+        right or confidence that is a key of _THIRDS takes its text from
+        there; any other (negative, non-integral, huge) is formatted.  The
+        lookup is exact for the ints and floats that flow (decode_command
+        yields floats).  An int or float equal to a key k has the value k,
+        and every k is exact in a float, so raw / 3.0 is the float k / 3.0
+        and format_field gives it the table's text.  -0.0 finds key 0, and
+        both format as "0".
+        """
+        k = self._index.get(source_id)
+        if k is None:
+            log.warning("ignoring datagram from unknown source %r", source_id)
+            return
+        raw_left, raw_right, raw_confidence, p, i, d = cmd
+        left, right, confidence = raw_left / 3.0, raw_right / 3.0, raw_confidence / 3.0
+        self.texts[k] = ",".join((
+            _THIRDS.get(raw_left) or format_field(left),
+            _THIRDS.get(raw_right) or format_field(right),
+            _THIRDS.get(raw_confidence) or format_field(confidence),
+            format_field(p), format_field(i), format_field(d),
+        ))
+        scaled = SteeringCommand(left, right, confidence, p, i, d)
+        self.commands[k] = scaled if left > 0 or right > 0 else SteeringCommand.zero()
 
     def handle_datagram(self, source_id, datagram, now: float):
         """Ingest one datagram and apply fused powers; logs one row.
@@ -213,14 +192,15 @@ class VehicleNode:
             log.warning("dropping malformed datagram from %r: %s", source_id, exc)
             self._log_row(now, degenerate=True)
             return self.applied
-        self.registry.ingest(source_id, cmd)
-        self.applied, degenerate = drive_tick(self.registry, self.policy, self.applied)
+        self.ingest(source_id, cmd)
+        self.applied, degenerate = drive_tick(self.commands, self.policy, self.applied)
         self._log_row(now, degenerate)
         return self.applied
 
     def _log_row(self, now: float, degenerate: bool):
         left, right = self.applied
-        row = f"{now:.6f},{left},{right}," + ",".join([s.text for s in self._log_slots])
+        texts = self.texts
+        row = f"{now:.6f},{left},{right}," + ",".join([texts[k] for k in self._log_slots])
         if degenerate:
             row += ",-1"
         self.rows.append(row)

@@ -341,7 +341,7 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
     default_name = os.path.splitext(os.path.basename(str(path)))[0]
     return scenario_from_dict(cfg, default_name)

@@ -40,27 +40,17 @@ _ZERO = SteeringCommand(0, 0, 0, 0, 0, 0)
 
 
 def format_field(value) -> str:
-    """One field as text: integral values drop the decimal point, other
-    floats keep their shortest round-trip form.
+    """One field as text: an int as str(value); any other value is read as
+    a float, and prints without a decimal point when integral, else in its
+    shortest round-trip form.
 
-    A Python int or float, the two types that flow, takes a short path that
-    gives the general body's text.  For an int both are str(value).  For a
-    float, value.is_integer() holds exactly when the value is finite and
-    equals int(value); then both give str(int(value)), so -0.0 gives "0".
-    Otherwise (inf and nan included) both give repr(value), which is
-    repr(float(value)) for a float.  Any other type, a numpy scalar or a
-    float subclass say, takes the general body.
+    value.is_integer() holds exactly when the float is finite and equals
+    int(value), so -0.0 gives "0", and inf and nan give repr(value).
     """
-    kind = type(value)
-    if kind is int:
-        return str(value)
-    if kind is float:
-        return str(int(value)) if value.is_integer() else repr(value)
     if isinstance(value, int):
         return str(value)
-    if math.isfinite(value) and value == int(value):
-        return str(int(value))
-    return repr(float(value))
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def encode_command(cmd: SteeringCommand) -> str:

@@ -175,9 +175,8 @@ def oracle_format_field(value) -> str:
     return repr(float(value))
 
 
-def oracle_fuse_max(registry):
+def oracle_fuse_max(cmds):
     """fusion.fuse_max before it took its pick in one pass."""
-    cmds = registry.commands()
     if not cmds or all(c.confidence == 0 for c in cmds):
         return None
     chosen = max(reversed(cmds), key=lambda c: c.confidence)
@@ -188,7 +187,7 @@ def oracle_fuse(commands, policy):
     """Re-evaluate a fusion policy from its definition.
 
     commands is the list of stored (left, right, confidence) per source in
-    registry order; returns (left, right) or None for the degenerate case.
+    source order; returns (left, right) or None for the degenerate case.
     """
     if policy == "maximum_confidence":
         if all(c[2] == 0 for c in commands):

@@ -30,7 +30,7 @@ from fusedrive.fusion import (
     CONFIDENCE_WEIGHTED,
     MAXIMUM_CONFIDENCE,
     SIMPLE_AVERAGE,
-    SourceRegistry,
+    VehicleNode,
     fuse_max,
     fuse_simple_avg,
     fuse_weighted,
@@ -149,10 +149,15 @@ def test_controller_hand_evaluations_and_integral_bound():
 # --- 3. fusion policies match their brute-force definitions ----------------
 
 
-def _random_registry(rng):
+def _node_of(source_ids):
+    return VehicleNode(source_ids, MAXIMUM_CONFIDENCE, (None, None, None))
+
+
+def _random_node(rng):
     n = rng.randint(1, 5)
-    reg = SourceRegistry([f"s{i}" for i in range(n)])
-    for sid in reg.slots:
+    sids = [f"s{i}" for i in range(n)]
+    node = _node_of(sids)
+    for sid in sids:
         if rng.random() < 0.2:
             cmd = SteeringCommand.zero()
         else:
@@ -160,12 +165,12 @@ def _random_registry(rng):
             cmd = SteeringCommand(rng.uniform(-30.0, 300.0),
                                   rng.uniform(-30.0, 300.0),
                                   conf, 0.0, 0.0, 0.0)
-        reg.ingest(sid, cmd)
-    return reg
+        node.ingest(sid, cmd)
+    return node
 
 
 def test_fusion_policies_match_brute_force_definitions():
-    with _verdict("fusion: 10^4 registries vs brute force within 1e-9, "
+    with _verdict("fusion: 10^4 command sets vs brute force within 1e-9, "
                   "uniform-confidence weighted == simple average, "
                   "ties pick the latest source"):
         fns = ((MAXIMUM_CONFIDENCE, fuse_max),
@@ -173,11 +178,11 @@ def test_fusion_policies_match_brute_force_definitions():
                (CONFIDENCE_WEIGHTED, fuse_weighted))
         rng = random.Random(33)
         for _ in range(10_000):
-            reg = _random_registry(rng)
-            stored = [(c.left, c.right, c.confidence) for c in reg.commands()]
+            node = _random_node(rng)
+            stored = [(c.left, c.right, c.confidence) for c in node.commands]
             for policy, fn in fns:
                 want = oracles.oracle_fuse(stored, policy)
-                got = fn(reg)
+                got = fn(node.commands)
                 if want is None:
                     assert got is None
                 else:
@@ -190,18 +195,19 @@ def test_fusion_policies_match_brute_force_definitions():
         for _ in range(2_000):
             n = rng.randint(1, 5)
             conf = rng.uniform(1.0, 120.0)
-            reg = SourceRegistry([f"s{i}" for i in range(n)])
+            sids = [f"s{i}" for i in range(n)]
+            node = _node_of(sids)
             live = 0
-            for sid in reg.slots:
+            for sid in sids:
                 if rng.random() < 0.3:
-                    reg.ingest(sid, SteeringCommand.zero())
+                    node.ingest(sid, SteeringCommand.zero())
                 else:
                     live += 1
-                    reg.ingest(sid, SteeringCommand(rng.uniform(1.0, 250.0),
-                                                    rng.uniform(1.0, 250.0),
-                                                    conf, 0.0, 0.0, 0.0))
-            weighted = fuse_weighted(reg)
-            simple = fuse_simple_avg(reg)
+                    node.ingest(sid, SteeringCommand(rng.uniform(1.0, 250.0),
+                                                     rng.uniform(1.0, 250.0),
+                                                     conf, 0.0, 0.0, 0.0))
+            weighted = fuse_weighted(node.commands)
+            simple = fuse_simple_avg(node.commands)
             if live == 0:
                 assert weighted is None and simple is None
             else:
@@ -209,19 +215,19 @@ def test_fusion_policies_match_brute_force_definitions():
                 assert weighted[1] == pytest.approx(simple[1], abs=1e-9)
 
         # Exhaustive 3-source confidence grid: on ties the source ingested
-        # latest (in registry order) must win; all-zero confidence has no
+        # latest (in source order) must win; all-zero confidence has no
         # winner at all.
         for confs in itertools.product((0, 10, 20, 30), repeat=3):
-            reg = SourceRegistry(["a", "b", "c"])
-            for i, sid in enumerate(reg.slots):
-                reg.ingest(sid, SteeringCommand(30 * (i + 1), 60 * (i + 1),
-                                                3 * confs[i], 0.0, 0.0, 0.0))
-            got = fuse_max(reg)
+            node = _node_of(["a", "b", "c"])
+            for i, sid in enumerate(["a", "b", "c"]):
+                node.ingest(sid, SteeringCommand(30 * (i + 1), 60 * (i + 1),
+                                                 3 * confs[i], 0.0, 0.0, 0.0))
+            got = fuse_max(node.commands)
             if all(c == 0 for c in confs):
                 assert got is None
                 continue
             winner = max(range(3), key=lambda i: (confs[i], i))
-            stored = reg.commands()[winner]
+            stored = node.commands[winner]
             assert got == (stored.left, stored.right)
 
 

@@ -39,6 +39,18 @@ class TestPeriodic:
         sched = OutageSchedule(PeriodicOutage(period=3.0, duration=0.5), phase=1.0)
         assert sched.windows(7.5) == [(1.0, 1.5), (4.0, 4.5), (7.0, 7.5)]
 
+    def test_windows_include_one_under_way_at_zero(self):
+        sched = OutageSchedule(PeriodicOutage(period=3.0, duration=0.4), phase=2.84)
+        assert sched.active(0.0) and sched.active(0.1) and not sched.active(0.3)
+        windows = sched.windows(5.0)
+        assert len(windows) == 2
+        assert windows[0] == pytest.approx((2.84 - 3.0, 2.84 - 3.0 + 0.4))
+        assert windows[1] == (2.84, 2.84 + 0.4)
+        # a window that ends before t = 0 is not listed
+        sched = OutageSchedule(PeriodicOutage(period=3.0, duration=0.4), phase=2.5)
+        assert not sched.active(0.0)
+        assert sched.windows(5.0) == [(2.5, 2.5 + 0.4)]
+
     def test_windows_zero_duration_marks(self):
         sched = OutageSchedule(PeriodicOutage(period=3.0, duration=0.0))
         assert sched.windows(6.5) == [(0.0, 0.0), (3.0, 3.0), (6.0, 6.0)]

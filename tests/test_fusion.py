@@ -1,4 +1,4 @@
-"""Registry scaling, fusion policies, and drive-log formatting."""
+"""Ingest scaling, fusion policies, and drive-log formatting."""
 
 import random
 
@@ -12,7 +12,6 @@ from fusedrive.fusion import (
     MAXIMUM_CONFIDENCE,
     POLICIES,
     SIMPLE_AVERAGE,
-    SourceRegistry,
     VehicleNode,
     drive_tick,
     fuse_max,
@@ -30,10 +29,16 @@ _FUSE_FNS = {
 }
 
 
-def random_registry(rng):
+def node_of(source_ids):
+    """A node whose stored commands the tests fill through ingest."""
+    return VehicleNode(source_ids, MAXIMUM_CONFIDENCE, (None, None, None))
+
+
+def random_node(rng):
     n = rng.randint(1, 3)
-    reg = SourceRegistry([f"s{i}" for i in range(n)])
-    for sid in reg.slots:
+    sids = [f"s{i}" for i in range(n)]
+    node = node_of(sids)
+    for sid in sids:
         if rng.random() < 0.2:
             cmd = SteeringCommand.zero()
         else:
@@ -41,15 +46,15 @@ def random_registry(rng):
             cmd = SteeringCommand(rng.uniform(-30.0, 300.0),
                                   rng.uniform(-30.0, 300.0),
                                   conf, 0.0, 0.0, 0.0)
-        reg.ingest(sid, cmd)
-    return reg
+        node.ingest(sid, cmd)
+    return node
 
 
 class TestIngest:
     def test_third_scaling(self):
-        reg = SourceRegistry(["pi"])
-        reg.ingest("pi", SteeringCommand(100, 100, 100, 5, 2, 1))
-        stored = reg.slots["pi"].command
+        node = node_of(["pi"])
+        node.ingest("pi", SteeringCommand(100, 100, 100, 5, 2, 1))
+        stored = node.commands[0]
         assert stored.left == pytest.approx(100 / 3.0, abs=1e-12)
         assert stored.right == pytest.approx(100 / 3.0, abs=1e-12)
         assert stored.confidence == pytest.approx(100 / 3.0, abs=1e-12)
@@ -57,45 +62,45 @@ class TestIngest:
         assert (stored.p, stored.i, stored.d) == (5, 2, 1)
 
     def test_scaling_example(self):
-        reg = SourceRegistry(["pi"])
-        reg.ingest("pi", SteeringCommand(90, 110, 60))
-        stored = reg.slots["pi"].command
+        node = node_of(["pi"])
+        node.ingest("pi", SteeringCommand(90, 110, 60))
+        stored = node.commands[0]
         assert stored.left == pytest.approx(30.0)
         assert stored.right == pytest.approx(110 / 3.0)
         assert stored.confidence == pytest.approx(20.0)
 
     def test_zero_report_parks_source(self):
-        reg = SourceRegistry(["pi"])
-        reg.ingest("pi", SteeringCommand(90, 110, 60))
-        assert not reg.slots["pi"].command.is_zero_report()
-        reg.ingest("pi", SteeringCommand.zero())
-        assert reg.slots["pi"].command.is_zero_report()
+        node = node_of(["pi"])
+        node.ingest("pi", SteeringCommand(90, 110, 60))
+        assert not node.commands[0].is_zero_report()
+        node.ingest("pi", SteeringCommand.zero())
+        assert node.commands[0].is_zero_report()
 
     def test_negative_powers_park_source(self):
-        reg = SourceRegistry(["pi"])
-        reg.ingest("pi", SteeringCommand(-30, -30, 60))
-        assert reg.slots["pi"].command.is_zero_report()
+        node = node_of(["pi"])
+        node.ingest("pi", SteeringCommand(-30, -30, 60))
+        assert node.commands[0].is_zero_report()
         # but the verbatim (scaled) report is kept for the log
-        assert float(reg.slots["pi"].text.split(",")[0]) == pytest.approx(-10.0)
+        assert float(node.texts[0].split(",")[0]) == pytest.approx(-10.0)
 
     def test_unknown_source_ignored(self):
-        reg = SourceRegistry(["pi"])
-        reg.ingest("ghost", SteeringCommand(90, 110, 60))
-        assert reg.slots["pi"].command.is_zero_report()
+        node = node_of(["pi"])
+        node.ingest("ghost", SteeringCommand(90, 110, 60))
+        assert node.commands[0].is_zero_report()
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            SourceRegistry(["pi", "pi"])
+        with pytest.raises(ValueError, match="duplicate source ids"):
+            VehicleNode(["pi", "pi"], MAXIMUM_CONFIDENCE, ("pi", None, None))
 
 
 class TestPolicies:
     def test_against_oracle(self):
         rng = random.Random(2024)
         for _ in range(10000):
-            reg = random_registry(rng)
-            stored = [(c.left, c.right, c.confidence) for c in reg.commands()]
+            node = random_node(rng)
+            stored = [(c.left, c.right, c.confidence) for c in node.commands]
             for policy in POLICIES:
-                got = _FUSE_FNS[policy](reg)
+                got = _FUSE_FNS[policy](node.commands)
                 want = oracle_fuse(stored, policy)
                 if want is None:
                     assert got is None, (policy, stored)
@@ -103,79 +108,79 @@ class TestPolicies:
                     assert got == pytest.approx(want, abs=1e-9), (policy, stored)
 
     def test_max_later_source_wins_ties(self):
-        reg = SourceRegistry(["a", "b"])
-        reg.ingest("a", SteeringCommand(90, 30, 60))
-        reg.ingest("b", SteeringCommand(30, 90, 60))
-        assert fuse_max(reg) == pytest.approx((10.0, 30.0))
+        node = node_of(["a", "b"])
+        node.ingest("a", SteeringCommand(90, 30, 60))
+        node.ingest("b", SteeringCommand(30, 90, 60))
+        assert fuse_max(node.commands) == pytest.approx((10.0, 30.0))
 
     def test_max_returns_a_stored_command(self):
         rng = random.Random(5)
         for _ in range(2000):
-            reg = random_registry(rng)
-            fused = fuse_max(reg)
+            node = random_node(rng)
+            fused = fuse_max(node.commands)
             if fused is None:
                 continue
-            stored = [(c.left, c.right) for c in reg.commands()]
+            stored = [(c.left, c.right) for c in node.commands]
             assert fused in stored
 
     def test_weighted_stays_in_hull(self):
         rng = random.Random(6)
         for _ in range(2000):
-            reg = random_registry(rng)
-            fused = fuse_weighted(reg)
+            node = random_node(rng)
+            fused = fuse_weighted(node.commands)
             if fused is None:
                 continue
-            weighted = [c for c in reg.commands() if c.confidence > 0]
+            weighted = [c for c in node.commands if c.confidence > 0]
             lo = min(c.left for c in weighted)
             hi = max(c.left for c in weighted)
             assert lo - 1e-9 <= fused[0] <= hi + 1e-9
 
     def test_weighted_confidence_scale_invariant(self):
-        reg = SourceRegistry(["a", "b"])
-        reg.ingest("a", SteeringCommand(90, 30, 60))
-        reg.ingest("b", SteeringCommand(30, 90, 30))
-        base = fuse_weighted(reg)
-        reg2 = SourceRegistry(["a", "b"])
-        reg2.ingest("a", SteeringCommand(90, 30, 6))
-        reg2.ingest("b", SteeringCommand(30, 90, 3))
-        assert fuse_weighted(reg2) == pytest.approx(base, abs=1e-9)
+        node = node_of(["a", "b"])
+        node.ingest("a", SteeringCommand(90, 30, 60))
+        node.ingest("b", SteeringCommand(30, 90, 30))
+        base = fuse_weighted(node.commands)
+        node2 = node_of(["a", "b"])
+        node2.ingest("a", SteeringCommand(90, 30, 6))
+        node2.ingest("b", SteeringCommand(30, 90, 3))
+        assert fuse_weighted(node2.commands) == pytest.approx(base, abs=1e-9)
 
     def test_simple_average_spreads_confident_free_power(self):
         # one confident source plus one that commands power at zero
         # confidence: the sum spreads over the single confident source
-        reg = SourceRegistry(["a", "b"])
-        reg.ingest("a", SteeringCommand(90, 90, 30))
-        reg.ingest("b", SteeringCommand(180, 0, 0))
-        assert fuse_simple_avg(reg) == pytest.approx((90.0, 30.0))
+        node = node_of(["a", "b"])
+        node.ingest("a", SteeringCommand(90, 90, 30))
+        node.ingest("b", SteeringCommand(180, 0, 0))
+        assert fuse_simple_avg(node.commands) == pytest.approx((90.0, 30.0))
 
     def test_all_zero_confidence_is_degenerate(self):
-        reg = SourceRegistry(["a"])
-        reg.ingest("a", SteeringCommand(90, 90, 0))
-        assert fuse_max(reg) is None
-        assert fuse_weighted(reg) is None
+        node = node_of(["a"])
+        node.ingest("a", SteeringCommand(90, 90, 0))
+        assert fuse_max(node.commands) is None
+        assert fuse_weighted(node.commands) is None
         # simple average still counts zero-conf sources out
-        assert fuse_simple_avg(reg) is None
+        assert fuse_simple_avg(node.commands) is None
 
 
 class TestDriveTick:
     def test_truncates_and_clamps(self):
-        reg = SourceRegistry(["a"])
-        reg.ingest("a", SteeringCommand(90, 110, 60))
-        powers, degenerate = drive_tick(reg, MAXIMUM_CONFIDENCE, (0, 0))
+        node = node_of(["a"])
+        node.ingest("a", SteeringCommand(90, 110, 60))
+        powers, degenerate = drive_tick(node.commands, MAXIMUM_CONFIDENCE, (0, 0))
         assert powers == (30, 36) and not degenerate
 
-        reg.ingest("a", SteeringCommand(3000, 3000, 60))
-        powers, _ = drive_tick(reg, MAXIMUM_CONFIDENCE, (0, 0))
+        node.ingest("a", SteeringCommand(3000, 3000, 60))
+        powers, _ = drive_tick(node.commands, MAXIMUM_CONFIDENCE, (0, 0))
         assert powers == (255, 255)
 
-        reg.ingest("a", SteeringCommand(-15, 30, 9))
-        powers, _ = drive_tick(reg, MAXIMUM_CONFIDENCE, (0, 0))
+        node.ingest("a", SteeringCommand(-15, 30, 9))
+        powers, _ = drive_tick(node.commands, MAXIMUM_CONFIDENCE, (0, 0))
         assert powers == (0, 10)
 
     def test_degenerate_holds_previous(self):
-        reg = SourceRegistry(["a"])
-        reg.ingest("a", SteeringCommand(90, 90, 0))
-        powers, degenerate = drive_tick(reg, CONFIDENCE_WEIGHTED, (77, 33))
+        node = node_of(["a"])
+        node.ingest("a", SteeringCommand(90, 90, 0))
+        powers, degenerate = drive_tick(node.commands, CONFIDENCE_WEIGHTED, (77, 33))
         assert degenerate and powers == (77, 33)
 
 
@@ -237,7 +242,7 @@ class TestVehicleNode:
         assert node.applied == (30, 36)
         assert node.rows[-1].endswith(",-1")
         # the stored report is untouched by the malformed datagram
-        assert float(node.registry.slots["pi"].text.split(",")[0]) == pytest.approx(30.0)
+        assert float(node.texts[0].split(",")[0]) == pytest.approx(30.0)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("datagram", ["inf;inf;inf;0;0;0", "nan;nan;nan;0;0;0",

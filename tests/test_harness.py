@@ -606,6 +606,21 @@ class TestCli:
         assert "cannot read" in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_scenario_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nested.yaml"
+        path.write_text("track: " + "[" * 5000 + "]" * 5000 + "\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: cannot parse" in err
+        assert "Traceback" not in err
+
+    def test_summarize_deeply_nested_summary_exits_one(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text("[" * 5000 + "]" * 5000)
+        assert main(["summarize", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read" in err
+        assert "Traceback" not in err
+
     def test_summarize_missing_dir(self, tmp_path, capsys):
         code = main(["summarize", str(tmp_path / "nope")])
         assert code == 1

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fusedrive.fusion import SourceRegistry, fuse_max
+from fusedrive.fusion import MAXIMUM_CONFIDENCE, VehicleNode, fuse_max
 from fusedrive.wire import SteeringCommand, encode_command, format_field
 
 from oracles import oracle_format_field, oracle_fuse_max
@@ -22,20 +22,22 @@ SPECIAL_FLOATS = [
 floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 ints = st.one_of(st.integers(), st.integers(-2 ** 70, 2 ** 70),
                  st.sampled_from([2 ** 53 + 1, 2 ** 63, -2 ** 63 - 1, 10 ** 40]))
-numpy_scalars = st.one_of(
-    floats.map(np.float64),
-    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    st.just(np.int64(2 ** 53 + 1)),
-)
 
 
-@given(st.one_of(floats, ints, st.booleans(), numpy_scalars))
+# Ints (bools included) and floats (float subclasses such as np.float64
+# included): the values format_field is defined on.
+@given(st.one_of(floats, ints, st.booleans(), floats.map(np.float64)))
 @example(-0.0)
 @example(97.0)
-@example(np.int64(2 ** 53 + 1))
+@example(np.float64(-0.0))
 @example(True)
 def test_format_field_matches_oracle(value):
     assert format_field(value) == oracle_format_field(value)
+
+
+def test_format_field_reads_other_values_as_floats():
+    assert format_field(np.int64(2 ** 53 + 1)) == format_field(float(2 ** 53 + 1))
+    assert format_field(np.float32(0.5)) == "0.5"
 
 
 finite_fields = st.one_of(
@@ -68,14 +70,13 @@ raw_values = st.one_of(
 @example(-0.0, 765.0, 766.0, 0, 0, 0)
 @example(1.0, 2, -3.0, 0.0, 0.0, 0.0)
 def test_ingest_text_matches_oracle(left, right, confidence, p, i, d):
-    reg = SourceRegistry(["pi"])
-    reg.ingest("pi", SteeringCommand(left, right, confidence, p, i, d))
-    slot = reg.slots["pi"]
+    node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE, ("pi", None, None))
+    node.ingest("pi", SteeringCommand(left, right, confidence, p, i, d))
     scaled = SteeringCommand(left / 3.0, right / 3.0, confidence / 3.0, p, i, d)
-    assert slot.text == ",".join(map(oracle_format_field, scaled))
+    assert node.texts[0] == ",".join(map(oracle_format_field, scaled))
     expected = scaled if scaled.left > 0 or scaled.right > 0 else SteeringCommand.zero()
-    assert slot.command == expected
-    assert list(map(type, slot.command)) == list(map(type, expected))
+    assert node.commands[0] == expected
+    assert list(map(type, node.commands[0])) == list(map(type, expected))
 
 
 confidences = st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0, 60.0, math.nan]),
@@ -88,7 +89,8 @@ confidences = st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0, 60.0, math.nan]
 @example([(90.0, 30.0, 0.0), (30.0, 90.0, -30.0)])
 @example([(90.0, 30.0, math.nan), (30.0, 90.0, 30.0)])
 def test_fuse_max_matches_oracle(stored):
-    reg = SourceRegistry([f"s{k}" for k in range(len(stored))])
-    for sid, (left, right, confidence) in zip(reg.slots, stored):
-        reg.ingest(sid, SteeringCommand(left, right, confidence))
-    assert fuse_max(reg) == oracle_fuse_max(reg)
+    sids = [f"s{k}" for k in range(len(stored))]
+    node = VehicleNode(sids, MAXIMUM_CONFIDENCE, (None, None, None))
+    for sid, (left, right, confidence) in zip(sids, stored):
+        node.ingest(sid, SteeringCommand(left, right, confidence))
+    assert fuse_max(node.commands) == oracle_fuse_max(node.commands)
