@@ -159,11 +159,11 @@ class VehicleNode:
         The stored text is format_field of each scaled field.  A raw left,
         right or confidence that is a key of _THIRDS takes its text from
         there; any other (negative, non-integral, huge) is formatted.  The
-        lookup is exact for the ints and floats that flow (decode_command
-        yields floats).  An int or float equal to a key k has the value k,
-        and every k is exact in a float, so raw / 3.0 is the float k / 3.0
-        and format_field gives it the table's text.  -0.0 finds key 0, and
-        both format as "0".
+        lookup is exact for the ints and floats that flow (a sensor sends
+        both, decode_command floats).  An int or float equal to a key k has
+        the value k, and every k is exact in a float, so raw / 3.0 is the
+        float k / 3.0 and format_field gives it the table's text.  -0.0
+        finds key 0, and both format as "0".
         """
         k = self._index.get(source_id)
         if k is None:
@@ -181,18 +181,25 @@ class VehicleNode:
         self.commands[k] = scaled if left > 0 or right > 0 else SteeringCommand.zero()
 
     def handle_datagram(self, source_id, datagram, now: float):
-        """Ingest one datagram and apply fused powers; logs one row.
+        """Ingest one datagram, a command or its text, and apply fused powers;
+        logs one row.  Only text (str or bytes) is decoded; malformed text
+        keeps the previous powers and logs a degenerate row, as a catch-all
+        receive loop that never stops the motors would.
 
-        Malformed datagrams keep the previous powers and log a degenerate
-        row, mirroring a catch-all receive loop that never stops the motors.
+        A sensor's command and its text give the same row.  A sensor sends
+        finite floats and ints exact in a float (powers: int() of a float
+        within 2**53 of 100; confidence: 0-100; the zero command: int 0s).
+        For each such v, float(format_field(v)) == v, and the node reads v
+        only by v / 3.0, > 0, != 0 and format_field(v), the same for float(v).
         """
-        try:
-            cmd = decode_command(datagram)
-        except MalformedDatagram as exc:
-            log.warning("dropping malformed datagram from %r: %s", source_id, exc)
-            self._log_row(now, degenerate=True)
-            return self.applied
-        self.ingest(source_id, cmd)
+        if isinstance(datagram, (str, bytes)):
+            try:
+                datagram = decode_command(datagram)
+            except MalformedDatagram as exc:
+                log.warning("dropping malformed datagram from %r: %s", source_id, exc)
+                self._log_row(now, degenerate=True)
+                return self.applied
+        self.ingest(source_id, datagram)
         self.applied, degenerate = drive_tick(self.commands, self.policy, self.applied)
         self._log_row(now, degenerate)
         return self.applied

@@ -34,7 +34,8 @@ from .scenario import Scenario, derive_seed
 from .wire import (
     ChannelModel,
     SimulatedChannel,
-    encode_command,
+    SteeringCommand,
+    finite_command,
     first_due_tick,
     merge_deliveries,
 )
@@ -79,9 +80,10 @@ class SensorRuntime:
         )
         self.errors = SampleSeries(f"error_{config.sensor_id}")
 
-    def tick(self, scenario: Scenario, pose, now: float) -> str:
+    def tick(self, scenario: Scenario, pose, now: float) -> SteeringCommand:
         """Observe, run the PID, gate through the outage, record the error;
-        returns the datagram text."""
+        returns the command to send, all fields finite (finite_command) so
+        that a socket can carry its text and the node read either alike."""
         obs = observe(self.config.camera, scenario.track, pose,
                       scenario.markers, self.noise_rng)
         self.pid_state, cmd = sensor_tick(self.config.camera, self.config.gains,
@@ -89,7 +91,7 @@ class SensorRuntime:
         dark = self.outage.active(now)
         if not dark and not cmd.is_zero_report():
             self.errors.append(now, cmd.p)
-        return encode_command(gate(cmd, dark))
+        return finite_command(gate(cmd, dark))
 
 
 def run(scenario: Scenario, out_dir=None) -> RunResult:
@@ -113,10 +115,10 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
 def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     """The tick loop, whatever carries the datagrams.
 
-    channels[k].send(source_id, datagram, now) carries sensor k's datagrams
-    and channels[k].next_delivery() is the earliest time one of them can
-    arrive (-inf: any time); deliver(now) returns the (source_id, datagram)
-    pairs due at now.
+    channels[k].send(source_id, cmd, now) carries sensor k's commands, as
+    they are or as text, and channels[k].next_delivery() is the earliest
+    time one of them can arrive (-inf: any time); deliver(now) returns the
+    (source_id, datagram) pairs due at now.
 
     Only event ticks run in full.  Each ends with one Motion.advance call:
     it steps the vehicle through that tick, then coasts (steps it alone)

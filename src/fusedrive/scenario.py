@@ -313,6 +313,11 @@ def scenario_from_dict(cfg, default_name: str = "scenario") -> Scenario:
     fields.update(fields.pop("crash", {}))
     scenario = Scenario(**fields)
     _validate_clock(scenario)
+    x, y, _ = scenario.track.point_at(scenario.start_arclength)
+    dx, dy = scenario.track.sampling.xs - x, scenario.track.sampling.ys - y
+    if not (dx * dx + dy * dy > scenario.markers.body_radius ** 2).any():
+        raise ConfigError("track: the whole centreline lies under the vehicle body "
+                          "at the start, so no camera can ever see it")
     base, count = scenario.udp.sensor_port_base, len(scenario.sensors)
     if base and base + count - 1 > 65535:
         raise ConfigError(f"udp.sensor_port_base: {base} gives {count} sensors ports "

@@ -17,20 +17,21 @@ import time
 
 from .runner import RunResult, drive
 from .scenario import Scenario
+from .wire import SteeringCommand, encode_command
 from .world import ConfigError
 
 _RECV_BYTES = 1500
 
 
 class _SocketChannel:
-    """A sensor's bound socket; send() puts a datagram on the wire to the vehicle."""
+    """A sensor's bound socket; send() puts a command's text on the wire."""
 
     def __init__(self, sock, vehicle_addr):
         self.sock = sock
         self.vehicle_addr = vehicle_addr
 
-    def send(self, source_id, datagram: str, now: float):
-        self.sock.sendto(datagram.encode("utf-8"), self.vehicle_addr)
+    def send(self, source_id, cmd: SteeringCommand, now: float):
+        self.sock.sendto(encode_command(cmd).encode("utf-8"), self.vehicle_addr)
 
     def next_delivery(self) -> float:
         """Any time: a datagram may arrive on any tick, so every tick runs."""

@@ -4,6 +4,9 @@ The wire format is six semicolon-separated decimal fields,
 "left;right;confidence;P;I;D", in UTF-8 text.  The third field rides under
 the name "error" on the sensor side but the receiver treats it as the
 confidence; it is one quantity.
+
+Only a socket carries that text: the simulated channel carries the command
+itself, which the vehicle node reads as it reads the text (fusion.py).
 """
 
 import heapq
@@ -53,11 +56,16 @@ def format_field(value) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def encode_command(cmd: SteeringCommand) -> str:
-    """Render a command as datagram text, fields in wire order."""
+def finite_command(cmd: SteeringCommand) -> SteeringCommand:
+    """cmd itself; ValueError if a field is not finite, as no datagram is."""
     if not all(map(math.isfinite, cmd)):
-        raise ValueError("command fields must be finite")
-    return ";".join(map(format_field, cmd))
+        raise ValueError("non-finite field")
+    return cmd
+
+
+def encode_command(cmd: SteeringCommand) -> str:
+    """Render a finite command as datagram text, fields in wire order."""
+    return ";".join(map(format_field, finite_command(cmd)))
 
 
 def decode_command(text) -> SteeringCommand:
@@ -75,12 +83,9 @@ def decode_command(text) -> SteeringCommand:
     if len(parts) != 6:
         raise MalformedDatagram(f"expected 6 fields, got {len(parts)}")
     try:
-        values = list(map(float, parts))
-    except ValueError:
-        raise MalformedDatagram(f"non-numeric field in {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise MalformedDatagram(f"non-finite field in {text!r}")
-    return SteeringCommand._make(values)
+        return finite_command(SteeringCommand._make(map(float, parts)))
+    except ValueError as exc:
+        raise MalformedDatagram(f"{exc} in {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ class SimulatedChannel:
         self._heap = []
         self._seq = seq if seq is not None else itertools.count().__next__
 
-    def send(self, source_id, datagram: str, now: float):
+    def send(self, source_id, datagram, now: float):
         if self._rng.random() < self.model.loss_probability:
             return
         lo, hi = self._delay

@@ -7,11 +7,12 @@ oracle re-evaluates the three policies from their definitions, and the track
 oracles redo ground truth and the centreline sampling the slow, plain way.
 The observe oracle masks every centreline sample on every frame, as the
 camera model first did.  The drive oracle is the tick loop as it was before
-ground truth was skipped and ticks coasted: every tick runs in full and
-searches the centreline.  The kinematics oracle is the one-tick step in
-closed form.  The text oracles are the field formatter and the maximum-
-confidence pick as they were before their fast paths.  read_plot_data reads
-an emitted sweep table back.
+ground truth was skipped, ticks coasted and the simulated channel carried
+commands: every tick runs in full, searches the centreline, and sends each
+command as datagram text for the node to decode.  The kinematics oracle is
+the one-tick step in closed form.  The text oracles are the field formatter
+and the maximum-confidence pick as they were before their fast paths.
+read_plot_data reads an emitted sweep table back.
 """
 
 import math
@@ -29,6 +30,7 @@ from fusedrive.perception import (
     fold_line_angle,
 )
 from fusedrive.runner import SensorRuntime, assemble_result, write_outputs
+from fusedrive.wire import encode_command
 from fusedrive.world import Pose, lateral_deviation, step_vehicle
 
 
@@ -377,7 +379,8 @@ def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
 
 
 def oracle_drive(scenario, channels, deliver, out_dir=None):
-    """runner.drive with the exact centreline search on every tick."""
+    """runner.drive with the exact centreline search on every tick, and each
+    command encoded at send, as a socket carries it, and decoded by the node."""
     sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
     node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
                        log_slots(scenario.sensors))
@@ -396,7 +399,8 @@ def oracle_drive(scenario, channels, deliver, out_dir=None):
         for s in sensors:
             if i % s.period_ticks:
                 continue
-            s.channel.send(s.config.sensor_id, s.tick(scenario, pose, now), now)
+            text = encode_command(s.tick(scenario, pose, now))
+            s.channel.send(s.config.sensor_id, text, now)
         delivered = deliver(now)
         for source_id, datagram in delivered:
             node.handle_datagram(source_id, datagram, now)

@@ -3,11 +3,12 @@
 `runner.drive` feeds the crash detector a distance bound instead of the
 exact centreline search on ticks that deliver nothing and stay clear of the
 crash threshold, and it coasts (steps the vehicle alone) through ticks with
-no sensor due and no datagram due.  Every case here runs the loop both ways,
-the oracle running every tick in full and searching on each, and compares
-the results with ==.  The cases push the bound to fail often (tiny
-thresholds, no hold, long gaps between deliveries, crashing runs, a start
-far off the line) and put events where coasting must stop exactly:
+no sensor due and no datagram due; and its simulated channel carries each
+command, not the command's text.  Every case here runs the loop both ways,
+the oracle running every tick in full, searching on each and carrying text,
+and compares the results with ==.  The cases push the bound to fail often
+(tiny thresholds, no hold, long gaps between deliveries, crashing runs, a
+start far off the line) and put events where coasting must stop exactly:
 deliveries landing on tick boundaries, no deliveries at all, a sensor due
 every tick, and straight-line driving off the track.
 """

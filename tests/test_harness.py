@@ -13,7 +13,7 @@ from fusedrive.control import PidGains
 from fusedrive.runner import run
 from fusedrive.scenario import derive_seed, load_scenario, scenario_from_dict
 from fusedrive.sweep import SweepSpec, apply_axis, sweep
-from fusedrive.wire import SimulatedChannel
+from fusedrive.wire import SimulatedChannel, encode_command
 from fusedrive.world import ConfigError
 
 from oracles import read_plot_data
@@ -102,6 +102,10 @@ MALFORMED = [
     # Finite, but the speed or turn rate overflowed: math.sin(inf) in Motion.advance.
     ("vehicle", minimal_cfg(vehicle={"power_to_speed": 1e308})),
     ("vehicle", minimal_cfg(vehicle={"power_to_speed": 1.0, "wheel_separation": 1e-308})),
+    # Used to "complete" with the vehicle parked: every centreline sample lay
+    # under the body at the start, where no frame can see the line.
+    ("track:", minimal_cfg(track={"kind": "circle", "radius": 1e-300})),
+    ("track:", minimal_cfg(vehicle={"body_radius": 5.0})),
 ]
 
 # (shipped scenario file or config, axis, a good value, then one that the
@@ -564,12 +568,13 @@ class TestCli:
 
     def test_huge_finite_gain_keeps_power_fields_short(self, tmp_path, capsys, monkeypatch):
         # kp 1e300: finite corrections far past 2**53 clamp before the split.
-        datagrams = []
+        # The channel carries commands; a socket would carry their text.
+        commands = []
         send = SimulatedChannel.send
 
-        def recorded_send(channel, source_id, datagram, now):
-            datagrams.append(datagram)
-            return send(channel, source_id, datagram, now)
+        def recorded_send(channel, source_id, cmd, now):
+            commands.append(cmd)
+            return send(channel, source_id, cmd, now)
 
         monkeypatch.setattr(SimulatedChannel, "send", recorded_send)
         path = self.write_scenario(tmp_path, duration=2.0, track={"kind": "circle"},
@@ -577,7 +582,7 @@ class TestCli:
                                              "gains": {"kp": 1e300}}])
         assert main(["run", path, "--out", str(tmp_path / "runs")]) == 0
         assert "completed 2 s" in capsys.readouterr().out
-        powers = [f for d in datagrams for f in d.split(";")[:2]]
+        powers = [f for cmd in commands for f in encode_command(cmd).split(";")[:2]]
         assert max(map(len, powers)) == 17
         log = (tmp_path / "runs" / "tiny" / "drive_log.csv").read_text().splitlines()
         pi_powers = [f for row in log[1:] for f in row.split(",")[3:5]]

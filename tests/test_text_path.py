@@ -1,14 +1,18 @@
 """The datagram text path against its oracles: the field formatter, the
 encoder, the drive-log text of an ingested command, and the maximum-
-confidence pick, each equal to what the code gave before its fast path."""
+confidence pick, each equal to what the code gave before its fast path; and
+a sensor's command, as the simulated channel carries it, drives the vehicle
+node exactly as its datagram text does."""
 
 import math
 
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fusedrive.fusion import MAXIMUM_CONFIDENCE, VehicleNode, fuse_max
+from fusedrive.control import commands_from_correction
+from fusedrive.fusion import MAXIMUM_CONFIDENCE, POLICIES, VehicleNode, fuse_max
 from fusedrive.wire import SteeringCommand, encode_command, format_field
 
 from oracles import oracle_format_field, oracle_fuse_max
@@ -94,3 +98,34 @@ def test_fuse_max_matches_oracle(stored):
     for sid, (left, right, confidence) in zip(sids, stored):
         node.ingest(sid, SteeringCommand(left, right, confidence))
     assert fuse_max(node.commands) == oracle_fuse_max(node.commands)
+
+
+# Commands of the shape sensor_tick emits: int powers split from a finite
+# correction (clamped to 2**53), an int confidence in [0, 100] and finite
+# float p, i and d; and the zero command, all int 0.
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+sensor_commands = st.one_of(
+    st.just(SteeringCommand.zero()),
+    st.builds(lambda correction, confidence, p, i, d: SteeringCommand(
+        *commands_from_correction(correction), confidence, p, i, d),
+        st.one_of(st.floats(-400.0, 400.0), any_finite,
+                  st.sampled_from([2.0 ** 53, -(2.0 ** 53), 1e300, 0.5, -0.0])),
+        st.integers(0, 100), any_finite, any_finite, any_finite),
+)
+SOURCES = ("pi", "cam0", "cam1")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.sampled_from(SOURCES), sensor_commands), max_size=12))
+@example([("pi", SteeringCommand(97, 103, 100, -0.0, 1e-300, 5e-324))])
+@example([("cam0", SteeringCommand(2 ** 53 + 100, -(2 ** 53) + 100, 7, 1.5, 0.1, -2.0)),
+          ("pi", SteeringCommand.zero())])
+def test_command_drives_node_as_its_text_does(policy, sends):
+    by_command = VehicleNode(SOURCES, policy, SOURCES)
+    by_text = VehicleNode(SOURCES, policy, SOURCES)
+    for k, (source_id, cmd) in enumerate(sends):
+        by_command.handle_datagram(source_id, cmd, 0.005 * k)
+        by_text.handle_datagram(source_id, encode_command(cmd), 0.005 * k)
+    for name in ("commands", "texts", "applied", "rows"):
+        assert getattr(by_command, name) == getattr(by_text, name), name

@@ -2,8 +2,10 @@
 
 These runs are paced against the wall clock and therefore not deterministic;
 assertions stay qualitative (it drives, it logs, sources resolve by address).
+The socket is the one place a command travels as text.
 """
 
+import logging
 import socket
 
 import pytest
@@ -14,6 +16,7 @@ from fusedrive.cli import main
 from fusedrive.runner import run
 from fusedrive.scenario import scenario_from_dict
 from fusedrive.udp import run_udp
+from fusedrive.wire import SteeringCommand, encode_command
 
 
 def udp_cfg(sensors, duration=5.0):
@@ -102,6 +105,43 @@ def _failing_sendto(after):
         return real(sock, data, addr)
 
     return sendto
+
+
+class TestUdpWireText:
+    def test_socket_channel_sends_command_text(self):
+        cmd = SteeringCommand(97, 103, 60, 0.25, -1.5, 2.0)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as vehicle, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sensor:
+            vehicle.bind(("127.0.0.1", 0))
+            sensor.bind(("127.0.0.1", 0))
+            vehicle.settimeout(5.0)
+            udp._SocketChannel(sensor, vehicle.getsockname()).send("pi", cmd, 0.0)
+            data, addr = vehicle.recvfrom(1500)
+            assert addr == sensor.getsockname()
+        assert data == encode_command(cmd).encode("utf-8") == b"97;103;60;0.25;-1.5;2"
+
+    def test_undecodable_text_from_known_sensor_logs_one_degenerate_row(
+            self, monkeypatch, caplog):
+        real = socket.socket.sendto
+        sent = []
+
+        def sendto(sock, data, addr):
+            # The tenth datagram of the run goes out as text that does not decode.
+            sent.append(data)
+            return real(sock, b"left;right;60" if len(sent) == 10 else data, addr)
+
+        monkeypatch.setattr(socket.socket, "sendto", sendto)
+        with caplog.at_level(logging.WARNING, logger="fusedrive.fusion"):
+            res = run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=10.0)
+        assert res.completed
+        malformed = [r for r in caplog.records if "malformed" in r.getMessage()]
+        assert len(malformed) == 1 and "'pi'" in malformed[0].getMessage()
+        degenerate = [k for k, row in enumerate(res.rows) if row.endswith(",-1")]
+        assert len(degenerate) == 1
+        k = degenerate[0]
+        assert 0 < k < len(res.rows) - 1 and len(sent) > 10
+        # The row holds the previous powers and the stored reports.
+        assert res.rows[k].split(",")[1:-1] == res.rows[k - 1].split(",")[1:]
 
 
 class TestUdpFailures:
