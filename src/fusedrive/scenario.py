@@ -277,7 +277,7 @@ _MARKER_KEYS = {"marker_separation": "separation", "body_radius": "body_radius"}
 _VEHICLE_KEYS = {
     **dict.fromkeys(("wheel_separation", "power_to_speed", "max_power", "marker_separation"),
                     _positive),
-    "body_radius": _finite,
+    "body_radius": _non_negative,
 }
 
 
@@ -341,12 +341,40 @@ def _validate_clock(scenario: Scenario):
         _wrap(f"sensors[{i}].rate_hz", scenario.sensor_period_ticks, sensor)
 
 
+if yaml.__with_libyaml__:
+    class _Loader(yaml.composer.Composer, yaml.CSafeLoader):
+        """yaml.CSafeLoader with PyYAML's composer, which raises RecursionError
+        where libyaml's overflows the C stack (on some 30,000 levels)."""
+
+        def __init__(self, stream):
+            yaml.CSafeLoader.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+else:
+    _Loader = yaml.SafeLoader
+_MAX_DEPTH = 32  # nesting levels a scenario file may use; the shipped ones use 5
+
+
+def _check_depth(doc, path):
+    """Raise ConfigError when lists and mappings nest deeper than _MAX_DEPTH.
+    A value shared through an alias is walked again only when reached deeper
+    than before, so an alias cycle stops too."""
+    deepest, todo = {}, [(doc, 1)]
+    while todo:
+        value, depth = todo.pop()
+        if isinstance(value, (dict, list, tuple)) and deepest.get(id(value), 0) < depth:
+            if depth > _MAX_DEPTH:
+                raise ConfigError(f"cannot parse {path}: nested deeper than {_MAX_DEPTH} levels")
+            deepest[id(value)] = depth
+            todo += ((v, depth + 1) for v in (value.values() if isinstance(value, dict) else value))
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file; raises ConfigError on any problem."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_Loader)
         except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
+    _check_depth(cfg, path)
     default_name = os.path.splitext(os.path.basename(str(path)))[0]
     return scenario_from_dict(cfg, default_name)

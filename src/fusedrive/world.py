@@ -69,11 +69,18 @@ class Straight:
         return (self.x1, self.y1)
 
     def point_at(self, s: float):
+        """Point and tangent (deg) at arclength s along the segment."""
         t = s / self.length
-        return (self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0))
+        return self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0), self._tangent
 
-    def tangent_at(self, s: float) -> float:
-        return self._tangent
+    def fill(self, local, xs, ys, tans):
+        """Write point_at of each arclength in the array local (overwritten)
+        into xs, ys and tans.  numpy's float64 / * + round as Python's do, and
+        run here in point_at's order, so the bits are its."""
+        t = np.divide(local, self.length, out=local)
+        np.add(self.x0, np.multiply(t, self.x1 - self.x0, out=xs), out=xs)
+        np.add(self.y0, np.multiply(t, self.y1 - self.y0, out=ys), out=ys)
+        tans.fill(self._tangent)
 
     def lower_bound(self, px: float, py: float) -> float:
         """Distance to the segment's bounding circle: never above closest()'s."""
@@ -123,11 +130,21 @@ class Arc:
 
     def point_at(self, s: float):
         a = self.start_deg + self.sweep_deg * (s / self.length)
-        return self._point_at_angle(a)
+        return (*self._point_at_angle(a), self._tangent_at_angle(a))
 
-    def tangent_at(self, s: float) -> float:
-        a = self.start_deg + self.sweep_deg * (s / self.length)
-        return self._tangent_at_angle(a)
+    def fill(self, local, xs, ys, tans):
+        """As Straight.fill, with cos and sin libm's, one sample at a time:
+        numpy's vectorised ones need not match them."""
+        a = np.divide(local, self.length, out=local)
+        np.add(self.start_deg, np.multiply(self.sweep_deg, a, out=a), out=a)
+        cx, cy, r, turn = self.cx, self.cy, self.radius, math.copysign(90.0, self.sweep_deg)
+        radians, cos, sin, fmod = math.radians, math.cos, math.sin, math.fmod
+        for k, a_deg in enumerate(a.tolist()):
+            t = radians(a_deg)
+            xs[k] = cx + r * cos(t)
+            ys[k] = cy + r * sin(t)
+            h = fmod(a_deg + turn, 360.0)  # _tangent_at_angle(a_deg), mostly inlined
+            tans[k] = h if h >= 0.0 else normalize_heading(h)
 
     def lower_bound(self, px: float, py: float) -> float:
         """Distance to the arc's full circle: never above closest()'s."""
@@ -204,22 +221,15 @@ class Track:
                     )
         cum = list(itertools.accumulate((seg.length for seg in self.segments), initial=0.0))
         self._cum, self.total_length = cum, cum[-1]
-        # One walk along the segments finds each sample's segment.
         n = max(8, int(round(self.total_length / _SAMPLE_STEP)))
         step = self.total_length / n
-        xs = np.empty(n)
-        ys = np.empty(n)
-        tans = np.empty(n)
-        last = len(self.segments) - 1
-        i = 0
-        for k in range(n):
-            s = k * step
-            while i < last and cum[i + 1] <= s:
-                i += 1
-            seg = self.segments[i]
-            local = s - cum[i]
-            xs[k], ys[k] = seg.point_at(local)
-            tans[k] = seg.tangent_at(local)
+        s, xs, ys, tans = np.arange(n, dtype=float), np.empty(n), np.empty(n), np.empty(n)
+        s *= step  # s[k] = k * step, as Python rounds it
+        # Sample k belongs to the segment i with cum[i] <= k * step < cum[i + 1],
+        # and the last segment takes the rest; each fills its own stretch.
+        ends = [0, *np.searchsorted(s, cum[1:-1]).tolist(), n]
+        for seg, c, lo, hi in zip(self.segments, cum, ends, ends[1:]):
+            seg.fill(np.subtract(s[lo:hi], c, out=s[lo:hi]), xs[lo:hi], ys[lo:hi], tans[lo:hi])
         starts = np.arange(0, n, SAMPLE_BLOCK)
         boxes = zip(*(f.reduceat(c, starts).tolist()
                       for c in (xs, ys) for f in (np.minimum, np.maximum)))
@@ -231,10 +241,7 @@ class Track:
         if s < 0.0:
             s += self.total_length
         i = min(bisect.bisect_right(self._cum, s) - 1, len(self.segments) - 1)
-        local = s - self._cum[i]
-        seg = self.segments[i]
-        x, y = seg.point_at(local)
-        return x, y, seg.tangent_at(local)
+        return self.segments[i].point_at(s - self._cum[i])
 
     def closest(self, px: float, py: float):
         """Signed lateral deviation plus foot point and tangent there.

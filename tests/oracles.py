@@ -4,7 +4,9 @@ The angle/offset oracles are deliberately line-for-line ports of the
 original controller scripts' branch structures, kept separate from the
 package implementation so the two can be compared mechanically.  The fusion
 oracle re-evaluates the three policies from their definitions, and the track
-oracles redo ground truth and the centreline sampling the slow, plain way.
+oracles redo ground truth and the centreline sampling the slow, plain way
+(the sampling oracle is Track's build as it was before each segment filled
+its own stretch, one segment point_at call per sample).
 The observe oracle masks every centreline sample on every frame, as the
 camera model first did.  The drive oracle is the tick loop as it was before
 ground truth was skipped, ticks coasted and the simulated channel carried
@@ -15,6 +17,7 @@ and the maximum-confidence pick as they were before their fast paths.
 read_plot_data reads an emitted sweep table back.
 """
 
+import itertools
 import math
 import random
 
@@ -31,7 +34,8 @@ from fusedrive.perception import (
 )
 from fusedrive.runner import SensorRuntime, assemble_result, write_outputs
 from fusedrive.wire import encode_command
-from fusedrive.world import Pose, lateral_deviation, step_vehicle
+from fusedrive.world import (_SAMPLE_STEP, SAMPLE_BLOCK, Pose, Sampling, lateral_deviation,
+                             step_vehicle)
 
 
 def oracle_compute_robot_angle(greencx, greency, orangecx, orangecy):
@@ -238,8 +242,8 @@ def oracle_point_at(track, s):
     i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(track.segments) - 1)
     local = float(s - cum[i])
     seg = track.segments[i]
-    x, y = seg.point_at(local)
-    return float(x), float(y), seg.tangent_at(local)
+    x, y, tangent = seg.point_at(local)
+    return float(x), float(y), tangent
 
 
 def oracle_track_samples(track, n, step):
@@ -251,6 +255,32 @@ def oracle_track_samples(track, n, step):
         ys.append(y)
         tans.append(t)
     return xs, ys, tans
+
+
+def oracle_track_sampling(track):
+    """track.sampling from one walk along the segments, sample by sample,
+    with each block's box as plain min and max over its samples."""
+    segments = track.segments
+    cum = list(itertools.accumulate((seg.length for seg in segments), initial=0.0))
+    n = max(8, int(round(cum[-1] / _SAMPLE_STEP)))
+    step = cum[-1] / n
+    xs = np.empty(n)
+    ys = np.empty(n)
+    tans = np.empty(n)
+    last = len(segments) - 1
+    i = 0
+    for k in range(n):
+        s = k * step
+        while i < last and cum[i + 1] <= s:
+            i += 1
+        seg = segments[i]
+        local = s - cum[i]
+        xs[k], ys[k], tans[k] = seg.point_at(local)
+    boxes = []
+    for k in range(0, n, SAMPLE_BLOCK):
+        bx, by = xs[k:k + SAMPLE_BLOCK].tolist(), ys[k:k + SAMPLE_BLOCK].tolist()
+        boxes.append((min(bx), max(bx), min(by), max(by)))
+    return Sampling(xs, ys, tans, step, boxes)
 
 
 def _oracle_longest_run(mask):

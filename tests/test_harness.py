@@ -5,13 +5,19 @@ import glob
 import json
 import os
 import re
+import tempfile
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusedrive import scenario as scenario_module
 from fusedrive.cli import main
 from fusedrive.control import PidGains
+from fusedrive.fusion import POLICIES
 from fusedrive.runner import run
-from fusedrive.scenario import derive_seed, load_scenario, scenario_from_dict
+from fusedrive.scenario import Scenario, derive_seed, load_scenario, scenario_from_dict
 from fusedrive.sweep import SweepSpec, apply_axis, sweep
 from fusedrive.wire import SimulatedChannel, encode_command
 from fusedrive.world import ConfigError
@@ -106,6 +112,8 @@ MALFORMED = [
     # under the body at the start, where no frame can see the line.
     ("track:", minimal_cfg(track={"kind": "circle", "radius": 1e-300})),
     ("track:", minimal_cfg(vehicle={"body_radius": 5.0})),
+    # Used to load and act as its absolute value.
+    ("vehicle.body_radius", minimal_cfg(vehicle={"body_radius": -0.06})),
 ]
 
 # (shipped scenario file or config, axis, a good value, then one that the
@@ -122,12 +130,86 @@ BAD_SWEEP_VALUES = [
 ]
 
 
+NEEDS_LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML was built without libyaml")
+
+
+@pytest.fixture(params=[pytest.param("libyaml", marks=NEEDS_LIBYAML), "python"])
+def parser(request, monkeypatch):
+    """load_scenario as shipped, or forced onto PyYAML's pure-Python parser."""
+    if request.param == "python":
+        monkeypatch.setattr(scenario_module, "_Loader", yaml.SafeLoader)
+    return request.param
+
+
+def load_with_each_parser(path):
+    """load_scenario's outcome, a Scenario or a ConfigError's text, as
+    shipped and then with PyYAML's pure-Python parser forced."""
+    def outcome():
+        try:
+            return load_scenario(path)
+        except ConfigError as exc:
+            return str(exc)
+
+    shipped = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_module, "_Loader", yaml.SafeLoader)
+        return shipped, outcome()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+scenario_dicts = st.fixed_dictionaries({
+    "track": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("circle"), "radius": st.floats(0.05, 0.99)}),
+        st.fixed_dictionaries({"kind": st.just("rounded_rectangle"),
+                               "straight": st.floats(0.01, 1.0),
+                               "corner_radius": st.floats(0.01, 0.4) | finite})),
+    "sensors": st.lists(st.fixed_dictionaries(
+        {"id": st.text(max_size=8), "kind": st.just("onboard")},
+        optional={"rate_hz": st.floats(1.0, 200.0) | finite,
+                  "gains": st.fixed_dictionaries({}, optional=dict.fromkeys(("kp", "ki", "kd"),
+                                                                            st.floats(0.0, 9.0))),
+                  "camera": st.fixed_dictionaries({}, optional={
+                      "pixels_per_meter": st.floats(100.0, 2000.0),
+                      "noise_px": finite, "image_width": st.integers(1, 4000)})}),
+        min_size=1, max_size=1),
+}, optional={
+    "name": st.text(max_size=30),
+    "seed": st.integers(),
+    "duration": st.floats(0.5, 200.0) | finite,
+    "fusion": st.sampled_from(sorted(POLICIES)),
+    "vehicle": st.fixed_dictionaries({}, optional={"body_radius": st.floats(-0.1, 0.1),
+                                                   "max_power": finite}),
+    "start_arclength": finite,
+})
+
+
+class TestParsers:
+    """libyaml's parser and PyYAML's own load every file alike."""
+
+    @NEEDS_LIBYAML
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_shipped_scenarios_load_alike(self, name):
+        shipped, python = load_with_each_parser(os.path.join(SCENARIO_DIR, name))
+        assert isinstance(shipped, Scenario)
+        assert shipped == python
+
+    @NEEDS_LIBYAML
+    @settings(max_examples=60)
+    @given(scenario_dicts)
+    def test_dumped_scenarios_load_alike(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "dumped.yaml")
+            with open(path, "w", encoding="utf-8") as fh:
+                yaml.safe_dump(cfg, fh)
+            shipped, python = load_with_each_parser(path)
+        assert shipped == python
+
+
 def scenario_path(source, tmp_path) -> str:
     """A shipped scenario file by name, or a config written to tmp_path."""
     if isinstance(source, str):
         return os.path.join(SCENARIO_DIR, source)
-    import yaml
-
     path = tmp_path / "swept.yaml"
     path.write_text(yaml.safe_dump(source), encoding="utf-8")
     return str(path)
@@ -164,8 +246,6 @@ class TestScenarioValidation:
         assert sc.sensors[0].gains.kp == 1.5
 
     def test_readme_schema_loads(self):
-        import yaml
-
         with open(os.path.join(SCENARIO_DIR, os.pardir, "README.md"), encoding="utf-8") as fh:
             block = fh.read().split("The schema, with defaults in parentheses:")[1]
         block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
@@ -265,6 +345,23 @@ class TestScenarioValidation:
     def test_malformed_value_is_config_error(self, where, cfg):
         with pytest.raises(ConfigError, match="^" + re.escape(where)):
             scenario_from_dict(copy.deepcopy(cfg))
+
+    # An alias cycle nests without end.  Thirty levels of shared pairs are
+    # 2**29 paths, but each list is walked again only when reached deeper.
+    @pytest.mark.parametrize("text, error", [
+        ("name: &loop [*loop]\n", "nested deeper than 32 levels"),
+        ("junk:\n  - &l0 [0]\n" + "".join(f"  - &l{i} [*l{i - 1}, *l{i - 1}]\n"
+                                           for i in range(1, 30)),
+         "unknown key in scenario: junk"),
+    ], ids=["cycle", "shared"])
+    def test_aliases_are_walked_within_bounds(self, parser, text, error, tmp_path):
+        path = tmp_path / "aliases.yaml"
+        path.write_text(yaml.safe_dump(minimal_cfg()) + text)
+        with pytest.raises(ConfigError, match=error):
+            load_scenario(path)
+
+    def test_zero_body_radius_loads(self):
+        assert scenario_from_dict(minimal_cfg(vehicle={"body_radius": 0})).markers.body_radius == 0
 
     @pytest.mark.parametrize("base, cfg", [(65534, TWO_SENSORS), (65535, minimal_cfg()),
                                            (0, THREE_SENSORS)])
@@ -459,8 +556,6 @@ class TestSweep:
 
 class TestCli:
     def write_scenario(self, tmp_path, **overrides):
-        import yaml
-
         cfg = minimal_cfg(**{"duration": 5.0, **overrides})
         path = tmp_path / "tiny.yaml"
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -494,8 +589,6 @@ class TestCli:
     @pytest.mark.parametrize("where, cfg", MALFORMED)
     def test_malformed_file_exits_one_before_running(self, where, cfg, tmp_path,
                                                      capsys, monkeypatch):
-        import yaml
-
         monkeypatch.setattr("fusedrive.cli.run", pytest.fail)
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -614,6 +707,21 @@ class TestCli:
     def test_deeply_nested_scenario_exits_one(self, tmp_path, capsys):
         path = tmp_path / "nested.yaml"
         path.write_text("track: " + "[" * 5000 + "]" * 5000 + "\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: cannot parse" in err
+        assert "Traceback" not in err
+
+    # 40 levels pass the parser but not the loader's depth check; libyaml's
+    # own composer would overflow the C stack on 50,000.
+    @pytest.mark.parametrize("depth", [40, 50000])
+    @pytest.mark.parametrize("key", ["track", "name"])
+    def test_nested_value_exits_one_with_either_parser(self, parser, key, depth, tmp_path,
+                                                        capsys):
+        cfg = minimal_cfg()
+        cfg.pop(key, None)
+        path = tmp_path / "nested.yaml"
+        path.write_text(yaml.safe_dump(cfg) + f"{key}: " + "[" * depth + "]" * depth + "\n")
         assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
         err = capsys.readouterr().err
         assert "configuration error: cannot parse" in err

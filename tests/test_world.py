@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusedrive.scenario import track_from_config
 from fusedrive.world import (
@@ -23,7 +25,7 @@ from fusedrive.world import (
 )
 
 from oracles import (oracle_point_at, oracle_step_vehicle, oracle_track_closest,
-                     oracle_track_samples)
+                     oracle_track_samples, oracle_track_sampling)
 
 
 def square_loop_track(side=1.0, radius=0.2):
@@ -226,10 +228,10 @@ def test_samples_equal_point_at_loop(name):
     track = FAST_PATH_TRACKS[name]()
     sampling = track.sampling
     assert sampling.xs.flags.c_contiguous and sampling.ys.flags.c_contiguous
-    exp_x, exp_y, exp_t = oracle_track_samples(track, len(sampling.xs), sampling.step)
-    assert np.array_equal(sampling.xs, exp_x)
-    assert np.array_equal(sampling.ys, exp_y)
-    assert np.array_equal(sampling.tans, exp_t)
+    expected = oracle_track_samples(track, len(sampling.xs), sampling.step)
+    # Bytes, not array_equal, which takes -0.0 for 0.0.
+    for got, exp in zip((sampling.xs, sampling.ys, sampling.tans), expected):
+        assert got.tobytes() == np.array(exp).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS))
@@ -242,6 +244,68 @@ def test_sample_boxes_bound_each_block(name):
         assert box == (min(xs[k:k + block]), max(xs[k:k + block]),
                        min(ys[k:k + block]), max(ys[k:k + block]))
         assert all(type(v) is float for v in box)
+
+
+def _reversed(seg):
+    if isinstance(seg, Arc):
+        return Arc(seg.cx, seg.cy, seg.radius, seg.start_deg + seg.sweep_deg, -seg.sweep_deg)
+    return Straight(seg.x1, seg.y1, seg.x0, seg.y0)
+
+
+@st.composite
+def _loops(draw):
+    """A rounded rectangle, either way round, from any of its segments, its
+    first straight cut by a piece shorter than one sample step."""
+    r = draw(st.floats(0.001, 0.4))
+    ax, ay = draw(st.floats(0.005, 0.9 - r)), draw(st.floats(0.005, 0.9 - r))
+    cx = draw(st.floats(ax + r + 1e-6, 2.0 - ax - r - 1e-6))
+    cy = draw(st.floats(ay + r + 1e-6, 2.0 - ay - r - 1e-6))
+    segs = [Straight(cx - ax, cy - ay - r, cx + ax, cy - ay - r),
+            Arc(cx + ax, cy - ay, r, 270.0, 90.0),
+            Straight(cx + ax + r, cy - ay, cx + ax + r, cy + ay),
+            Arc(cx + ax, cy + ay, r, 0.0, 90.0),
+            Straight(cx + ax, cy + ay + r, cx - ax, cy + ay + r),
+            Arc(cx - ax, cy + ay, r, 90.0, 90.0),
+            Straight(cx - ax - r, cy + ay, cx - ax - r, cy - ay),
+            Arc(cx - ax, cy - ay, r, 180.0, 90.0)]
+    if draw(st.booleans()):  # clockwise
+        segs = [_reversed(seg) for seg in reversed(segs)]
+    at = 0 if isinstance(segs[0], Straight) else 1
+    first = segs[at]
+    cut = draw(st.just(0.0) | st.floats(0.01, 0.9))
+    px = first.x0 + cut * (first.x1 - first.x0)
+    py = first.y0 + cut * (first.y1 - first.y0)
+    tiny = draw(st.floats(1e-7, 1e-3)) / first.length
+    qx = px + tiny * (first.x1 - first.x0)
+    qy = py + tiny * (first.y1 - first.y0)
+    pieces = [Straight(px, py, qx, qy), Straight(qx, qy, first.x1, first.y1)]
+    if cut:
+        pieces.insert(0, Straight(first.x0, first.y0, px, py))
+    segs[at:at + 1] = pieces
+    turn = draw(st.integers(0, len(segs) - 1))
+    return Track(segs[turn:] + segs[:turn])
+
+
+_SAMPLED_TRACKS = st.one_of(
+    st.builds(lambda straight, r: Track(rounded_rectangle_segments((1.0, 1.0), straight, r)),
+              st.floats(0.001, 1.0), st.floats(0.001, 0.4)),
+    st.builds(lambda r, start, sweep: Track([Arc(1.0, 1.0, r, start, sweep)]),
+              st.floats(0.001, 0.99), st.floats(-720.0, 720.0), st.sampled_from([360.0, -360.0])),
+    _loops(),
+)
+
+
+@settings(max_examples=150)
+@given(_SAMPLED_TRACKS)
+# The first tangent is a hair under 0 deg: it wraps to 360.0, read as 0.0.
+@example(Track([Arc(1.0, 1.0, 0.5, math.nextafter(90.0, 0.0), -360.0)]))
+@example(Track([Arc(1.0, 1.0, 0.5, math.nextafter(-90.0, -math.inf), 360.0)]))
+def test_sampling_equals_per_sample_walk(track):
+    got, exp = track.sampling, oracle_track_sampling(track)
+    for a, b in zip(got[:3], exp[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert got.step == exp.step
+    assert got.boxes == exp.boxes
 
 
 class TestStepVehicle:
