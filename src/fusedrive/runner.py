@@ -32,7 +32,6 @@ from .metrics import (
 from .perception import observe
 from .scenario import Scenario, derive_seed
 from .wire import (
-    ChannelModel,
     SimulatedChannel,
     SteeringCommand,
     finite_command,
@@ -102,11 +101,8 @@ def run(scenario: Scenario, out_dir=None) -> RunResult:
     """
     seq = itertools.count().__next__
     channels = [
-        SimulatedChannel(
-            ChannelModel(s.channel_loss, s.channel_delay,
-                         derive_seed(scenario.seed, s.sensor_id, "channel")),
-            seq,
-        )
+        SimulatedChannel(s.channel_loss, s.channel_delay,
+                         derive_seed(scenario.seed, s.sensor_id, "channel"), seq)
         for s in scenario.sensors
     ]
     return drive(scenario, channels, functools.partial(merge_deliveries, channels), out_dir)

@@ -27,7 +27,7 @@ from .perception import (
     infrastructure_camera,
     onboard_camera,
 )
-from .wire import ChannelModel
+from .wire import SimulatedChannel
 from .world import Arc, ConfigError, Straight, Track, VehicleParams, rounded_rectangle_segments
 
 def derive_seed(*parts) -> int:
@@ -260,7 +260,7 @@ def _sensor(cfg, where: str) -> SensorConfig:
     fields.update(fields.pop("channel", {}))
     fields.setdefault("rate_hz", rate_hz)
     sensor = SensorConfig(**fields)
-    _wrap(f"{where}.channel", ChannelModel, sensor.channel_loss, sensor.channel_delay)
+    _wrap(f"{where}.channel", SimulatedChannel, sensor.channel_loss, sensor.channel_delay)
     return sensor
 
 
@@ -341,31 +341,49 @@ def _validate_clock(scenario: Scenario):
         _wrap(f"sensors[{i}].rate_hz", scenario.sensor_period_ticks, sensor)
 
 
-if yaml.__with_libyaml__:
-    class _Loader(yaml.composer.Composer, yaml.CSafeLoader):
-        """yaml.CSafeLoader with PyYAML's composer, which raises RecursionError
-        where libyaml's overflows the C stack (on some 30,000 levels)."""
-
-        def __init__(self, stream):
-            yaml.CSafeLoader.__init__(self, stream)
-            yaml.composer.Composer.__init__(self)
-else:
-    _Loader = yaml.SafeLoader
 _MAX_DEPTH = 32  # nesting levels a scenario file may use; the shipped ones use 5
 
 
-def _check_depth(doc, path):
-    """Raise ConfigError when lists and mappings nest deeper than _MAX_DEPTH.
-    A value shared through an alias is walked again only when reached deeper
-    than before, so an alias cycle stops too."""
-    deepest, todo = {}, [(doc, 1)]
-    while todo:
-        value, depth = todo.pop()
-        if isinstance(value, (dict, list, tuple)) and deepest.get(id(value), 0) < depth:
-            if depth > _MAX_DEPTH:
-                raise ConfigError(f"cannot parse {path}: nested deeper than {_MAX_DEPTH} levels")
-            deepest[id(value)] = depth
-            todo += ((v, depth + 1) for v in (value.values() if isinstance(value, dict) else value))
+class _NoAnchors(dict):
+    """An anchor table that refuses every anchor, so no alias resolves either:
+    nothing in a document is shared, and it holds no more than its text."""
+
+    def __setitem__(self, anchor, node):
+        raise yaml.composer.ComposerError(None, None, f"found anchor {anchor!r}", node.start_mark)
+
+
+class _Guard(yaml.composer.Composer):
+    """PyYAML's composer, which composes for libyaml's parser too (libyaml's
+    own overflows the C stack on some 30,000 levels).  It refuses a list or
+    mapping nested deeper than _MAX_DEPTH before it recurses there."""
+
+    depth = 1  # the level of the next list or mapping; the document is level 1
+
+    def _nested(self, compose, anchor):
+        if self.depth > _MAX_DEPTH:
+            raise yaml.composer.ComposerError(None, None, f"nested deeper than {_MAX_DEPTH} levels",
+                                              self.peek_event().start_mark)
+        self.depth += 1
+        node = compose(anchor)
+        self.depth -= 1
+        return node
+
+    def compose_sequence_node(self, anchor):
+        return self._nested(super().compose_sequence_node, anchor)
+
+    def compose_mapping_node(self, anchor):
+        return self._nested(super().compose_mapping_node, anchor)
+
+
+def _loader(parser):
+    """A Loader class: parser (yaml.CSafeLoader or yaml.SafeLoader) reads, _Guard composes."""
+    def __init__(self, stream):
+        parser.__init__(self, stream)
+        self.anchors = _NoAnchors()  # kept until the file's one document is composed
+    return type("_Loader", (_Guard, parser), {"__init__": __init__})
+
+
+_Loader = _loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
 def load_scenario(path) -> Scenario:
@@ -373,8 +391,7 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = yaml.load(fh, Loader=_Loader)
-        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
-    _check_depth(cfg, path)
     default_name = os.path.splitext(os.path.basename(str(path)))[0]
     return scenario_from_dict(cfg, default_name)

@@ -13,7 +13,6 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -88,48 +87,28 @@ def decode_command(text) -> SteeringCommand:
         raise MalformedDatagram(f"{exc} in {text!r}") from None
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Loss and delay parameters for one sensor's path to the vehicle.
-
-    delay is either a fixed value in seconds or a (low, high) uniform range.
-    """
-
-    loss_probability: float = 0.0
-    delay: object = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in [0, 1]")
-        lo, hi = self.delay_range()
-        if lo < 0.0 or hi < lo:
-            raise ValueError("delay must be non-negative")
-
-    def delay_range(self):
-        if isinstance(self.delay, (tuple, list)):
-            lo, hi = self.delay
-            return float(lo), float(hi)
-        return float(self.delay), float(self.delay)
-
-
 class SimulatedChannel:
     """Deterministic datagram queue with seeded loss and delay.
 
+    delay is either a fixed value in seconds or a (low, high) uniform range.
     A shared sequence counter may be passed in so that deliveries from
     several channels interleave in a stable global send order when delivery
     times tie.
     """
 
-    def __init__(self, model: ChannelModel, seq=None):
-        self.model = model
-        self._delay = model.delay_range()  # the model is frozen
-        self._rng = random.Random(model.seed)
+    def __init__(self, loss_probability=0.0, delay=0.0, seed=0, seq=None):
+        if not 0.0 <= loss_probability <= 1.0:
+            raise ValueError("loss_probability must be in [0, 1]")
+        lo, hi = map(float, delay) if isinstance(delay, (tuple, list)) else (float(delay),) * 2
+        if lo < 0.0 or hi < lo:
+            raise ValueError("delay must be non-negative")
+        self.loss_probability, self._delay = loss_probability, (lo, hi)
+        self._rng = random.Random(seed)
         self._heap = []
         self._seq = seq if seq is not None else itertools.count().__next__
 
     def send(self, source_id, datagram, now: float):
-        if self._rng.random() < self.model.loss_probability:
+        if self._rng.random() < self.loss_probability:
             return
         lo, hi = self._delay
         delay = lo if lo == hi else self._rng.uniform(lo, hi)

@@ -172,6 +172,9 @@ class Arc:
 
 
 _SAMPLE_STEP = 0.002  # m between centerline samples
+# Samples a track may have, so that its arrays cost no more than a scenario
+# file can justify: a 262 m line, 44 times the longest shipped loop.
+_MAX_SAMPLES = 1 << 17
 SAMPLE_BLOCK = 64  # samples per box of Sampling.boxes
 
 
@@ -221,6 +224,9 @@ class Track:
                     )
         cum = list(itertools.accumulate((seg.length for seg in self.segments), initial=0.0))
         self._cum, self.total_length = cum, cum[-1]
+        if not self.total_length <= _MAX_SAMPLES * _SAMPLE_STEP:
+            raise ConfigError(f"track is {self.total_length:.4g} m long, over the limit "
+                              f"of {_MAX_SAMPLES * _SAMPLE_STEP:g} m")
         n = max(8, int(round(self.total_length / _SAMPLE_STEP)))
         step = self.total_length / n
         s, xs, ys, tans = np.arange(n, dtype=float), np.empty(n), np.empty(n), np.empty(n)

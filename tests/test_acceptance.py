@@ -45,7 +45,6 @@ from fusedrive.runner import run
 from fusedrive.scenario import load_scenario
 from fusedrive.sweep import SweepSpec, sweep
 from fusedrive.wire import (
-    ChannelModel,
     SimulatedChannel,
     SteeringCommand,
     decode_command,
@@ -249,7 +248,7 @@ def test_wire_codec_identity_and_channel_statistics():
         assert decode_command("0;0;0;0;0;0").is_zero_report()
 
         loss = 0.3
-        channel = SimulatedChannel(ChannelModel(loss, 0.0, seed=45))
+        channel = SimulatedChannel(loss, 0.0, seed=45)
         total = 100_000
         for i in range(total):
             channel.send("cam", "x", i * 1e-4)
@@ -257,7 +256,7 @@ def test_wire_codec_identity_and_channel_statistics():
         assert abs(delivered / total - (1.0 - loss)) <= 0.01
 
         def transcript(seed):
-            ch = SimulatedChannel(ChannelModel(0.25, (0.01, 0.05), seed=seed))
+            ch = SimulatedChannel(0.25, (0.01, 0.05), seed=seed)
             out = []
             for i in range(2_000):
                 ch.send("cam", f"datagram-{i}", i * 0.01)

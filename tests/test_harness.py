@@ -3,9 +3,11 @@
 import copy
 import glob
 import json
+import math
 import os
 import re
 import tempfile
+import time
 
 import pytest
 import yaml
@@ -132,19 +134,22 @@ BAD_SWEEP_VALUES = [
 
 NEEDS_LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
                                    reason="PyYAML was built without libyaml")
+PYTHON_LOADER = scenario_module._loader(yaml.SafeLoader)
 
 
 @pytest.fixture(params=[pytest.param("libyaml", marks=NEEDS_LIBYAML), "python"])
 def parser(request, monkeypatch):
-    """load_scenario as shipped, or forced onto PyYAML's pure-Python parser."""
+    """load_scenario as shipped, or forced onto PyYAML's pure-Python parser
+    under the same guard."""
     if request.param == "python":
-        monkeypatch.setattr(scenario_module, "_Loader", yaml.SafeLoader)
+        monkeypatch.setattr(scenario_module, "_Loader", PYTHON_LOADER)
     return request.param
 
 
 def load_with_each_parser(path):
     """load_scenario's outcome, a Scenario or a ConfigError's text, as
-    shipped and then with PyYAML's pure-Python parser forced."""
+    shipped and then with PyYAML's pure-Python parser forced under the same
+    guard."""
     def outcome():
         try:
             return load_scenario(path)
@@ -153,8 +158,15 @@ def load_with_each_parser(path):
 
     shipped = outcome()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenario_module, "_Loader", yaml.SafeLoader)
+        patch.setattr(scenario_module, "_Loader", PYTHON_LOADER)
         return shipped, outcome()
+
+
+def shared_pairs(levels):
+    """YAML list items: an anchored list, then levels - 1 pairs of aliases,
+    each to the item before."""
+    return "  - &l0 [0]\n" + "".join(f"  - &l{i} [*l{i - 1}, *l{i - 1}]\n"
+                                     for i in range(1, levels))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -182,6 +194,88 @@ scenario_dicts = st.fixed_dictionaries({
                                                    "max_power": finite}),
     "start_arclength": finite,
 })
+
+
+def shipped_cfg(name):
+    with open(os.path.join(SCENARIO_DIR, name), encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
+SHIPPED_CFGS = {name: shipped_cfg(name) for name in sorted(os.listdir(SCENARIO_DIR))}
+# Values a hostile or careless edit might leave: wrong types, negatives,
+# nan and inf, and huge values (a track's board_size and radius among them).
+hostile_values = st.one_of(
+    st.sampled_from([-1, -0.5, 0, 0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300,
+                     2 ** 64, 10 ** 400, 2000, 1.0e7, True, None, "", "abc", [], {}, [1, 2, 3]]),
+    st.integers(), st.floats(), st.text(max_size=6),
+    st.lists(st.floats() | st.integers(), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+added_keys = st.sampled_from(["board_size", "radius", "straight", "corner_radius", "segments",
+                              "name", "seed", "duration", "loss", "delay", "rate_hz",
+                              "outage", "coverage", "kp", "body_radius", "no_such_key"])
+
+
+def locations(value, seen=None):
+    """Every (container, key) pair within value, each container once."""
+    seen = set() if seen is None else seen
+    seen.add(id(value))
+    for key, child in list(value.items() if isinstance(value, dict) else enumerate(value)):
+        yield value, key
+        if isinstance(child, (dict, list)) and id(child) not in seen:
+            yield from locations(child, seen)
+
+
+def pick(data, cfg):
+    """A (container, key) pair anywhere in cfg."""
+    return data.draw(st.sampled_from(list(locations(cfg))))
+
+
+def edit(data, cfg):
+    """One generated edit of cfg, in place.  A shared value or a cycle dumps
+    as YAML anchors and aliases."""
+    parent, key = pick(data, cfg)
+    how = data.draw(st.sampled_from(["replace", "delete", "add", "share", "cycle", "nest"]))
+    if how == "replace":
+        parent[key] = data.draw(hostile_values)
+    elif how == "delete":
+        del parent[key]
+    elif how == "add":
+        target = parent[key] if isinstance(parent[key], dict) else parent
+        if isinstance(target, dict):
+            target[data.draw(added_keys)] = data.draw(hostile_values)
+    elif how == "share":
+        other, other_key = pick(data, cfg)
+        parent[key] = other[other_key]
+    elif how == "cycle":
+        parent[key] = parent
+    else:
+        value = parent[key]
+        for _ in range(data.draw(st.integers(1, 40))):
+            value = [value]
+        parent[key] = value
+
+
+class TestLoaderFuzz:
+    """Edits of the shipped files load, or are a ConfigError, with either parser."""
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(sorted(SHIPPED_CFGS)),
+           st.sampled_from([None] * 4 + [10, 1e3, 1e6, 1e300]), st.integers(1, 3), st.data())
+    def test_edited_scenarios_load_or_are_config_errors(self, name, scale, edits, data):
+        cfg = copy.deepcopy(SHIPPED_CFGS[name])
+        if scale:  # the shipped loop, scale times as large (on a board to match)
+            cfg["track"].update(board_size=2.0 * scale, center=[scale, scale],
+                                straight=scale, corner_radius=0.3 * scale)
+        for _ in range(edits):
+            if cfg:
+                edit(data, cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                yaml.safe_dump(cfg, fh)
+            for outcome in load_with_each_parser(path):
+                assert isinstance(outcome, (Scenario, str))
 
 
 class TestParsers:
@@ -341,24 +435,51 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             scenario_from_dict(minimal_cfg(track={"kind": "circle", "radius": 5.0}))
 
+    # A 5.7 km loop would take 2.8 M samples, and a 6,300 km one 23 GiB.
+    @pytest.mark.parametrize("board_size, radius", [(2000, 900), (1.0e7, 1.0e6)])
+    def test_track_longer_than_its_sampling_cap_is_refused(self, board_size, radius):
+        track = {"kind": "circle", "board_size": board_size, "radius": radius}
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="^track is .* m long, over the limit"):
+            scenario_from_dict(minimal_cfg(track=track))
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("where, cfg", MALFORMED)
     def test_malformed_value_is_config_error(self, where, cfg):
         with pytest.raises(ConfigError, match="^" + re.escape(where)):
             scenario_from_dict(copy.deepcopy(cfg))
 
-    # An alias cycle nests without end.  Thirty levels of shared pairs are
-    # 2**29 paths, but each list is walked again only when reached deeper.
-    @pytest.mark.parametrize("text, error", [
-        ("name: &loop [*loop]\n", "nested deeper than 32 levels"),
-        ("junk:\n  - &l0 [0]\n" + "".join(f"  - &l{i} [*l{i - 1}, *l{i - 1}]\n"
-                                           for i in range(1, 30)),
-         "unknown key in scenario: junk"),
-    ], ids=["cycle", "shared"])
-    def test_aliases_are_walked_within_bounds(self, parser, text, error, tmp_path):
+    # Anchors are refused as they are composed, so no alias resolves.
+    # Let through, a cycle would nest without end, and each level of shared
+    # pairs would double what str() of the value prints: 22 levels, 4 M pairs.
+    @pytest.mark.parametrize("text", [
+        "name: &loop [*loop]\n",
+        "junk:\n" + shared_pairs(30),
+        "name:\n" + shared_pairs(22),
+        "fusion:\n" + shared_pairs(22),
+        "name: *x\n",
+    ], ids=["cycle", "shared", "name", "fusion", "bare"])
+    def test_aliases_are_walked_within_bounds(self, parser, text, tmp_path, capsys):
         path = tmp_path / "aliases.yaml"
         path.write_text(yaml.safe_dump(minimal_cfg()) + text)
-        with pytest.raises(ConfigError, match=error):
-            load_scenario(path)
+        start = time.perf_counter()
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "configuration error: cannot parse" in err
+        assert "Traceback" not in err
+
+    # The document is level 1, so a value under a top-level key may hold 31
+    # nested lists, and 32 are one level too many.
+    @pytest.mark.parametrize("depth", [31, 32])
+    def test_nesting_is_capped_at_32_levels(self, parser, depth, tmp_path):
+        path = tmp_path / "nested.yaml"
+        path.write_text(yaml.safe_dump(minimal_cfg()) + "name: " + "[" * depth + "]" * depth)
+        if depth == 31:
+            assert load_scenario(path).name == "[" * depth + "]" * depth
+        else:
+            with pytest.raises(ConfigError, match="cannot parse .*: nested deeper than 32 levels"):
+                load_scenario(path)
 
     def test_zero_body_radius_loads(self):
         assert scenario_from_dict(minimal_cfg(vehicle={"body_radius": 0})).markers.body_radius == 0
@@ -712,8 +833,8 @@ class TestCli:
         assert "configuration error: cannot parse" in err
         assert "Traceback" not in err
 
-    # 40 levels pass the parser but not the loader's depth check; libyaml's
-    # own composer would overflow the C stack on 50,000.
+    # The guarded composer stops both at level 33, before it recurses there;
+    # libyaml's own composer would overflow the C stack on 50,000.
     @pytest.mark.parametrize("depth", [40, 50000])
     @pytest.mark.parametrize("key", ["track", "name"])
     def test_nested_value_exits_one_with_either_parser(self, parser, key, depth, tmp_path,

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from fusedrive.wire import (
-    ChannelModel,
     MalformedDatagram,
     SimulatedChannel,
     SteeringCommand,
@@ -72,19 +71,19 @@ class TestCodec:
 
 class TestChannel:
     def test_no_loss_no_delay(self):
-        ch = SimulatedChannel(ChannelModel())
+        ch = SimulatedChannel()
         ch.send("a", "1;2;3;4;5;6", 0.0)
         assert merge_deliveries([ch], 0.0) == [("a", "1;2;3;4;5;6")]
         assert merge_deliveries([ch], 0.0) == []
 
     def test_total_loss(self):
-        ch = SimulatedChannel(ChannelModel(loss_probability=1.0))
+        ch = SimulatedChannel(loss_probability=1.0)
         for i in range(100):
             ch.send("a", "x", i * 0.1)
         assert ch.pending() == 0
 
     def test_fixed_delay_ordering(self):
-        ch = SimulatedChannel(ChannelModel(delay=0.05))
+        ch = SimulatedChannel(delay=0.05)
         ch.send("a", "first", 0.0)
         ch.send("a", "second", 0.02)
         assert merge_deliveries([ch], 0.04) == []
@@ -92,14 +91,14 @@ class TestChannel:
         assert merge_deliveries([ch], 0.07) == [("a", "second")]
 
     def test_fifo_within_tick(self):
-        ch = SimulatedChannel(ChannelModel())
+        ch = SimulatedChannel()
         ch.send("a", "1", 0.0)
         ch.send("a", "2", 0.0)
         ch.send("a", "3", 0.0)
         assert [d for _, d in merge_deliveries([ch], 0.0)] == ["1", "2", "3"]
 
     def test_delivery_rate(self):
-        ch = SimulatedChannel(ChannelModel(loss_probability=0.3, seed=7))
+        ch = SimulatedChannel(loss_probability=0.3, seed=7)
         n = 100000
         for i in range(n):
             ch.send("a", "x", 0.0)
@@ -108,8 +107,7 @@ class TestChannel:
 
     def test_same_seed_same_schedule(self):
         def schedule(seed):
-            ch = SimulatedChannel(ChannelModel(loss_probability=0.4,
-                                               delay=(0.0, 0.05), seed=seed))
+            ch = SimulatedChannel(loss_probability=0.4, delay=(0.0, 0.05), seed=seed)
             for i in range(500):
                 ch.send("a", str(i), i * 0.01)
             out = []
@@ -121,7 +119,7 @@ class TestChannel:
         assert schedule(123) != schedule(124)
 
     def test_uniform_delay_range(self):
-        ch = SimulatedChannel(ChannelModel(delay=(0.01, 0.03), seed=1))
+        ch = SimulatedChannel(delay=(0.01, 0.03), seed=1)
         for i in range(1000):
             ch.send("a", "x", 0.0)
         delays = [t for t, _, _, _ in ch._heap]
@@ -130,8 +128,8 @@ class TestChannel:
 
     def test_merge_deliveries_global_order(self):
         seq = itertools.count().__next__
-        a = SimulatedChannel(ChannelModel(delay=0.02), seq)
-        b = SimulatedChannel(ChannelModel(delay=0.01), seq)
+        a = SimulatedChannel(delay=0.02, seq=seq)
+        b = SimulatedChannel(delay=0.01, seq=seq)
         a.send("a", "a0", 0.0)
         b.send("b", "b0", 0.0)
         b.send("b", "b1", 0.015)
@@ -139,7 +137,7 @@ class TestChannel:
         assert out == [("b", "b0"), ("a", "a0"), ("b", "b1")]
 
     def test_next_delivery_is_earliest_queued_time(self):
-        ch = SimulatedChannel(ChannelModel(delay=(0.0, 0.03), seed=2))
+        ch = SimulatedChannel(delay=(0.0, 0.03), seed=2)
         assert ch.next_delivery() == math.inf
         for i in range(20):
             ch.send("a", str(i), i * 0.005)
@@ -169,6 +167,6 @@ class TestChannel:
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            ChannelModel(loss_probability=1.5)
+            SimulatedChannel(loss_probability=1.5)
         with pytest.raises(ValueError):
-            ChannelModel(delay=-0.1)
+            SimulatedChannel(delay=-0.1)

@@ -50,6 +50,16 @@ class TestTrackConstruction:
         x1, y1, t1 = track.point_at(track.total_length)
         assert (x0, y0, t0) == pytest.approx((x1, y1, t1), abs=1e-9)
 
+    def test_length_is_capped_by_the_sample_count(self):
+        # A 262.144 m cap: 2**17 samples of 2 mm.
+        board = {"kind": "circle", "board_size": 100.0, "center": [50.0, 50.0]}
+        assert track_from_config(dict(board, radius=41.7)).total_length > 262.0
+        with pytest.raises(ConfigError, match="^track is 263.9 m long, over the limit of 262.144 m$"):
+            track_from_config(dict(board, radius=42.0))
+        endless = [Straight(0.0, 0.0, math.inf, 0.0), Straight(math.inf, 0.0, 0.0, 0.0)]
+        with pytest.raises(ConfigError, match="^track is inf m long"):
+            Track(endless, board_size=math.inf)
+
     def test_non_closing_loop_rejected(self):
         segs = [
             Straight(0.5, 0.5, 1.5, 0.5),
