@@ -110,6 +110,13 @@ _count = functools.partial(_int, low=1)
 _port = functools.partial(_int, low=0, high=65535)
 
 
+def _name(value) -> str:
+    name = str(value)  # it names the run's output directory
+    if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+        raise ValueError(f"{name!r} is not a directory name")
+    return name
+
+
 def _numbers(value, n=2) -> tuple:
     """A list of n finite numbers (a pair by default), as a tuple."""
     if not isinstance(value, (list, tuple)) or len(value) != n:
@@ -288,7 +295,7 @@ def _vehicle(**fields) -> dict:
 
 
 _SCENARIO_KEYS = {
-    "name": str,
+    "name": _name,
     "seed": _int,
     "duration": _positive,
     "timestep": _positive,
@@ -327,14 +334,17 @@ def scenario_from_dict(cfg, default_name: str = "scenario") -> Scenario:
 
 def _validate_clock(scenario: Scenario):
     """Reject a clock the tick loop cannot run: the timestep must tile a second,
-    no sensor may outrun it, and the tick counts the run derives must exist."""
+    no sensor may outrun it, and the tick counts the run derives must exist
+    (the run's at most _MAX_TICKS)."""
     ts = scenario.timestep
     ticks_per_second = 1.0 / ts
     if not (math.isfinite(ticks_per_second)
             and abs(ticks_per_second - round(ticks_per_second)) <= 1e-9):
         raise ConfigError(f"timestep: period not tick-aligned (1 s is not a whole "
                           f"number of {ts} s ticks)")
-    _wrap("duration", scenario.n_ticks)
+    if _wrap("duration", scenario.n_ticks) > _MAX_TICKS:
+        raise ConfigError(f"duration: {scenario.duration:g} s at a timestep of {ts:g} s "
+                          f"is over the limit of {_MAX_TICKS} ticks")
     for i, sensor in enumerate(scenario.sensors):
         if sensor.period() < ts - 1e-12:
             raise ConfigError(f"sensors: rate {sensor.rate_hz} Hz is faster than the timestep")
@@ -342,6 +352,9 @@ def _validate_clock(scenario: Scenario):
 
 
 _MAX_DEPTH = 32  # nesting levels a scenario file may use; the shipped ones use 5
+# Ticks a run may have, so that its time is bounded by what a scenario file
+# can justify: 839 times the 20,000 of a shipped 100 s run.
+_MAX_TICKS = 1 << 24
 
 
 class _NoAnchors(dict):

@@ -133,18 +133,19 @@ class Arc:
         return (*self._point_at_angle(a), self._tangent_at_angle(a))
 
     def fill(self, local, xs, ys, tans):
-        """As Straight.fill, with cos and sin libm's, one sample at a time:
-        numpy's vectorised ones need not match them."""
+        """As Straight.fill, in one pass: the tangent as normalize_heading
+        takes it (fmod is exact; a negative value gets + 360.0, read as 0.0 if
+        that rounds to 360.0; -0.0 stays), then each angle times math.radians'
+        own factor pi / 180.0, and libm's cos and sin mapped in C over the
+        angle list: numpy's vectorised ones need not match libm's."""
         a = np.divide(local, self.length, out=local)
         np.add(self.start_deg, np.multiply(self.sweep_deg, a, out=a), out=a)
-        cx, cy, r, turn = self.cx, self.cy, self.radius, math.copysign(90.0, self.sweep_deg)
-        radians, cos, sin, fmod = math.radians, math.cos, math.sin, math.fmod
-        for k, a_deg in enumerate(a.tolist()):
-            t = radians(a_deg)
-            xs[k] = cx + r * cos(t)
-            ys[k] = cy + r * sin(t)
-            h = fmod(a_deg + turn, 360.0)  # _tangent_at_angle(a_deg), mostly inlined
-            tans[k] = h if h >= 0.0 else normalize_heading(h)
+        np.fmod(np.add(a, math.copysign(90.0, self.sweep_deg), out=tans), 360.0, out=tans)
+        np.add(tans, 360.0, out=tans, where=tans < 0.0)
+        tans[tans == 360.0] = 0.0
+        t, n = np.multiply(a, _DEG_TO_RAD, out=a).tolist(), a.size
+        for out, c, f in ((xs, self.cx, math.cos), (ys, self.cy, math.sin)):
+            np.add(c, np.multiply(self.radius, np.fromiter(map(f, t), float, n), out=out), out=out)
 
     def lower_bound(self, px: float, py: float) -> float:
         """Distance to the arc's full circle: never above closest()'s."""
@@ -172,6 +173,7 @@ class Arc:
 
 
 _SAMPLE_STEP = 0.002  # m between centerline samples
+_DEG_TO_RAD = math.pi / 180.0  # math.radians(v) is v * _DEG_TO_RAD
 # Samples a track may have, so that its arrays cost no more than a scenario
 # file can justify: a 262 m line, 44 times the longest shipped loop.
 _MAX_SAMPLES = 1 << 17

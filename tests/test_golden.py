@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from fusedrive.faults import ProbabilisticOutage
-from fusedrive.runner import run
+from fusedrive.runner import SensorRuntime, run
 from fusedrive.scenario import load_scenario
 from fusedrive.sweep import SweepSpec, sweep
 
@@ -132,6 +132,21 @@ LOSSY_BLACKOUT = {
         "9e21028d68f30b2c2270857c2a1f54ffec3c468bee82813ef32e61a3b62328be",
 }
 
+# outage_onboard at seed 8, whose periodic outage is under way at t = 0: the
+# window that began before the run is listed, and its post-outage samples count.
+OUTAGE_AT_START = {
+    "correction.csv":
+        "ad6581415bfce832134acdfdd1a8d05b02558605b8ea70133fc7ad626f832196",
+    "deviation.csv":
+        "bf7df91dd85aea00a3d72c0eef31d11973e738cfd3e0f656cc8e0ded3eafda65",
+    "drive_log.csv":
+        "3ab3f6bede47bb7d1eeaaacc753f73c4864ea5cd43e031bb5bbfd3aa2dd54664",
+    "error_pi.csv":
+        "47e8f542eca5ee5cd805e3a63264f91180972645994fa5e49bcf8e1f8ce61d80",
+    "summary.json":
+        "b34dc4aa15ac46cf335e4244e9af70ff3e6bc717a30918ff4c0eb8824a8ffe9d",
+}
+
 
 def _output_digests(scenario, out_dir):
     result = run(scenario, out_dir)
@@ -158,6 +173,14 @@ def test_lossy_blackout_variant_matches_golden(tmp_path):
         for s in scenario.sensors
     ]
     assert _output_digests(scenario, tmp_path) == LOSSY_BLACKOUT
+
+
+def test_outage_under_way_at_start_matches_golden(tmp_path):
+    scenario = load_scenario(SCENARIOS / "outage_onboard.yaml")
+    scenario.seed = 8
+    schedule = SensorRuntime(scenario, scenario.sensors[0], None).outage
+    assert schedule.active(0.0) and schedule.windows(scenario.duration)[0][0] < 0.0
+    assert _output_digests(scenario, tmp_path) == OUTAGE_AT_START
 
 
 # Two short sweeps written to disk, pinned file by file: the .dat tables and

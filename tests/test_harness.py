@@ -1,7 +1,9 @@
 """Scenario loading, deterministic runner, sweeps, and the CLI."""
 
+import contextlib
 import copy
 import glob
+import io
 import json
 import math
 import os
@@ -116,7 +118,20 @@ MALFORMED = [
     ("track:", minimal_cfg(vehicle={"body_radius": 5.0})),
     # Used to load and act as its absolute value.
     ("vehicle.body_radius", minimal_cfg(vehicle={"body_radius": -0.06})),
+    # The name names the output directory: these wrote outside it, or raised
+    # a ValueError from os.makedirs.
+    ("name", minimal_cfg(name="../escaped")),
+    ("name", minimal_cfg(name="/")),
+    ("name", minimal_cfg(name="a\0b")),
 ]
+
+# Used to load and run for ever: the tick count is capped.
+TOO_MANY_TICKS = [
+    ("duration", minimal_cfg(track={"kind": "circle"}, timestep=1e-300)),
+    ("duration", minimal_cfg(track={"kind": "circle"}, duration=1e300)),
+    ("duration", minimal_cfg(track={"kind": "circle"}, duration=1e6)),
+]
+MALFORMED += TOO_MANY_TICKS
 
 # (shipped scenario file or config, axis, a good value, then one that the
 # scenario file could not hold in the key the axis replaces).
@@ -256,8 +271,34 @@ def edit(data, cfg):
         parent[key] = value
 
 
+FUZZ_MAX_TICKS = 2000  # a longer edit runs with its duration cut to this many ticks
+
+
+def load_and_run(cfg, path):
+    """Write cfg to path and load it with each parser.  If it loads, run it
+    through the CLI, its duration cut to FUZZ_MAX_TICKS ticks if longer: the
+    run ends in exit 0, 1 or 2 and prints no traceback."""
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(cfg, fh)
+    outcomes = load_with_each_parser(path)
+    for outcome in outcomes:
+        assert isinstance(outcome, (Scenario, str))
+    if not isinstance(outcomes[0], Scenario):
+        return
+    if outcomes[0].n_ticks() > FUZZ_MAX_TICKS:
+        cfg["duration"] = FUZZ_MAX_TICKS * outcomes[0].timestep
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(cfg, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", path, "--out", os.path.join(os.path.dirname(path), "runs")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 class TestLoaderFuzz:
-    """Edits of the shipped files load, or are a ConfigError, with either parser."""
+    """Edits of the shipped files load, or are a ConfigError, with either
+    parser, and those that load run through the CLI."""
 
     @settings(max_examples=80)
     @given(st.sampled_from(sorted(SHIPPED_CFGS)),
@@ -271,11 +312,19 @@ class TestLoaderFuzz:
             if cfg:
                 edit(data, cfg)
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, name)
-            with open(path, "w", encoding="utf-8") as fh:
-                yaml.safe_dump(cfg, fh)
-            for outcome in load_with_each_parser(path):
-                assert isinstance(outcome, (Scenario, str))
+            load_and_run(cfg, os.path.join(tmp, name))
+
+    # Few hostile edits leave a file that loads; numbers scaled more often do.
+    @settings(max_examples=40)
+    @given(st.sampled_from(sorted(SHIPPED_CFGS)), st.integers(1, 3), st.data())
+    def test_scaled_scenarios_run_or_are_config_errors(self, name, edits, data):
+        cfg = copy.deepcopy(SHIPPED_CFGS[name])
+        numbers = [(c, k) for c, k in locations(cfg) if type(c[k]) in (int, float)]
+        for _ in range(edits):
+            parent, key = data.draw(st.sampled_from(numbers))
+            parent[key] *= data.draw(st.sampled_from([-1, 0, 0.1, 0.5, 2, 10, 1e6]))
+        with tempfile.TemporaryDirectory() as tmp:
+            load_and_run(cfg, os.path.join(tmp, name))
 
 
 class TestParsers:
@@ -448,6 +497,19 @@ class TestScenarioValidation:
     def test_malformed_value_is_config_error(self, where, cfg):
         with pytest.raises(ConfigError, match="^" + re.escape(where)):
             scenario_from_dict(copy.deepcopy(cfg))
+
+    @pytest.mark.parametrize("where, cfg", TOO_MANY_TICKS)
+    def test_tick_count_is_capped_at_load(self, where, cfg):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="^duration: .* at a timestep of .* over the limit"):
+            scenario_from_dict(copy.deepcopy(cfg))
+        assert time.perf_counter() - start < 0.1
+
+    def test_tick_count_up_to_the_cap_loads(self):
+        cap = scenario_module._MAX_TICKS
+        assert scenario_from_dict(minimal_cfg(duration=cap * 0.005)).n_ticks() == cap
+        with pytest.raises(ConfigError, match="^duration"):
+            scenario_from_dict(minimal_cfg(duration=(cap + 1) * 0.005))
 
     # Anchors are refused as they are composed, so no alias resolves.
     # Let through, a cycle would nest without end, and each level of shared

@@ -296,12 +296,25 @@ def _loops(draw):
     return Track(segs[turn:] + segs[:turn])
 
 
+@st.composite
+def _cut_circles(draw):
+    """A circle cut into 2 to 5 arcs at drawn angles, either way round, from
+    a start angle that may lie outside [0, 360)."""
+    r, start = draw(st.floats(0.001, 0.99)), draw(st.floats(-720.0, 720.0))
+    turn = draw(st.sampled_from([1.0, -1.0]))
+    cuts = draw(st.lists(st.floats(0.5, 359.5), min_size=1, max_size=4, unique=True))
+    bounds = [0.0, *sorted(cuts), 360.0]
+    return Track([Arc(1.0, 1.0, r, start + turn * lo, turn * (hi - lo))
+                  for lo, hi in zip(bounds, bounds[1:])])
+
+
 _SAMPLED_TRACKS = st.one_of(
     st.builds(lambda straight, r: Track(rounded_rectangle_segments((1.0, 1.0), straight, r)),
               st.floats(0.001, 1.0), st.floats(0.001, 0.4)),
     st.builds(lambda r, start, sweep: Track([Arc(1.0, 1.0, r, start, sweep)]),
               st.floats(0.001, 0.99), st.floats(-720.0, 720.0), st.sampled_from([360.0, -360.0])),
     _loops(),
+    _cut_circles(),
 )
 
 
@@ -310,6 +323,8 @@ _SAMPLED_TRACKS = st.one_of(
 # The first tangent is a hair under 0 deg: it wraps to 360.0, read as 0.0.
 @example(Track([Arc(1.0, 1.0, 0.5, math.nextafter(90.0, 0.0), -360.0)]))
 @example(Track([Arc(1.0, 1.0, 0.5, math.nextafter(-90.0, -math.inf), 360.0)]))
+# The first tangent is -270 - 90 deg: fmod gives -0.0, and it stays -0.0.
+@example(Track([Arc(1.0, 1.0, 0.5, -270.0, -360.0)]))
 def test_sampling_equals_per_sample_walk(track):
     got, exp = track.sampling, oracle_track_sampling(track)
     for a, b in zip(got[:3], exp[:3]):
