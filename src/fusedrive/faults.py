@@ -50,10 +50,8 @@ class OutageSchedule:
         self.model = model
         self.phase = phase
         self._rng = rng
-        self._interval_index = None
-        self._interval_active = False
-        self._windows = []
-        self._open_start = None
+        self._first = None  # index of the first probabilistic interval drawn
+        self._dark = []     # per interval from _first on: whether its draw went dark
 
     def active(self, now: float) -> bool:
         m = self.model
@@ -65,23 +63,11 @@ class OutageSchedule:
                 local += m.period
             return local < m.duration
         k = math.floor((now - self.phase) / m.interval)
-        if self._interval_index is None or k > self._interval_index:
-            start = self._interval_index + 1 if self._interval_index is not None else k
-            for j in range(start, k + 1):
-                draw = self._rng.randint(1, 100)
-                self._record(j, draw < m.threshold)
-            self._interval_index = k
-        return self._interval_active
-
-    def _record(self, j: int, active: bool):
-        m = self.model
-        t0 = self.phase + j * m.interval
-        if active and self._open_start is None:
-            self._open_start = t0
-        elif not active and self._open_start is not None:
-            self._windows.append((self._open_start, t0))
-            self._open_start = None
-        self._interval_active = active
+        if self._first is None:
+            self._first = k
+        while len(self._dark) <= k - self._first:
+            self._dark.append(self._rng.randint(1, 100) < m.threshold)
+        return self._dark[k - self._first]
 
     def windows(self, end_time: float):
         """Outage windows (start, end) intersecting [0, end_time].
@@ -105,9 +91,16 @@ class OutageSchedule:
                 out.append((start, min(start + m.duration, end_time)))
                 k += 1
             return out
-        out = list(self._windows)
-        if self._open_start is not None:
-            out.append((self._open_start, end_time))
+        out, start = [], None
+        for j, dark in enumerate(self._dark, self._first or 0):
+            t0 = self.phase + j * m.interval
+            if dark and start is None:
+                start = t0
+            elif not dark and start is not None:
+                out.append((start, t0))
+                start = None
+        if start is not None:
+            out.append((start, end_time))
         return [(s, min(e, end_time)) for s, e in out if s <= end_time]
 
 

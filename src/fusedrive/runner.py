@@ -17,7 +17,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .control import PidState, sensor_tick
 from .faults import OutageSchedule, PeriodicOutage, gate
@@ -53,7 +53,6 @@ class RunResult:
     rows: list
     series: dict
     summaries: dict
-    files: dict = field(default_factory=dict)
 
 
 class SensorRuntime:
@@ -136,8 +135,8 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     of hypot.  The bound stands in only while it is below the threshold, so
     the true value is too, and the detector takes the same reset branch on
     either.  The first tick always searches, its bound being infinite.  A
-    search leaves only Track.closest's hint, and closest is exact from any
-    hint.
+    search leaves only the segment it picked, the next search's hint, and
+    Track.closest is exact from any hint.
 
     A coasted tick.  There the full loop would send nothing, no sensor being
     due.  It would merge nothing: only full ticks send, so the earliest
@@ -163,6 +162,7 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
 
     threshold = scenario.crash_threshold
     last_abs, last_x, last_y = math.inf, pose.x, pose.y
+    segment = 0  # the last search's segment: the next one's hint
     ts = scenario.timestep
     vehicle = scenario.vehicle
     applied = motion = None
@@ -179,7 +179,7 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
             node.handle_datagram(source_id, datagram, now)
         bound = last_abs + math.hypot(pose.x - last_x, pose.y - last_y) + 1e-9
         if delivered or bound >= threshold:
-            dev = lateral_deviation(scenario.track, pose)
+            dev, segment = lateral_deviation(scenario.track, pose, segment)
             last_abs, last_x, last_y = abs(dev), pose.x, pose.y
         else:
             dev = bound
@@ -250,22 +250,17 @@ def write_outputs(result: RunResult, out_dir):
     into the same directory, are removed.
     """
     os.makedirs(out_dir, exist_ok=True)
-    files = {}
 
-    path = os.path.join(out_dir, "drive_log.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "drive_log.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(DRIVE_LOG_HEADER + "\n")
         for row in result.rows:
             fh.write(row + "\n")
-    files["drive_log"] = path
 
     for name, ser in result.series.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(os.path.join(out_dir, f"{name}.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"time,{name}\n")
             for t, v in zip(ser.times, ser.values):
                 fh.write(f"{t:.6f},{v!r}\n")
-        files[name] = path
     for name in os.listdir(out_dir):
         if (name.startswith("error_") and name.endswith(".csv")
                 and name[:-4] not in result.series):
@@ -280,9 +275,6 @@ def write_outputs(result: RunResult, out_dir):
         "crash_time": result.crash_time,
         "metrics": result.summaries,
     }
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    files["summary"] = path
-    result.files = files

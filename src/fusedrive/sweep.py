@@ -5,7 +5,6 @@ scenario a few times per value with seeds derived from (seed, value, rep),
 and aggregates the per-run summaries into one table row per value.
 """
 
-import copy
 import math
 import os
 import re
@@ -54,26 +53,27 @@ _OUTAGE_AXES = {  # axis: (outage kind in a scenario file, field)
 def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
     """A copy of the scenario with one swept parameter replaced.
 
-    The value is read and built on as a scenario file's value for that key
-    would be, so a value the file could not hold is a ConfigError naming axis.
+    The scenario is left as it is: the copy shares its track and every
+    sensor whose parameter the axis does not change.  The value is read and
+    built on as a scenario file's value for that key would be, so a value
+    the file could not hold is a ConfigError naming axis.
     """
-    out = copy.deepcopy(scenario)
     if axis in _GAIN_KEYS:
         value = _wrap(axis, _GAIN_KEYS[axis], value)
-        for sensor in out.sensors:
-            sensor.gains = _wrap(axis, replace, sensor.gains, **{axis: value})
-        return out
+        return replace(scenario, sensors=[
+            replace(sensor, gains=_wrap(axis, replace, sensor.gains, **{axis: value}))
+            for sensor in scenario.sensors])
     if axis not in _OUTAGE_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     kind, name = _OUTAGE_AXES[axis]
     readers, model = _OUTAGES[kind]
-    swept = [sensor for sensor in out.sensors if isinstance(sensor.outage, model)]
-    if not swept:
+    if not any(isinstance(sensor.outage, model) for sensor in scenario.sensors):
         raise ConfigError(f"{axis} sweep needs a {kind} outage model")
     value = _wrap(axis, readers[name], value)
-    for sensor in swept:
-        sensor.outage = _wrap(axis, replace, sensor.outage, **{name: value})
-    return out
+    return replace(scenario, sensors=[
+        replace(sensor, outage=_wrap(axis, replace, sensor.outage, **{name: value}))
+        if isinstance(sensor.outage, model) else sensor
+        for sensor in scenario.sensors])
 
 
 def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
@@ -104,12 +104,11 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     for vi, (value, label, variant) in enumerate(zip(values, labels, variants)):
         results = []
         for rep in range(spec.reps):
-            rep_scenario = copy.deepcopy(variant)
-            rep_scenario.seed = derive_seed(scenario.seed, spec.axis, value, rep)
             rep_dir = None
             if out_dir is not None:
                 rep_dir = os.path.join(out_dir, f"{spec.axis}_{label}_rep{rep}")
-            results.append(run(rep_scenario, rep_dir))
+            seed = derive_seed(scenario.seed, spec.axis, value, rep)
+            results.append(run(replace(variant, seed=seed), rep_dir))
         all_runs.append(results)
         crash_rate.append(sum(1 for r in results if not r.completed) / len(results))
         for name in sorted({m for r in results for m in r.summaries}):

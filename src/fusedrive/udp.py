@@ -63,6 +63,7 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
         sources = {}
         for idx, cfg in enumerate(scenario.sensors):
             sock = _bound(stack, host, base + idx if base else 0)
+            sock.connect(vehicle_addr)  # now named as recvfrom names it, even on 0.0.0.0
             channels.append(_SocketChannel(sock, vehicle_addr))
             sources[sock.getsockname()] = cfg.sensor_id
         t0 = time.monotonic()

@@ -203,7 +203,6 @@ class Track:
     segments: list
     board_size: float = 2.0
     line_width: float = 0.02
-    _last: int = field(default=0, repr=False, compare=False)  # previous closest() pick
 
     def __post_init__(self):
         if not self.segments:
@@ -241,6 +240,8 @@ class Track:
         starts = np.arange(0, n, SAMPLE_BLOCK)
         boxes = zip(*(f.reduceat(c, starts).tolist()
                       for c in (xs, ys) for f in (np.minimum, np.maximum)))
+        for a in (xs, ys, tans):
+            a.flags.writeable = False  # runs share the track: none may write it
         self.sampling = Sampling(xs, ys, tans, step, list(boxes))
 
     def point_at(self, s: float):
@@ -251,19 +252,19 @@ class Track:
         i = min(bisect.bisect_right(self._cum, s) - 1, len(self.segments) - 1)
         return self.segments[i].point_at(s - self._cum[i])
 
-    def closest(self, px: float, py: float):
-        """Signed lateral deviation plus foot point and tangent there.
+    def closest(self, px: float, py: float, hint: int = 0):
+        """Signed lateral deviation, foot point and tangent there, and its segment.
 
         Positive deviation means the point lies to the left of the track
         direction.  Ties between segments go to the lower index: scanning
         the segments in order, a later one replaces the pick only when it is
         closer by more than 1e-15.
 
-        The scan is pruned.  The segment that won the previous call goes
-        first, and its distance U bounds the minimum m from above.  A segment
-        whose cheap lower bound (distance to its bounding circle, or to the
-        full circle of an arc) exceeds U + 1e-9 is skipped; the others run
-        through the unchanged scan.
+        The scan is pruned.  Segment `hint` goes first (any index will do; a
+        caller passes the previous pick), and its distance U bounds the
+        minimum m from above.  A segment whose cheap lower bound (distance to
+        its bounding circle, or to the full circle of an arc) exceeds
+        U + 1e-9 is skipped; the others run through the unchanged scan.
 
         This is exact.  A skipped segment lies more than 1e-9 above U, so
         above m, and the scan's pick is never more than 1e-15 above m: a
@@ -276,7 +277,6 @@ class Track:
         candidates, since a skipped segment can never replace a pick under L.
         """
         segs = self.segments
-        hint = self._last
         first = segs[hint].closest(px, py)
         bound = first[0] + 1e-9
         best = None
@@ -289,11 +289,10 @@ class Track:
                 cand = seg.closest(px, py)
             if best is None or cand[0] < best[0] - 1e-15:
                 best, win = cand, i
-        self._last = win
         d, cx, cy, tan = best
         t = math.radians(tan)
         cross = math.cos(t) * (py - cy) - math.sin(t) * (px - cx)
-        return math.copysign(d, cross) if d > 0.0 else 0.0, cx, cy, tan
+        return math.copysign(d, cross) if d > 0.0 else 0.0, cx, cy, tan, win
 
     def samples(self) -> Sampling:
         """The sampling record.  A method only for the benchmark: perfbench's
@@ -312,9 +311,11 @@ def _segment_extremes(seg):
     return pts
 
 
-def lateral_deviation(track: Track, pose: Pose) -> float:
-    """Signed distance from the pose to the track centerline (+ is left)."""
-    return track.closest(pose.x, pose.y)[0]
+def lateral_deviation(track: Track, pose: Pose, segment: int = 0):
+    """Signed distance from the pose to the track centerline (+ is left),
+    and the segment it was measured to: the next call's hint."""
+    dev, _, _, _, segment = track.closest(pose.x, pose.y, segment)
+    return dev, segment
 
 
 def rounded_rectangle_segments(center, straight: float = 1.0, corner_radius: float = 0.3):

@@ -222,14 +222,14 @@ def oracle_fuse(commands, policy):
 def oracle_track_closest(track, px, py):
     """Track.closest as a full scan: every segment, in index order, no pruning."""
     best = None
-    for seg in track.segments:
+    for i, seg in enumerate(track.segments):
         d, cx, cy, tan = seg.closest(px, py)
         if best is None or d < best[0] - 1e-15:
-            best = (d, cx, cy, tan)
-    d, cx, cy, tan = best
+            best = (d, cx, cy, tan, i)
+    d, cx, cy, tan, i = best
     t = math.radians(tan)
     cross = math.cos(t) * (py - cy) - math.sin(t) * (px - cx)
-    return math.copysign(d, cross) if d > 0.0 else 0.0, cx, cy, tan
+    return math.copysign(d, cross) if d > 0.0 else 0.0, cx, cy, tan, i
 
 
 def oracle_point_at(track, s):
@@ -434,7 +434,7 @@ def oracle_drive(scenario, channels, deliver, out_dir=None):
         delivered = deliver(now)
         for source_id, datagram in delivered:
             node.handle_datagram(source_id, datagram, now)
-        dev = lateral_deviation(scenario.track, pose)
+        dev, _ = lateral_deviation(scenario.track, pose)
         if delivered:
             correction.append(now, correction_metric(*node.applied))
             deviation.append(now, dev)

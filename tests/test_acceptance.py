@@ -376,7 +376,7 @@ def test_same_seed_reproduces_byte_identical_outputs(tmp_path):
         dirs = []
         for label in ("first", "second"):
             out = tmp_path / label
-            run(copy.deepcopy(base), str(out))
+            run(base, str(out))
             dirs.append(out)
         names = sorted(p.name for p in dirs[0].iterdir())
         assert names == sorted(p.name for p in dirs[1].iterdir())

@@ -13,7 +13,6 @@ deliveries landing on tick boundaries, no deliveries at all, a sensor due
 every tick, and straight-line driving off the track.
 """
 
-import copy
 import dataclasses
 from pathlib import Path
 
@@ -103,10 +102,10 @@ COMPLETING = {"onboard_threshold_0.01", "start_off_line_wide_threshold",
 
 
 def _run_both(scenario, monkeypatch):
-    actual = runner.run(copy.deepcopy(scenario))
+    actual = runner.run(scenario)
     with monkeypatch.context() as patch:
         patch.setattr(runner, "drive", oracle_drive)
-        expected = runner.run(copy.deepcopy(scenario))
+        expected = runner.run(scenario)
     return actual, expected
 
 
@@ -129,9 +128,9 @@ def test_ground_truth_searched_on_delivery_ticks_and_few_others(monkeypatch):
     tick = [0]             # the tick of the latest merge
     search, merge = runner.lateral_deviation, runner.merge_deliveries
 
-    def counted_search(track, pose):
+    def counted_search(track, pose, segment):
         searched.append(tick[0])
-        return search(track, pose)
+        return search(track, pose, segment)
 
     def counted_merge(channels, now):
         # Every tick that can search merges first; coasted ticks do neither.

@@ -10,9 +10,10 @@ purpose has to say so and justify the new digests.  Runs use the shipped
 durations; the two sweeps are shortened.
 """
 
+import copy
 import dataclasses
 import hashlib
-import os
+import random
 from pathlib import Path
 
 import pytest
@@ -149,9 +150,10 @@ OUTAGE_AT_START = {
 
 
 def _output_digests(scenario, out_dir):
-    result = run(scenario, out_dir)
-    return {os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            for path in result.files.values()}
+    """Run into the empty out_dir; the digest of each file written there."""
+    run(scenario, out_dir)
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in Path(out_dir).iterdir()}
 
 
 def test_golden_covers_every_run_scenario():
@@ -327,3 +329,41 @@ def test_outage_threshold_sweep_matches_golden(tmp_path):
         sensor.outage = ProbabilisticOutage(interval=0.4, threshold=0)
     spec = SweepSpec("outage_threshold", (20, 65), reps=2)
     assert _sweep_digests(scenario, spec, tmp_path) == SWEEP_OUTAGE_THRESHOLD
+
+
+def _track_state(track):
+    """vars(track) as plain values, the sampling arrays as their bytes."""
+    state = copy.deepcopy(vars(track))
+    sampling = state.pop("sampling")
+    return state, [a.tobytes() for a in sampling[:3]], sampling[3:]
+
+
+def _written(out_dir):
+    return {path.name: path.read_bytes() for path in Path(out_dir).iterdir()}
+
+
+def test_runs_sharing_a_process_and_a_scenario_are_independent(tmp_path):
+    # Each golden scenario, loaded once, run twice in a shuffled order beside
+    # the others, writes what a run of a fresh load writes, and the runs
+    # leave its track as they found it.
+    loaded = {}
+    for name in sorted(GOLDEN):
+        loaded[name] = load_scenario(SCENARIOS / f"{name}.yaml")
+        loaded[name].duration = 10.0
+    reference = {}
+    for name in sorted(GOLDEN):
+        fresh = load_scenario(SCENARIOS / f"{name}.yaml")
+        fresh.duration = 10.0
+        run(fresh, tmp_path / "fresh" / name)
+        reference[name] = _written(tmp_path / "fresh" / name)
+    before = {name: _track_state(sc.track) for name, sc in loaded.items()}
+    order = [(name, k) for name in sorted(GOLDEN) for k in range(2)]
+    random.Random(5).shuffle(order)
+    for name, k in order:
+        out = tmp_path / "shared" / f"{name}_{k}"
+        run(loaded[name], out)
+        assert _written(out) == reference[name], (name, k)
+    for name, sc in loaded.items():
+        assert _track_state(sc.track) == before[name], name
+        with pytest.raises(ValueError):
+            sc.track.sampling.xs[0] = 0.0

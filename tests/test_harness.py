@@ -597,12 +597,14 @@ class TestRunner:
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         cfg = minimal_cfg(duration=8.0, seed=42)
         cfg["sensors"][0]["channel"] = {"loss": 0.2, "delay": [0.0, 0.03]}
-        a = run(scenario_from_dict(cfg), tmp_path / "a")
-        b = run(scenario_from_dict(cfg), tmp_path / "b")
-        for name in a.files:
-            with open(a.files[name], "rb") as fh:
+        run(scenario_from_dict(cfg), tmp_path / "a")
+        run(scenario_from_dict(cfg), tmp_path / "b")
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names and names == sorted(os.listdir(tmp_path / "b"))
+        for name in names:
+            with open(tmp_path / "a" / name, "rb") as fh:
                 left = fh.read()
-            with open(b.files[name], "rb") as fh:
+            with open(tmp_path / "b" / name, "rb") as fh:
                 right = fh.read()
             assert left == right, name
 
@@ -620,10 +622,10 @@ class TestRunner:
             "correction.csv", "deviation.csv", "drive_log.csv",
             "error_pi.csv", "summary.json",
         ]
-        with open(res.files["drive_log"], "r", encoding="utf-8") as fh:
+        with open(tmp_path / "out" / "drive_log.csv", "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
         assert header.startswith("time,left,right,piLeft")
-        with open(res.files["summary"], "r", encoding="utf-8") as fh:
+        with open(tmp_path / "out" / "summary.json", "r", encoding="utf-8") as fh:
             summary = json.load(fh)
         assert summary["completed"] is True
         assert summary["metrics"]["deviation"]["count"] == len(res.series["deviation"])

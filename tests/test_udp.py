@@ -5,7 +5,9 @@ assertions stay qualitative (it drives, it logs, sources resolve by address).
 The socket is the one place a command travels as text.
 """
 
+import json
 import logging
+import os
 import socket
 
 import pytest
@@ -71,8 +73,23 @@ class TestUdpTransport:
     def test_outputs_written(self, tmp_path):
         sc = scenario_from_dict(udp_cfg(ONBOARD, duration=3.0))
         res = run_udp(sc, tmp_path / "udp", pace=10.0)
-        assert (tmp_path / "udp" / "drive_log.csv").exists()
-        assert res.files
+        out = tmp_path / "udp"
+        assert sorted(os.listdir(out)) == [
+            "correction.csv", "deviation.csv", "drive_log.csv", "error_pi.csv", "summary.json"]
+        log = (out / "drive_log.csv").read_text(encoding="utf-8").splitlines()
+        assert log[1:] == res.rows and len(res.rows) > 10
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["completed"] is res.completed is True
+
+    def test_wildcard_host_logs_sensor_rows(self):
+        # Sockets bound to 0.0.0.0 are named by the address they are connected
+        # from, the one recvfrom reports, so the sensor's datagrams resolve.
+        cfg = udp_cfg(ONBOARD, duration=1.0)
+        cfg["udp"] = dict(cfg["udp"], host="0.0.0.0")
+        res = run_udp(scenario_from_dict(cfg), pace=10.0)
+        assert res.completed
+        assert len(res.rows) > 5
+        assert any(row.split(",")[3] != "0" for row in res.rows)
 
     def test_every_tick_runs_in_full(self, monkeypatch):
         # A socket can deliver at any time, so the loop never coasts over UDP.

@@ -2,12 +2,14 @@
 
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fusedrive import world
 from fusedrive.scenario import track_from_config
 from fusedrive.world import (
     Arc,
@@ -98,24 +100,24 @@ class TestTrackConstruction:
 class TestLateralDeviation:
     def test_center_of_circle(self):
         track = track_from_config({"kind": "circle", "center": [1.0, 1.0], "radius": 0.5})
-        assert abs(lateral_deviation(track, Pose(1.0, 1.0, 0.0))) == pytest.approx(0.5)
+        assert abs(lateral_deviation(track, Pose(1.0, 1.0, 0.0))[0]) == pytest.approx(0.5)
 
     def test_sign_left_positive(self):
         track = square_loop_track()
         # Bottom straight runs +x at y = 0.3; above it is the track's left.
-        assert lateral_deviation(track, Pose(1.0, 0.35, 0.0)) > 0
-        assert lateral_deviation(track, Pose(1.0, 0.25, 0.0)) < 0
+        assert lateral_deviation(track, Pose(1.0, 0.35, 0.0))[0] > 0
+        assert lateral_deviation(track, Pose(1.0, 0.25, 0.0))[0] < 0
 
     def test_on_line_zero(self):
         track = square_loop_track()
         x, y, _ = track.point_at(0.37)
-        assert lateral_deviation(track, Pose(x, y, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert lateral_deviation(track, Pose(x, y, 0.0))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_circle_offsets(self):
         track = track_from_config({"kind": "circle", "center": [1.0, 1.0], "radius": 0.5})
         # Outside the ccw circle is to the right of travel: negative.
-        assert lateral_deviation(track, Pose(1.7, 1.0, 0.0)) == pytest.approx(-0.2)
-        assert lateral_deviation(track, Pose(1.4, 1.0, 0.0)) == pytest.approx(0.1)
+        assert lateral_deviation(track, Pose(1.7, 1.0, 0.0))[0] == pytest.approx(-0.2)
+        assert lateral_deviation(track, Pose(1.4, 1.0, 0.0))[0] == pytest.approx(0.1)
 
     def test_continuity_along_path(self):
         track = square_loop_track()
@@ -128,7 +130,7 @@ class TestLateralDeviation:
             x, y, _ = track.point_at(s)
             x += rng.uniform(-0.01, 0.01)
             y += rng.uniform(-0.01, 0.01)
-            d = lateral_deviation(track, Pose(x, y, 0.0))
+            d = lateral_deviation(track, Pose(x, y, 0.0))[0]
             if prev is not None:
                 assert abs(d - prev) < 0.04
             prev = d
@@ -194,29 +196,33 @@ class TestPrunedClosest:
         track = FAST_PATH_TRACKS[name]()
         pts = _probe_points(track, 11)
         random.Random(12).shuffle(pts)
+        hint = 0
         for px, py in pts:
-            assert track.closest(px, py) == oracle_track_closest(track, px, py), (px, py)
+            got = track.closest(px, py, hint)
+            assert got == oracle_track_closest(track, px, py), (px, py)
+            hint = got[4]
 
     def test_path_along_track_matches_full_scan(self, name):
-        # Consecutive nearby points keep the previous pick as the first guess.
+        # Consecutive nearby points pass the previous pick as the first guess.
         track = FAST_PATH_TRACKS[name]()
         rng = random.Random(13)
-        s = 0.0
+        s, hint = 0.0, 0
         while s < 2.0 * track.total_length:
             x, y, _ = track.point_at(s)
             px, py = x + rng.uniform(-0.02, 0.02), y + rng.uniform(-0.02, 0.02)
-            assert track.closest(px, py) == oracle_track_closest(track, px, py), (px, py)
+            got = track.closest(px, py, hint)
+            assert got == oracle_track_closest(track, px, py), (px, py)
+            hint = got[4]
             s += 0.003
 
     def test_every_first_guess_matches_full_scan(self, name):
-        # Whichever segment won last time, the answer is the same.
+        # Whichever segment goes first, the answer is the same.
         track = FAST_PATH_TRACKS[name]()
         pts = _probe_points(track, 14)[::7]
         for px, py in pts:
             expected = oracle_track_closest(track, px, py)
             for i in range(len(track.segments)):
-                track._last = i
-                assert track.closest(px, py) == expected, (px, py, i)
+                assert track.closest(px, py, i) == expected, (px, py, i)
 
 
 @pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS))
@@ -331,6 +337,25 @@ def test_sampling_equals_per_sample_walk(track):
         assert a.tobytes() == b.tobytes()
     assert got.step == exp.step
     assert got.boxes == exp.boxes
+
+
+def test_arc_sampling_calls_libm(monkeypatch):
+    # With world's cos and sin one ulp above libm's, the arcs' samples must
+    # move with point_at's: a fill that computed them some other way (numpy's
+    # vectorised cos and sin, say) would not.
+    def up(f):
+        return lambda a: math.nextafter(f(a), math.inf)
+
+    circle = {"kind": "circle", "center": [1.0, 1.0], "radius": 0.5}
+    plain = track_from_config(circle).sampling
+    shifted = types.SimpleNamespace(**{n: getattr(math, n) for n in dir(math)})
+    shifted.cos, shifted.sin = up(math.cos), up(math.sin)
+    monkeypatch.setattr(world, "math", shifted)
+    track = track_from_config(circle)
+    got, exp = track.sampling, oracle_track_sampling(track)
+    assert got.xs.tobytes() != plain.xs.tobytes()
+    for a, b in zip(got[:3], exp[:3]):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestStepVehicle:
