@@ -21,7 +21,7 @@ from .perception import (
     onboard_offset,
     position_fix,
 )
-from .wire import SteeringCommand
+from .wire import ZERO, SteeringCommand
 
 DECAY = 0.9  # weight of the old integral in each update
 MAX_CORRECTION = 2.0 ** 53  # largest correction whose wheel powers stay exact integers
@@ -81,12 +81,14 @@ def sensor_tick(camera, gains: PidGains, state: PidState, observation):
     observation is the (markers, line_box) pair observe gave for camera.
     An empty frame yields a zero-report and leaves the controller state
     untouched, so a sensor resumes from its pre-outage integral; so does a
-    correction that overflows to inf or nan, which no wheel power can carry.
+    frame whose two roof markers share a pixel, which shows no heading, and
+    a correction that overflows to inf or nan, which no wheel power can carry.
     """
     markers, line_box = observation
     onboard = camera.kind == ONBOARD
-    if not line_box.visible or (not onboard and not markers.visible):
-        return state, SteeringCommand.zero()
+    if not line_box.visible or (not onboard and (not markers.visible
+                                                 or markers.green == markers.orange)):
+        return state, ZERO
     if onboard:
         error = onboard_offset(line_box.center[0], camera.center_x)
         derivative = error - state.last_error
@@ -99,7 +101,7 @@ def sensor_tick(camera, gains: PidGains, state: PidState, observation):
         error = position_fix(front_point(markers), line_box.center, vehicle_angle)
     new_state, correction = pid_update(gains, state, error, derivative)
     if not math.isfinite(correction):
-        return state, SteeringCommand.zero()
+        return state, ZERO
     left, right = commands_from_correction(correction)
     confidence = confidence_from_visibility(line_box.visible_fraction)
     return new_state, SteeringCommand(left, right, confidence, error,

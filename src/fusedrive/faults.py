@@ -11,7 +11,7 @@ transmits zero-reports.
 import math
 from dataclasses import dataclass
 
-from .wire import SteeringCommand
+from .wire import ZERO, SteeringCommand
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,10 @@ class PeriodicOutage:
         if not 0.0 <= self.duration <= self.period:
             raise ValueError("duration must be in [0, period]")
 
+    @property
+    def span(self) -> float:  # a sensor's phase is drawn from [0, span)
+        return self.period
+
 
 @dataclass(frozen=True)
 class ProbabilisticOutage:
@@ -36,6 +40,10 @@ class ProbabilisticOutage:
             raise ValueError("interval must be positive")
         if not 0 <= self.threshold <= 100:
             raise ValueError("threshold must be in [0, 100]")
+
+    @property
+    def span(self) -> float:  # a sensor's phase is drawn from [0, span)
+        return self.interval
 
 
 class OutageSchedule:
@@ -106,4 +114,4 @@ class OutageSchedule:
 
 def gate(cmd: SteeringCommand, active: bool) -> SteeringCommand:
     """Substitute a zero-report while an outage is active."""
-    return SteeringCommand.zero() if active else cmd
+    return ZERO if active else cmd

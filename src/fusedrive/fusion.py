@@ -11,7 +11,7 @@ import logging
 import math
 
 from .perception import INFRASTRUCTURE, ONBOARD
-from .wire import MalformedDatagram, SteeringCommand, decode_command, format_field
+from .wire import ZERO, MalformedDatagram, SteeringCommand, decode_command, format_field
 
 log = logging.getLogger(__name__)
 
@@ -145,7 +145,7 @@ class VehicleNode:
         self.policy = policy
         self.applied = (0, 0)
         self.rows = []
-        self.commands = [SteeringCommand.zero()] * len(source_ids)
+        self.commands = [ZERO] * len(source_ids)
         self.texts = ["0,0,0,0,0,0"] * (len(source_ids) + 1)
         self._log_slots = [self._index.get(sid, len(source_ids)) for sid in slot_ids]
 
@@ -178,7 +178,7 @@ class VehicleNode:
             format_field(p), format_field(i), format_field(d),
         ))
         scaled = SteeringCommand(left, right, confidence, p, i, d)
-        self.commands[k] = scaled if left > 0 or right > 0 else SteeringCommand.zero()
+        self.commands[k] = scaled if left > 0 or right > 0 else ZERO
 
     def handle_datagram(self, source_id, datagram, now: float):
         """Ingest one datagram, a command or its text, and apply fused powers;

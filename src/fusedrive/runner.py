@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .control import PidState, sensor_tick
-from .faults import OutageSchedule, PeriodicOutage, gate
+from .faults import OutageSchedule, gate
 from .fusion import DRIVE_LOG_HEADER, VehicleNode, log_slots
 from .metrics import (
     CrashDetector,
@@ -68,10 +68,8 @@ class SensorRuntime:
         self.noise_rng = random.Random(derive_seed(scenario.seed, config.sensor_id, "noise"))
         phase = 0.0
         if config.outage is not None:
-            span = (config.outage.period if isinstance(config.outage, PeriodicOutage)
-                    else config.outage.interval)
             phase_rng = random.Random(derive_seed(scenario.seed, config.sensor_id, "phase"))
-            phase = phase_rng.uniform(0.0, span)
+            phase = phase_rng.uniform(0.0, config.outage.span)
         self.outage = OutageSchedule(
             config.outage, phase,
             random.Random(derive_seed(scenario.seed, config.sensor_id, "outage")),
@@ -134,8 +132,10 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     the rounding of the search (its pick is within 1e-15 of the minimum) and
     of hypot.  The bound stands in only while it is below the threshold, so
     the true value is too, and the detector takes the same reset branch on
-    either.  The first tick always searches, its bound being infinite.  A
-    search leaves only the segment it picked, the next search's hint, and
+    either.  A full tick reads the bound the last Motion.advance returned at
+    the pose it stopped at, from the last search, and neither changes before
+    that tick; the first tick's is infinite, so it searches.  A search
+    leaves only the segment it picked, the next search's hint, and
     Track.closest is exact from any hint.
 
     A coasted tick.  There the full loop would send nothing, no sensor being
@@ -162,6 +162,7 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
 
     threshold = scenario.crash_threshold
     last_abs, last_x, last_y = math.inf, pose.x, pose.y
+    bound = math.inf  # the first tick searches
     segment = 0  # the last search's segment: the next one's hint
     ts = scenario.timestep
     vehicle = scenario.vehicle
@@ -177,7 +178,6 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
         delivered = deliver(now)
         for source_id, datagram in delivered:
             node.handle_datagram(source_id, datagram, now)
-        bound = last_abs + math.hypot(pose.x - last_x, pose.y - last_y) + 1e-9
         if delivered or bound >= threshold:
             dev, segment = lateral_deviation(scenario.track, pose, segment)
             last_abs, last_x, last_y = abs(dev), pose.x, pose.y
@@ -203,8 +203,8 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
                 due = t
         if due < math.inf:
             stop = min(stop, first_due_tick(due, ts, i + 1))
-        x, y, heading, stepped = motion.advance(pose.x, pose.y, pose.heading, stop - i,
-                                                last_abs, last_x, last_y, threshold)
+        x, y, heading, stepped, bound = motion.advance(pose.x, pose.y, pose.heading, stop - i,
+                                                       last_abs, last_x, last_y, threshold)
         pose = Pose(x, y, heading)
         i += stepped
 

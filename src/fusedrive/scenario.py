@@ -334,8 +334,9 @@ def scenario_from_dict(cfg, default_name: str = "scenario") -> Scenario:
 
 def _validate_clock(scenario: Scenario):
     """Reject a clock the tick loop cannot run: the timestep must tile a second,
-    no sensor may outrun it, and the tick counts the run derives must exist
-    (the run's at most _MAX_TICKS)."""
+    no sensor or outage may outrun it (a tick reads at most one outage span;
+    shorter ones only add draws and windows no tick sees), and the tick
+    counts the run derives must exist (the run's at most _MAX_TICKS)."""
     ts = scenario.timestep
     ticks_per_second = 1.0 / ts
     if not (math.isfinite(ticks_per_second)
@@ -349,6 +350,8 @@ def _validate_clock(scenario: Scenario):
         if sensor.period() < ts - 1e-12:
             raise ConfigError(f"sensors: rate {sensor.rate_hz} Hz is faster than the timestep")
         _wrap(f"sensors[{i}].rate_hz", scenario.sensor_period_ticks, sensor)
+        if sensor.outage is not None and sensor.outage.span < ts - 1e-12:
+            raise ConfigError(f"sensors[{i}].outage: switches faster than the {ts:g} s timestep")
 
 
 _MAX_DEPTH = 32  # nesting levels a scenario file may use; the shipped ones use 5

@@ -17,7 +17,11 @@ from .runner import run
 from .scenario import _GAIN_KEYS, _OUTAGES, Scenario, _wrap, derive_seed
 from .world import ConfigError
 
-AXES = ("kp", "ki", "kd", "outage_duration", "outage_threshold")
+_OUTAGE_AXES = {  # axis: (outage kind in a scenario file, field)
+    "outage_duration": ("periodic", "duration"),
+    "outage_threshold": ("probabilistic", "threshold"),
+}
+AXES = (*_GAIN_KEYS, *_OUTAGE_AXES)
 
 
 @dataclass(frozen=True)
@@ -42,12 +46,6 @@ class SweepTable:
     metrics: dict            # metric name -> list of (mean, std) per value
     crash_rate: list
     runs: list = field(default_factory=list)  # list (per value) of RunResult lists
-
-
-_OUTAGE_AXES = {  # axis: (outage kind in a scenario file, field)
-    "outage_duration": ("periodic", "duration"),
-    "outage_threshold": ("probabilistic", "threshold"),
-}
 
 
 def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:

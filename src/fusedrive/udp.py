@@ -24,14 +24,13 @@ _RECV_BYTES = 1500
 
 
 class _SocketChannel:
-    """A sensor's bound socket; send() puts a command's text on the wire."""
+    """A sensor's socket, connected to the vehicle's: send() sends a command's text."""
 
-    def __init__(self, sock, vehicle_addr):
+    def __init__(self, sock):
         self.sock = sock
-        self.vehicle_addr = vehicle_addr
 
     def send(self, source_id, cmd: SteeringCommand, now: float):
-        self.sock.sendto(encode_command(cmd).encode("utf-8"), self.vehicle_addr)
+        self.sock.send(encode_command(cmd).encode("utf-8"))
 
     def next_delivery(self) -> float:
         """Any time: a datagram may arrive on any tick, so every tick runs."""
@@ -58,13 +57,12 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
     with contextlib.ExitStack() as stack:
         vehicle = _bound(stack, host, scenario.udp.vehicle_port)
         vehicle.setblocking(False)
-        vehicle_addr = vehicle.getsockname()
         channels = []
         sources = {}
         for idx, cfg in enumerate(scenario.sensors):
             sock = _bound(stack, host, base + idx if base else 0)
-            sock.connect(vehicle_addr)  # now named as recvfrom names it, even on 0.0.0.0
-            channels.append(_SocketChannel(sock, vehicle_addr))
+            sock.connect(vehicle.getsockname())  # now named as recvfrom names it, even on 0.0.0.0
+            channels.append(_SocketChannel(sock))
             sources[sock.getsockname()] = cfg.sensor_id
         t0 = time.monotonic()
 

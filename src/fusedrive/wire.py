@@ -30,15 +30,11 @@ class SteeringCommand(NamedTuple):
     i: float = 0.0
     d: float = 0.0
 
-    @classmethod
-    def zero(cls):
-        return _ZERO
-
     def is_zero_report(self) -> bool:
         return not any(self)
 
 
-_ZERO = SteeringCommand(0, 0, 0, 0, 0, 0)
+ZERO = SteeringCommand(0, 0, 0, 0, 0, 0)  # the zero-report; one shared value
 
 
 def format_field(value) -> str:

@@ -306,8 +306,7 @@ def _segment_extremes(seg):
     if isinstance(seg, Arc):
         for axis_deg in (0.0, 90.0, 180.0, 270.0):
             if seg._sweeps_over(axis_deg):
-                a = math.radians(axis_deg)
-                pts.append((seg.cx + seg.radius * math.cos(a), seg.cy + seg.radius * math.sin(a)))
+                pts.append(seg._point_at_angle(axis_deg))
     return pts
 
 
@@ -380,7 +379,7 @@ class Motion:
                 threshold=math.inf):
         """Step from (x, y, heading deg) through one tick, then on through
         up to `ticks` (at least 1) in all; returns the (x, y, heading)
-        reached and the number of ticks stepped.
+        reached, the number of ticks stepped, and the crash bound there.
 
         After each tick, the crash bound at the pose reached, last_abs + its
         distance from (last_x, last_y) + 1e-9, is compared with threshold,
@@ -407,13 +406,14 @@ class Motion:
                     heading += 360.0
                     if heading == 360.0:
                         heading = 0.0
-            if last_abs + hypot(x - last_x, y - last_y) + 1e-9 >= threshold:
-                return x, y, heading, k
-        return x, y, heading, ticks
+            bound = last_abs + hypot(x - last_x, y - last_y) + 1e-9
+            if bound >= threshold:
+                return x, y, heading, k, bound
+        return x, y, heading, ticks, bound
 
 
 def step_vehicle(pose: Pose, left: float, right: float, dt: float, params: VehicleParams) -> Pose:
     """Advance the vehicle by dt seconds under constant wheel powers: one
     Motion tick.  A non-finite result raises ValueError."""
-    x, y, heading, _ = Motion(left, right, dt, params).advance(pose.x, pose.y, pose.heading, 1)
+    x, y, heading, _, _ = Motion(left, right, dt, params).advance(pose.x, pose.y, pose.heading, 1)
     return Pose(x, y, heading)

@@ -11,10 +11,13 @@ under fixed seeds and pin their own wall-clock budgets; everything is
 deterministic, so a verdict never flips between machines.
 """
 
+import concurrent.futures
 import contextlib
 import copy
 import itertools
 import math
+import multiprocessing
+import os
 import random
 import statistics
 import time
@@ -45,6 +48,7 @@ from fusedrive.runner import run
 from fusedrive.scenario import load_scenario
 from fusedrive.sweep import SweepSpec, sweep
 from fusedrive.wire import (
+    ZERO,
     SimulatedChannel,
     SteeringCommand,
     decode_command,
@@ -158,7 +162,7 @@ def _random_node(rng):
     node = _node_of(sids)
     for sid in sids:
         if rng.random() < 0.2:
-            cmd = SteeringCommand.zero()
+            cmd = ZERO
         else:
             conf = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 120.0)
             cmd = SteeringCommand(rng.uniform(-30.0, 300.0),
@@ -199,7 +203,7 @@ def test_fusion_policies_match_brute_force_definitions():
             live = 0
             for sid in sids:
                 if rng.random() < 0.3:
-                    node.ingest(sid, SteeringCommand.zero())
+                    node.ingest(sid, ZERO)
                 else:
                     live += 1
                     node.ingest(sid, SteeringCommand(rng.uniform(1.0, 250.0),
@@ -313,6 +317,11 @@ def test_longer_blackouts_degrade_recovery_then_crash():
 # --- 6. fused streams survive harsher random blackouts ----------------------
 
 
+def _completes(scenario):
+    """Whether a run of the scenario completes; a task for a process pool."""
+    return run(scenario).completed
+
+
 def test_fused_streams_survive_harsher_random_blackouts():
     with _verdict("fusion robustness: max survivable blackout threshold is "
                   "onboard < infra pair <= weighted, weighted > max-pick "
@@ -326,15 +335,24 @@ def test_fused_streams_survive_harsher_random_blackouts():
             "max_pick": _fixture("combined_max"),
             "simple_avg": _fixture("combined_simple"),
         }
+        # A run depends on nothing but its scenario, so the grid's runs may
+        # go to a pool in any order.
+        cases = [(arm, threshold, seed) for arm in arms for threshold in grid
+                 for seed in SEEDS]
+        scenarios = [
+            _seeded(arms[arm], seed, ProbabilisticOutage(interval=0.4, threshold=threshold))
+            for arm, threshold, seed in cases]
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(min(4, os.cpu_count() or 1),
+                                                    mp_context=spawn) as pool:
+            completed = dict(zip(cases, pool.map(_completes, scenarios)))
 
-        def survives_all_seeds(base, threshold):
-            outage = ProbabilisticOutage(interval=0.4, threshold=threshold)
-            return all(run(_seeded(base, seed, outage)).completed
-                       for seed in SEEDS)
+        def survives_all_seeds(arm, threshold):
+            return all(completed[arm, threshold, seed] for seed in SEEDS)
 
         best = {}
-        for arm, base in arms.items():
-            passing = [t for t in grid if survives_all_seeds(base, t)]
+        for arm in arms:
+            passing = [t for t in grid if survives_all_seeds(arm, t)]
             best[arm] = max(passing) if passing else 0
 
         assert best["onboard"] < best["infra_pair"] <= best["weighted"], best

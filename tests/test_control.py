@@ -18,6 +18,7 @@ from fusedrive.perception import (
     observe,
     onboard_camera,
 )
+from fusedrive.wire import ZERO
 from fusedrive.world import Pose, Track, rounded_rectangle_segments
 
 
@@ -174,6 +175,18 @@ class TestSensorTick:
                                      PidGains(1.0, 0.02, 0.5),
                                      state, (markers, box))
         assert cmd.is_zero_report()
+        assert new_state == state
+
+    @pytest.mark.parametrize("green, orange", [((50.0, 60.0), (50.0, 60.0)),
+                                               ((0.0, 0.0), (-0.0, 0.0))])
+    def test_infrastructure_markers_on_one_pixel(self, green, orange):
+        # compute_robot_angle has no heading for such a pair: the frame is blind.
+        markers = MarkerObservation(green, orange, True)
+        state = PidState(integral=2.0, last_error=1.0)
+        new_state, cmd = sensor_tick(infrastructure_camera((0.0, 0.0, 2.0, 2.0)),
+                                     PidGains(1.0, 0.02, 0.5),
+                                     state, (markers, _visible_box()))
+        assert cmd is ZERO
         assert new_state == state
 
     @pytest.mark.parametrize("gains", [PidGains(1e308, 0.0, 0.0),  # inf

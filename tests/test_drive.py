@@ -17,11 +17,14 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fusedrive import runner
 from fusedrive.control import PidGains
 from fusedrive.faults import ProbabilisticOutage
-from fusedrive.scenario import load_scenario
+from fusedrive.fusion import POLICIES
+from fusedrive.scenario import load_scenario, scenario_from_dict
 from fusedrive.sweep import apply_axis
 
 from oracles import oracle_drive
@@ -109,17 +112,83 @@ def _run_both(scenario, monkeypatch):
     return actual, expected
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_skipping_ground_truth_changes_nothing(case, monkeypatch):
-    actual, expected = _run_both(CASES[case](), monkeypatch)
+def _assert_same(actual, expected):
     assert actual.rows == expected.rows
     assert actual.series.keys() == expected.series.keys()
     for name, series in expected.series.items():
         assert actual.series[name].times == series.times, name
         assert actual.series[name].values == series.values, name
     assert actual.summaries == expected.summaries
-    assert actual.completed == expected.completed == (case in COMPLETING)
+    assert actual.completed == expected.completed
     assert actual.crash_time == expected.crash_time
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_skipping_ground_truth_changes_nothing(case, monkeypatch):
+    actual, expected = _run_both(CASES[case](), monkeypatch)
+    _assert_same(actual, expected)
+    assert actual.completed == (case in COMPLETING)
+
+
+_TRACKS = st.sampled_from([
+    {"kind": "circle"},
+    {"kind": "rounded_rectangle", "center": [1.0, 1.0], "straight": 1.0, "corner_radius": 0.3},
+])
+_ONBOARD = {"id": "pi", "kind": "onboard", "camera": {"pixels_per_meter": 1300}}
+_CAMERAS = [{"id": f"cam{i}", "kind": "infrastructure",
+             "camera": {"coverage": [0.0, 0.0, 2.0, 2.0], "pixels_per_meter": 300,
+                        "crop_size": 36}} for i in range(2)]
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 0.005, 0.01, 0.015, 0.0123, 0.05]),  # some on tick multiples
+    st.tuples(st.sampled_from([0.0, 0.005, 0.01]), st.sampled_from([0.0, 0.02, 0.1]))
+    .map(lambda lo_hi: [lo_hi[0], lo_hi[0] + lo_hi[1]]))
+_OUTAGES = st.one_of(
+    st.none(),
+    st.builds(lambda period, share: {"kind": "periodic", "period": period,
+                                     "duration": period * share},
+              st.sampled_from([0.005, 0.3, 1.0, 3.0]), st.sampled_from([0.0, 0.3, 1.0])),
+    st.builds(lambda interval, threshold: {"kind": "probabilistic", "interval": interval,
+                                           "threshold": threshold},
+              st.sampled_from([0.005, 0.1, 0.4]), st.integers(0, 100)))
+_GAINS = st.one_of(st.none(), st.fixed_dictionaries(
+    {key: st.sampled_from([0.0, 1.0, 1e300]) for key in ("kp", "ki", "kd")}))
+
+
+@st.composite
+def _sensor(draw, base):
+    sensor = dict(base,
+                  rate_hz=draw(st.floats(0.5, 200.0)),
+                  channel={"loss": draw(st.sampled_from([0.0, 0.2, 1.0])),
+                           "delay": draw(_DELAYS)})
+    for key, strategy in (("outage", _OUTAGES), ("gains", _GAINS)):
+        value = draw(strategy)
+        if value is not None:
+            sensor[key] = value
+    return sensor
+
+
+@st.composite
+def _scenario_cfg(draw):
+    bases = draw(st.sampled_from([[_ONBOARD], _CAMERAS[:1], [_ONBOARD, *_CAMERAS]]))
+    return {
+        "seed": draw(st.integers(0, 2 ** 31)),
+        "duration": draw(st.floats(0.5, 5.0)),
+        "track": draw(_TRACKS),
+        "fusion": draw(st.sampled_from(POLICIES)),
+        "sensors": [draw(_sensor(base)) for base in bases],
+        "start_arclength": draw(st.floats(0.0, 10.0)),
+        "crash": {"threshold_m": draw(st.floats(0.001, 0.25)),
+                  "hold_s": draw(st.sampled_from([0.0, 0.005, 0.5]))},
+    }
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_scenario_cfg())
+def test_drawn_scenarios_match_the_full_loop(cfg, monkeypatch):
+    # Any scenario a file can hold: the coasting, bound-fed loop and the
+    # oracle that runs, searches and carries text on every tick agree.
+    actual, expected = _run_both(scenario_from_dict(cfg), monkeypatch)
+    _assert_same(actual, expected)
 
 
 def test_ground_truth_searched_on_delivery_ticks_and_few_others(monkeypatch):

@@ -18,7 +18,7 @@ from fusedrive.fusion import (
     fuse_simple_avg,
     fuse_weighted,
 )
-from fusedrive.wire import MalformedDatagram, SteeringCommand, decode_command
+from fusedrive.wire import ZERO, MalformedDatagram, SteeringCommand, decode_command
 
 from oracles import oracle_fuse
 
@@ -40,7 +40,7 @@ def random_node(rng):
     node = node_of(sids)
     for sid in sids:
         if rng.random() < 0.2:
-            cmd = SteeringCommand.zero()
+            cmd = ZERO
         else:
             conf = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 120.0)
             cmd = SteeringCommand(rng.uniform(-30.0, 300.0),
@@ -73,7 +73,7 @@ class TestIngest:
         node = node_of(["pi"])
         node.ingest("pi", SteeringCommand(90, 110, 60))
         assert not node.commands[0].is_zero_report()
-        node.ingest("pi", SteeringCommand.zero())
+        node.ingest("pi", ZERO)
         assert node.commands[0].is_zero_report()
 
     def test_negative_powers_park_source(self):

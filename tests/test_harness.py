@@ -133,6 +133,24 @@ TOO_MANY_TICKS = [
 ]
 MALFORMED += TOO_MANY_TICKS
 
+
+def sub_tick_outage(**outage):
+    cfg = sensor_cfg(outage=outage)
+    cfg.update(track={"kind": "circle"}, duration=2.0)
+    return cfg
+
+
+# An outage that switches faster than the 0.005 s clock.  The first used to
+# run for ever (one draw per nanosecond), the second to end in a MemoryError
+# listing its windows, and the third to count 90,000 post-outage samples
+# from a 23-sample series.
+SUB_TICK_OUTAGES = [
+    ("sensors[0].outage", sub_tick_outage(kind="probabilistic", interval=1e-9, threshold=50)),
+    ("sensors[0].outage", sub_tick_outage(kind="periodic", period=1e-9, duration=0.0)),
+    ("sensors[0].outage", sub_tick_outage(kind="periodic", period=1e-4, duration=0.0)),
+]
+MALFORMED += SUB_TICK_OUTAGES
+
 # (shipped scenario file or config, axis, a good value, then one that the
 # scenario file could not hold in the key the axis replaces).
 BAD_SWEEP_VALUES = [
@@ -505,6 +523,22 @@ class TestScenarioValidation:
             scenario_from_dict(copy.deepcopy(cfg))
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("where, cfg", SUB_TICK_OUTAGES)
+    def test_outage_faster_than_the_clock_is_refused_at_load(self, where, cfg):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="^" + re.escape(where) + ": switches faster"):
+            scenario_from_dict(copy.deepcopy(cfg))
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("outage", [
+        {"kind": "periodic", "period": 0.005, "duration": 0.0025},
+        {"kind": "probabilistic", "interval": 0.005, "threshold": 50},
+    ])
+    def test_outage_span_of_one_tick_loads(self, outage):
+        sc = scenario_from_dict(dict(sensor_cfg(outage=outage), duration=1.0))
+        assert sc.sensors[0].outage.span == sc.timestep
+        assert run(sc).summaries["post_outage_deviation"]["count"] > 0
+
     def test_tick_count_up_to_the_cap_loads(self):
         cap = scenario_module._MAX_TICKS
         assert scenario_from_dict(minimal_cfg(duration=cap * 0.005)).n_ticks() == cap
@@ -770,6 +804,18 @@ class TestCli:
         code = main(["run", str(path), "--out", str(tmp_path / "runs")])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_markers_on_one_pixel_run_without_traceback(self, tmp_path, capsys):
+        # Both roof markers project to the same pixel.  This used to end in
+        # "ValueError: degenerate marker pair" from sensor_tick.
+        cfg = {"duration": 2.0, "track": {"kind": "circle"},
+               "vehicle": {"marker_separation": 1e-300},
+               "sensors": [{"id": "cam", "kind": "infrastructure",
+                            "camera": {"coverage": [0, 0, 2, 2], "noise_px": 0}}]}
+        path = tmp_path / "markers.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("where, cfg", MALFORMED)
     def test_malformed_file_exits_one_before_running(self, where, cfg, tmp_path,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fusedrive.control import commands_from_correction
 from fusedrive.fusion import MAXIMUM_CONFIDENCE, POLICIES, VehicleNode, fuse_max
-from fusedrive.wire import SteeringCommand, encode_command, format_field
+from fusedrive.wire import ZERO, SteeringCommand, encode_command, format_field
 
 from oracles import oracle_format_field, oracle_fuse_max
 
@@ -78,7 +78,7 @@ def test_ingest_text_matches_oracle(left, right, confidence, p, i, d):
     node.ingest("pi", SteeringCommand(left, right, confidence, p, i, d))
     scaled = SteeringCommand(left / 3.0, right / 3.0, confidence / 3.0, p, i, d)
     assert node.texts[0] == ",".join(map(oracle_format_field, scaled))
-    expected = scaled if scaled.left > 0 or scaled.right > 0 else SteeringCommand.zero()
+    expected = scaled if scaled.left > 0 or scaled.right > 0 else ZERO
     assert node.commands[0] == expected
     assert list(map(type, node.commands[0])) == list(map(type, expected))
 
@@ -105,7 +105,7 @@ def test_fuse_max_matches_oracle(stored):
 # float p, i and d; and the zero command, all int 0.
 any_finite = st.floats(allow_nan=False, allow_infinity=False)
 sensor_commands = st.one_of(
-    st.just(SteeringCommand.zero()),
+    st.just(ZERO),
     st.builds(lambda correction, confidence, p, i, d: SteeringCommand(
         *commands_from_correction(correction), confidence, p, i, d),
         st.one_of(st.floats(-400.0, 400.0), any_finite,
@@ -120,7 +120,7 @@ SOURCES = ("pi", "cam0", "cam1")
 @given(st.lists(st.tuples(st.sampled_from(SOURCES), sensor_commands), max_size=12))
 @example([("pi", SteeringCommand(97, 103, 100, -0.0, 1e-300, 5e-324))])
 @example([("cam0", SteeringCommand(2 ** 53 + 100, -(2 ** 53) + 100, 7, 1.5, 0.1, -2.0)),
-          ("pi", SteeringCommand.zero())])
+          ("pi", ZERO)])
 def test_command_drives_node_as_its_text_does(policy, sends):
     by_command = VehicleNode(SOURCES, policy, SOURCES)
     by_text = VehicleNode(SOURCES, policy, SOURCES)

@@ -110,18 +110,18 @@ class TestUdpTransport:
         assert calls == [i * sc.timestep for i in range(sc.n_ticks())]
 
 
-def _failing_sendto(after):
-    """A socket.socket.sendto that raises OSError once `after` datagrams are sent."""
-    real = socket.socket.sendto
+def _failing_send(after):
+    """A socket.socket.send that raises OSError once `after` datagrams are sent."""
+    real = socket.socket.send
     sent = []
 
-    def sendto(sock, data, addr):
+    def send(sock, data):
         if len(sent) >= after:
             raise OSError("send failed on purpose")
         sent.append(data)
-        return real(sock, data, addr)
+        return real(sock, data)
 
-    return sendto
+    return send
 
 
 class TestUdpWireText:
@@ -131,23 +131,24 @@ class TestUdpWireText:
                 socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sensor:
             vehicle.bind(("127.0.0.1", 0))
             sensor.bind(("127.0.0.1", 0))
+            sensor.connect(vehicle.getsockname())
             vehicle.settimeout(5.0)
-            udp._SocketChannel(sensor, vehicle.getsockname()).send("pi", cmd, 0.0)
+            udp._SocketChannel(sensor).send("pi", cmd, 0.0)
             data, addr = vehicle.recvfrom(1500)
             assert addr == sensor.getsockname()
         assert data == encode_command(cmd).encode("utf-8") == b"97;103;60;0.25;-1.5;2"
 
     def test_undecodable_text_from_known_sensor_logs_one_degenerate_row(
             self, monkeypatch, caplog):
-        real = socket.socket.sendto
+        real = socket.socket.send
         sent = []
 
-        def sendto(sock, data, addr):
+        def send(sock, data):
             # The tenth datagram of the run goes out as text that does not decode.
             sent.append(data)
-            return real(sock, b"left;right;60" if len(sent) == 10 else data, addr)
+            return real(sock, b"left;right;60" if len(sent) == 10 else data)
 
-        monkeypatch.setattr(socket.socket, "sendto", sendto)
+        monkeypatch.setattr(socket.socket, "send", send)
         with caplog.at_level(logging.WARNING, logger="fusedrive.fusion"):
             res = run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=10.0)
         assert res.completed
@@ -163,31 +164,31 @@ class TestUdpWireText:
 
 class TestUdpFailures:
     def test_send_error_propagates(self, monkeypatch):
-        monkeypatch.setattr(socket.socket, "sendto", _failing_sendto(20))
+        monkeypatch.setattr(socket.socket, "send", _failing_send(20))
         with pytest.raises(OSError, match="on purpose"):
             run_udp(scenario_from_dict(udp_cfg(ONBOARD)), pace=10.0)
 
     def test_send_error_exits_one(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "udp.yaml"
         path.write_text(yaml.safe_dump(udp_cfg(ONBOARD)), encoding="utf-8")
-        monkeypatch.setattr(socket.socket, "sendto", _failing_sendto(20))
+        monkeypatch.setattr(socket.socket, "send", _failing_send(20))
         code = main(["run", str(path), "--transport", "udp", "--pace", "10",
                      "--out", str(tmp_path / "runs")])
         assert code == 1
         assert "on purpose" in capsys.readouterr().err
 
     def test_unknown_sender_never_logged(self, monkeypatch):
-        real = socket.socket.sendto
+        real = socket.socket.send
         strays = []
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
             stray.bind(("127.0.0.1", 0))
 
-            def sendto(sock, data, addr):
+            def send(sock, data):
                 # Every sensor datagram is shadowed by one from the stray socket.
-                strays.append(real(stray, b"999;999;100;0;0;0", addr))
-                return real(sock, data, addr)
+                strays.append(stray.sendto(b"999;999;100;0;0;0", sock.getpeername()))
+                return real(sock, data)
 
-            monkeypatch.setattr(socket.socket, "sendto", sendto)
+            monkeypatch.setattr(socket.socket, "send", send)
             res = run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=10.0)
         assert res.completed
         assert len(strays) > 10 and len(res.rows) > 10

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fusedrive.control import PidGains, PidState, sensor_tick
+from fusedrive.faults import gate
 from fusedrive.perception import (
     LineBoxObservation,
     MarkerObservation,
@@ -13,7 +14,7 @@ from fusedrive.perception import (
     observe,
     onboard_camera,
 )
-from fusedrive.wire import SteeringCommand, decode_command, encode_command
+from fusedrive.wire import ZERO, SteeringCommand, decode_command, encode_command
 from fusedrive.world import Pose, Track, rounded_rectangle_segments
 
 VALUES = {
@@ -33,8 +34,8 @@ def test_fields_cannot_be_assigned(name):
 
 def test_equality_is_tuple_equality():
     assert SteeringCommand(1, 2, 3) == (1, 2, 3, 0.0, 0.0, 0.0)
-    assert SteeringCommand.zero() == SteeringCommand(0.0, 0.0, 0.0)
-    assert SteeringCommand.zero() is SteeringCommand.zero()
+    assert ZERO == SteeringCommand(0.0, 0.0, 0.0)
+    assert gate(SteeringCommand(1, 2, 3), True) is ZERO
     assert PidState() == (0.0, 0.0)
 
 

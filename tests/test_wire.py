@@ -7,6 +7,7 @@ import random
 import pytest
 
 from fusedrive.wire import (
+    ZERO,
     MalformedDatagram,
     SimulatedChannel,
     SteeringCommand,
@@ -19,7 +20,7 @@ from fusedrive.wire import (
 
 def random_command(rng):
     if rng.random() < 0.1:
-        return SteeringCommand.zero()
+        return ZERO
     def num():
         return float(rng.randint(-200, 200)) if rng.random() < 0.5 \
             else rng.uniform(-200.0, 200.0)
@@ -30,7 +31,7 @@ class TestCodec:
     def test_encode_examples(self):
         cmd = SteeringCommand(38, 161, 25, 10, 3.5, -2)
         assert encode_command(cmd) == "38;161;25;10;3.5;-2"
-        assert encode_command(SteeringCommand.zero()) == "0;0;0;0;0;0"
+        assert encode_command(ZERO) == "0;0;0;0;0;0"
 
     def test_decode_examples(self):
         assert decode_command("0;0;0;0;0;0").is_zero_report()

@@ -471,7 +471,7 @@ class TestMotionStretch:
         for _ in range(n):
             pose = step_vehicle(pose, left, right, dt, p)
             headings.append(pose.heading)
-        x, y, h, ticks = Motion(left, right, dt, p).advance(0.7, 1.3, heading, n)
+        x, y, h, ticks, _ = Motion(left, right, dt, p).advance(0.7, 1.3, heading, n)
         assert ticks == n
         assert (x, y, h) == (pose.x, pose.y, pose.heading)
         assert any(abs(b - a) > 180.0 for a, b in zip(headings, headings[1:])) == wraps
@@ -480,12 +480,19 @@ class TestMotionStretch:
         # 0.00375 m per tick: the bound 0 + 3 * 0.00375 + 1e-9 first reaches 0.01.
         p, dt = VehicleParams(), 0.005
         motion = Motion(100.0, 100.0, dt, p)
-        x, y, h, ticks = motion.advance(1.0, 1.0, 0.0, 10, 0.0, 1.0, 1.0, 0.01)
+        x, y, h, ticks, bound = motion.advance(1.0, 1.0, 0.0, 10, 0.0, 1.0, 1.0, 0.01)
         assert ticks == 3
         pose = Pose(1.0, 1.0, 0.0)
         for _ in range(3):
             pose = step_vehicle(pose, 100.0, 100.0, dt, p)
         assert (x, y, h) == (pose.x, pose.y, pose.heading)
+        # The bound returned is the one the tick loop would compute there.
+        assert bound == 0.0 + math.hypot(x - 1.0, y - 1.0) + 1e-9
+        assert bound >= 0.01
+        # A stretch that runs out first returns the bound where it ends.
+        x, y, _, ticks, bound = motion.advance(1.0, 1.0, 0.0, 2, 0.0, 1.0, 1.0, 0.01)
+        assert ticks == 2
+        assert bound == 0.0 + math.hypot(x - 1.0, y - 1.0) + 1e-9 < 0.01
         # The first tick is always stepped, whatever its bound.
         assert motion.advance(1.0, 1.0, 0.0, 10, 0.01, 1.0, 1.0, 0.01)[3] == 1
 
@@ -495,7 +502,7 @@ class TestMotionStretch:
         p, dt = VehicleParams(), 1e-4
         motion = Motion(100.0, 100.0 - 3.2e-11, dt, p)
         assert not motion.straight
-        x, y, h, _ = motion.advance(0.7, 1.3, 0.0, 1)
+        x, y, h, _, _ = motion.advance(0.7, 1.3, 0.0, 1)
         assert h == 0.0
         pose = Pose(0.7, 1.3, 0.0)
         for _ in range(50):
