@@ -11,12 +11,14 @@ artifacts are byte-identical across repeats.  `udp.run_udp` drives the same
 loop over loopback sockets.
 """
 
+import contextlib
 import functools
 import itertools
 import json
 import math
 import os
 import random
+import shutil
 from dataclasses import dataclass
 
 from .control import PidState, sensor_tick
@@ -201,8 +203,7 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
             t = ch.next_delivery()
             if t < due:
                 due = t
-        if due < math.inf:
-            stop = min(stop, first_due_tick(due, ts, i + 1))
+        stop = first_due_tick(due, ts, i + 1, stop)
         x, y, heading, stepped, bound = motion.advance(pose.x, pose.y, pose.heading, stop - i,
                                                        last_abs, last_x, last_y, threshold)
         pose = Pose(x, y, heading)
@@ -243,38 +244,58 @@ def assemble_result(scenario, node, sensors, correction, deviation,
     )
 
 
-def write_outputs(result: RunResult, out_dir):
-    """Write drive log, metric series, and the JSON summary to out_dir.
-
-    Error series of sensors this run does not have, left by an earlier run
-    into the same directory, are removed.
+@contextlib.contextmanager
+def replace_dir(path):
+    """Yield a fresh, empty directory that replaces path whole when the block
+    ends, so that path never holds files of two runs.  On any exception the
+    old directory is left as it was.  A symlink at path is followed and its
+    target replaced.  Only a killed process leaves the .<name>.<hex> sibling
+    the new directory is staged in.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.realpath(path)
+    parent, name = os.path.split(path)
+    os.makedirs(parent, exist_ok=True)
+    stage = os.path.join(parent, f".{name}.{os.urandom(8).hex()}")
+    os.mkdir(stage)
+    new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
+    try:
+        os.mkdir(new)  # the mode os.makedirs gives; mkdtemp's is 0o700
+        yield new
+        if os.path.isdir(path):
+            os.rename(path, old)
+        try:
+            os.rename(new, path)  # OSError when path is a file
+        except BaseException:
+            if os.path.isdir(old):
+                os.rename(old, path)
+            raise
+    finally:
+        shutil.rmtree(stage)
 
-    with open(os.path.join(out_dir, "drive_log.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(DRIVE_LOG_HEADER + "\n")
-        for row in result.rows:
-            fh.write(row + "\n")
 
-    for name, ser in result.series.items():
-        with open(os.path.join(out_dir, f"{name}.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"time,{name}\n")
-            for t, v in zip(ser.times, ser.values):
-                fh.write(f"{t:.6f},{v!r}\n")
-    for name in os.listdir(out_dir):
-        if (name.startswith("error_") and name.endswith(".csv")
-                and name[:-4] not in result.series):
-            os.remove(os.path.join(out_dir, name))
+def write_outputs(result: RunResult, out_dir):
+    """Replace out_dir with the drive log, metric series, and the JSON summary."""
+    with replace_dir(out_dir) as new:
+        with open(os.path.join(new, "drive_log.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(DRIVE_LOG_HEADER + "\n")
+            for row in result.rows:
+                fh.write(row + "\n")
 
-    summary = {
-        "scenario": result.scenario_name,
-        "seed": result.seed,
-        "fusion": result.fusion,
-        "duration": result.duration,
-        "completed": result.completed,
-        "crash_time": result.crash_time,
-        "metrics": result.summaries,
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for name, ser in result.series.items():
+            with open(os.path.join(new, f"{name}.csv"), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(f"time,{name}\n")
+                for t, v in zip(ser.times, ser.values):
+                    fh.write(f"{t:.6f},{v!r}\n")
+
+        summary = {
+            "scenario": result.scenario_name,
+            "seed": result.seed,
+            "fusion": result.fusion,
+            "duration": result.duration,
+            "completed": result.completed,
+            "crash_time": result.crash_time,
+            "metrics": result.summaries,
+        }
+        with open(os.path.join(new, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")

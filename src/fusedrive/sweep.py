@@ -7,13 +7,11 @@ and aggregates the per-run summaries into one table row per value.
 
 import math
 import os
-import re
-import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .runner import run
+from .runner import replace_dir, run, write_outputs
 from .scenario import _GAIN_KEYS, _OUTAGES, Scenario, _wrap, derive_seed
 from .world import ConfigError
 
@@ -78,13 +76,11 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     """Run the scenario per (value, repetition) and aggregate summaries.
 
     Every value is applied first, so a bad one is a ConfigError before
-    anything is removed or run.  With out_dir, each run writes to
-    <axis>_<value>_rep<rep>, the value in the same text as the .dat value
-    column; values that share that text would share a directory and raise
-    ConfigError too.  Then what an earlier sweep of this axis left there
-    and this one will not write over is removed: <axis>_*_rep<n>
-    directories of other runs, and <axis>_*.dat tables, which are all
-    written anew.
+    anything is written or run.  With out_dir, once every run has ended, the
+    runs and the tables replace out_dir whole (runner.replace_dir).  Each run
+    is in <axis>_<value>_rep<rep>, the value in the same text as the .dat
+    value column; values that share that text would share a directory and
+    raise ConfigError too.
     """
     values = list(spec.values)
     labels = [f"{value:.10g}" for value in values]
@@ -92,21 +88,12 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
         if out_dir is not None and label in labels[:vi]:
             raise ConfigError(f"two sweep values share the run directory label {label!r}")
     variants = [apply_axis(scenario, spec.axis, value) for value in values]
-    if out_dir is not None:
-        _remove_stale(out_dir, spec.axis,
-                      {f"{spec.axis}_{label}_rep{rep}" for label in labels
-                       for rep in range(spec.reps)})
     metric_rows = {}
     crash_rate = []
     all_runs = []
-    for vi, (value, label, variant) in enumerate(zip(values, labels, variants)):
-        results = []
-        for rep in range(spec.reps):
-            rep_dir = None
-            if out_dir is not None:
-                rep_dir = os.path.join(out_dir, f"{spec.axis}_{label}_rep{rep}")
-            seed = derive_seed(scenario.seed, spec.axis, value, rep)
-            results.append(run(replace(variant, seed=seed), rep_dir))
+    for vi, (value, variant) in enumerate(zip(values, variants)):
+        results = [run(replace(variant, seed=derive_seed(scenario.seed, spec.axis, value, rep)))
+                   for rep in range(spec.reps)]
         all_runs.append(results)
         crash_rate.append(sum(1 for r in results if not r.completed) / len(results))
         for name in sorted({m for r in results for m in r.summaries}):
@@ -118,26 +105,16 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
             metric_rows[name][vi] = cell
     table = SweepTable(spec.axis, values, metric_rows, crash_rate, all_runs)
     if out_dir is not None:
-        emit_plot_data(table, out_dir)
+        with replace_dir(out_dir) as new:
+            for label, results in zip(labels, all_runs):
+                for rep, result in enumerate(results):
+                    write_outputs(result, os.path.join(new, f"{spec.axis}_{label}_rep{rep}"))
+            emit_plot_data(table, new)
     return table
-
-
-def _remove_stale(out_dir, axis: str, run_dirs: set):
-    """Remove the axis's run directories not in run_dirs and its .dat tables."""
-    if not os.path.isdir(out_dir):
-        return
-    run_dir = re.compile(re.escape(axis) + r"_.+_rep\d+")
-    for name in os.listdir(out_dir):
-        path = os.path.join(out_dir, name)
-        if run_dir.fullmatch(name) and name not in run_dirs and os.path.isdir(path):
-            shutil.rmtree(path)
-        elif name.startswith(axis + "_") and name.endswith(".dat") and os.path.isfile(path):
-            os.remove(path)
 
 
 def emit_plot_data(table: SweepTable, out_dir):
     """One whitespace-column .dat file per metric: value, mean, std, crash_rate."""
-    os.makedirs(out_dir, exist_ok=True)
     for name, cells in sorted(table.metrics.items()):
         path = os.path.join(out_dir, f"{table.axis}_{name}.dat")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

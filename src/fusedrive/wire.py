@@ -134,14 +134,14 @@ def merge_deliveries(channels, now: float):
     return [(src, datagram) for _, _, src, datagram in tagged]
 
 
-def first_due_tick(t: float, ts: float, first: int):
-    """The first tick k >= first whose merge delivers a datagram due at t,
-    that is with t <= k * ts + 1e-12 as merge_deliveries tests it; inf when
-    t is inf."""
+def first_due_tick(t: float, ts: float, first: int, stop: int) -> int:
+    """The first tick k in [first, stop] whose merge delivers a datagram due
+    at t, that is with t <= k * ts + 1e-12 as merge_deliveries tests it;
+    stop when there is none (t may be inf, or too large to count ticks to)."""
     if t <= first * ts + 1e-12:
         return first
-    if t == math.inf:
-        return t
+    if t > stop * ts + 1e-12:
+        return stop
     k = max(first + 1, math.ceil((t - 1e-12) / ts))
     while k * ts + 1e-12 < t:
         k += 1

@@ -2,12 +2,16 @@
 
 import contextlib
 import copy
+import errno
 import glob
 import io
+import itertools
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -29,6 +33,7 @@ from fusedrive.world import ConfigError
 from oracles import read_plot_data
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def minimal_cfg(**overrides):
@@ -587,6 +592,33 @@ class TestScenarioValidation:
         assert scenario_from_dict(cfg).udp.sensor_port_base == base
 
 
+def snapshot(root):
+    """Every path under root, each file with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def fail_writing(monkeypatch, module, name):
+    """module's open of a file called name creates it, then fails as on a
+    full disk."""
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if os.path.basename(path) == name:
+            fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        return fh
+    monkeypatch.setattr(f"{module}.open", failing_open, raising=False)
+
+
+def fail_json_dump(monkeypatch):
+    def failing_dump(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr("fusedrive.runner.json.dump", failing_dump)
+
+
+RUN_FILES = ["correction.csv", "deviation.csv", "drive_log.csv", "error_pi.csv", "summary.json"]
+
+
 class TestRunner:
     def test_sensor_cadence_sets_row_count(self):
         sc = scenario_from_dict(minimal_cfg(duration=10.0))
@@ -675,8 +707,41 @@ class TestRunner:
         run(scenario_from_dict(cfg), tmp_path / "out")
         assert sorted(os.listdir(tmp_path / "out")) == [
             "correction.csv", "deviation.csv", "drive_log.csv",
-            "error_pi.csv", "notes.txt", "summary.json",
+            "error_pi.csv", "summary.json",
         ]
+
+    @pytest.mark.parametrize("failing", [*RUN_FILES, "json.dump"])
+    def test_failed_rerun_leaves_the_earlier_run_whole(self, failing, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run(scenario_from_dict(minimal_cfg(duration=2.0, seed=1)), out)
+        before = snapshot(out)
+        if failing == "json.dump":
+            fail_json_dump(monkeypatch)
+        else:
+            fail_writing(monkeypatch, "fusedrive.runner", failing)
+        with pytest.raises(OSError):
+            run(scenario_from_dict(minimal_cfg(duration=2.0, seed=2)), out)
+        assert snapshot(out) == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_output_dirs_get_the_mode_makedirs_gives(self, tmp_path):
+        run(scenario_from_dict(minimal_cfg(duration=1.0)), tmp_path / "run")
+        sweep(scenario_from_dict(minimal_cfg(duration=1.0)), SweepSpec("kp", (1.0,), reps=1),
+              tmp_path / "sweep")
+        os.makedirs(tmp_path / "made")
+        mode = os.stat(tmp_path / "made").st_mode
+        for made in (tmp_path / "run", tmp_path / "sweep", tmp_path / "sweep" / "kp_1_rep0"):
+            assert os.stat(made).st_mode == mode
+
+    def test_symlinked_output_dir_is_replaced_at_its_target(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        (target / "notes.txt").write_text("replaced", encoding="utf-8")
+        (tmp_path / "link").symlink_to(target, target_is_directory=True)
+        run(scenario_from_dict(minimal_cfg(duration=1.0)), tmp_path / "link")
+        assert os.readlink(tmp_path / "link") == str(target)
+        assert sorted(os.listdir(target)) == RUN_FILES
+        assert sorted(os.listdir(tmp_path)) == ["link", "target"]
 
 
 class TestSweep:
@@ -736,11 +801,31 @@ class TestSweep:
         sweep(sc, SweepSpec("kp", (1.0,), reps=1), tmp_path)
         assert sorted(os.listdir(tmp_path)) == [
             "kp_1_rep0", "kp_correction.dat", "kp_deviation.dat", "kp_error_pi.dat",
-            "notes.txt",
         ]
         assert sorted(os.listdir(tmp_path / "kp_1_rep0")) == [
             "correction.csv", "deviation.csv", "drive_log.csv", "error_pi.csv", "summary.json",
         ]
+
+    @pytest.mark.parametrize("failing", ["run", "kp_deviation.dat"])
+    def test_failed_rerun_leaves_the_earlier_sweep_whole(self, failing, tmp_path, monkeypatch):
+        spec = SweepSpec("kp", (1.0, 2.0), reps=1)
+        out = tmp_path / "out"
+        sweep(scenario_from_dict(minimal_cfg(duration=2.0, seed=1)), spec, out)
+        before = snapshot(out)
+        if failing == "run":  # the second run fails
+            calls = itertools.count()
+
+            def run_then_fail(*args):
+                if next(calls) == 1:
+                    raise RuntimeError("run failed")
+                return run(*args)
+            monkeypatch.setattr("fusedrive.sweep.run", run_then_fail)
+        else:
+            fail_writing(monkeypatch, "fusedrive.sweep", failing)
+        with pytest.raises((RuntimeError, OSError)):
+            sweep(scenario_from_dict(minimal_cfg(duration=2.0, seed=2)), spec, out)
+        assert snapshot(out) == before
+        assert os.listdir(tmp_path) == ["out"]
 
     def test_values_sharing_a_dir_label_rejected(self, tmp_path):
         sc = scenario_from_dict(minimal_cfg(duration=1.0))
@@ -859,6 +944,35 @@ class TestCli:
         monkeypatch.setenv("FUSEDRIVE_OUT", str(tmp_path / "envout"))
         assert main(["run", path]) == 0
         assert (tmp_path / "envout" / "tiny" / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["run"], "tiny"),
+        (["sweep", "--axis", "kp", "--values", "1", "--reps", "1"], "tiny_kp"),
+    ])
+    def test_output_path_that_is_a_file_exits_one(self, argv, name, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, duration=1.0)
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / name).write_text("kept", encoding="utf-8")
+        assert main([argv[0], path, *argv[1:], "--out", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "runs" / name).read_text(encoding="utf-8") == "kept"
+        assert os.listdir(tmp_path / "runs") == [name]
+
+    @pytest.mark.parametrize("delay", [1e20, 1e300])
+    def test_delay_past_the_run_end_completes(self, delay, tmp_path):
+        # A datagram due this late used to set the tick loop counting ticks
+        # up to its due time: the run never ended.
+        cfg = {"duration": 2.0, "track": {"kind": "circle"},
+               "sensors": [{"id": "pi", "kind": "onboard", "channel": {"delay": delay}}]}
+        path = tmp_path / "late.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC_DIR, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-m", "fusedrive", "run", str(path),
+                               "--out", str(tmp_path / "runs")],
+                              env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_sweep_writes_tables(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path)

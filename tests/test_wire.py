@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fusedrive.wire import (
     ZERO,
@@ -162,9 +164,30 @@ class TestChannel:
             k = first
             while not t <= k * ts + 1e-12:
                 k += 1
-            assert first_due_tick(t, ts, first) == k
-        assert first_due_tick(math.inf, ts, 3) == math.inf
-        assert first_due_tick(-math.inf, ts, 3) == 3
+            assert first_due_tick(t, ts, first, 2 ** 24) == k
+        assert first_due_tick(math.inf, ts, 3, 10) == 10
+        assert first_due_tick(-math.inf, ts, 3, 10) == 3
+
+    @given(st.data())
+    def test_first_due_tick_is_the_least_due_tick_up_to_stop(self, data):
+        # A delay of 1e20 s or more used to count ticks up to the due time
+        # one at a time, past the float's precision: the run never ended.
+        ts = data.draw(st.sampled_from([0.001, 0.002, 0.005, 0.01, 1 / 3]))
+        first = data.draw(st.integers(0, 2 ** 24))
+        stop = data.draw(st.integers(first, 2 ** 24))
+        near_tick = (data.draw(st.integers(0, 2 ** 24)) * ts
+                     + data.draw(st.sampled_from([-2e-12, -1e-12, 0.0, 1e-12, 2e-12])))
+        t = data.draw(st.one_of(st.floats(-1e300, 1e300), st.just(near_tick),
+                                st.sampled_from([math.inf, -math.inf])))
+
+        def due(k):  # as merge_deliveries tests it; monotone in k
+            return t <= k * ts + 1e-12
+
+        k = first_due_tick(t, ts, first, stop)
+        if due(stop):
+            assert first <= k <= stop and due(k) and (k == first or not due(k - 1))
+        else:
+            assert k == stop
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
