@@ -5,6 +5,9 @@ datagram it receives.  Raw powers divide by 3.0 on ingest so full commanded
 power maps to about a third of the motor range.  When fusion degenerates
 (nobody confident, nobody active) the node holds the last applied powers and
 marks the log row with a trailing -1, instead of stopping the vehicle.
+
+The node records each datagram in its DriveLog, which formats its rows only
+as they are read: runner.write_outputs does, once per written run.
 """
 
 import logging
@@ -125,15 +128,58 @@ def drive_tick(commands, policy: str, previous):
 _THIRDS = {k: format_field(k / 3.0) for k in range(766)}
 
 
+class DriveLog:
+    """A node's drive log: one record per datagram, formatted only when read.
+
+    A record is (now, k, left, right, cmd, degenerate): cmd, as received or
+    decoded, fills source k's slot (k is None: no slot changes) under the applied
+    powers.  Iterating formats the rows one at a time and keeps none.  slots
+    maps the log column groups to source positions, n_sources for an empty one.
+    """
+
+    def __init__(self, n_sources, slots):
+        self.records = []
+        self.append = self.records.append
+        self._n_sources = n_sources
+        self._slots = slots
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        """A slot text is format_field of each scaled field.  A raw left, right
+        or confidence that is a key of _THIRDS takes its text from there;
+        any other (negative, non-integral, huge) is formatted.  The lookup
+        is exact for the ints and floats that flow (a sensor sends both,
+        decode_command floats).  An int or float equal to a key k has the
+        value k, and every k is exact in a float, so raw / 3.0 is the float
+        k / 3.0 and format_field gives it the table's text.  -0.0 finds key
+        0, and both format as "0".
+        """
+        texts = ["0,0,0,0,0,0"] * (self._n_sources + 1)
+        slots = self._slots
+        for now, k, left, right, cmd, degenerate in self.records:
+            if k is not None:
+                raw_left, raw_right, raw_confidence, p, i, d = cmd
+                texts[k] = ",".join((
+                    _THIRDS.get(raw_left) or format_field(raw_left / 3.0),
+                    _THIRDS.get(raw_right) or format_field(raw_right / 3.0),
+                    _THIRDS.get(raw_confidence) or format_field(raw_confidence / 3.0),
+                    format_field(p), format_field(i), format_field(d),
+                ))
+            row = f"{now:.6f},{left},{right}," + ",".join([texts[s] for s in slots])
+            if degenerate:
+                row += ",-1"
+            yield row
+
+
 class VehicleNode:
     """Receives datagrams, keeps each source's latest command, fuses them,
-    and keeps the drive log.
+    and records each datagram in its drive log.
 
-    commands and texts hold, per source in source_ids order (which fixes the
-    max tie-break), the command fusion reads and the six drive-log fields
-    the log prints.  slot_ids maps the three log column groups (pi, cam0,
-    cam1) to source ids, as log_slots gives them; a missing slot reads the
-    extra all-zero text at the end of texts.
+    commands holds, per source in source_ids order (which fixes the max
+    tie-break), the command fusion reads.  slot_ids maps the three log
+    column groups (pi, cam0, cam1) to source ids, as log_slots gives them.
     """
 
     def __init__(self, source_ids, policy: str, slot_ids):
@@ -144,47 +190,33 @@ class VehicleNode:
             raise ValueError("duplicate source ids")
         self.policy = policy
         self.applied = (0, 0)
-        self.rows = []
         self.commands = [ZERO] * len(source_ids)
-        self.texts = ["0,0,0,0,0,0"] * (len(source_ids) + 1)
-        self._log_slots = [self._index.get(sid, len(source_ids)) for sid in slot_ids]
+        self.log = DriveLog(len(source_ids),
+                            [self._index.get(sid, len(source_ids)) for sid in slot_ids])
 
     def ingest(self, source_id, cmd: SteeringCommand):
-        """Store a decoded command, scaling powers and confidence by 1/3.
+        """Store a decoded command, scaling powers and confidence by 1/3;
+        returns the source's position, or None for an unknown source.
 
         A source counts only while it commands positive power; anything
         else (zero-reports included) parks it on the zero command.  Unknown
         sources are logged and ignored.
-
-        The stored text is format_field of each scaled field.  A raw left,
-        right or confidence that is a key of _THIRDS takes its text from
-        there; any other (negative, non-integral, huge) is formatted.  The
-        lookup is exact for the ints and floats that flow (a sensor sends
-        both, decode_command floats).  An int or float equal to a key k has
-        the value k, and every k is exact in a float, so raw / 3.0 is the
-        float k / 3.0 and format_field gives it the table's text.  -0.0
-        finds key 0, and both format as "0".
         """
         k = self._index.get(source_id)
         if k is None:
             log.warning("ignoring datagram from unknown source %r", source_id)
             return
         raw_left, raw_right, raw_confidence, p, i, d = cmd
-        left, right, confidence = raw_left / 3.0, raw_right / 3.0, raw_confidence / 3.0
-        self.texts[k] = ",".join((
-            _THIRDS.get(raw_left) or format_field(left),
-            _THIRDS.get(raw_right) or format_field(right),
-            _THIRDS.get(raw_confidence) or format_field(confidence),
-            format_field(p), format_field(i), format_field(d),
-        ))
-        scaled = SteeringCommand(left, right, confidence, p, i, d)
+        left, right = raw_left / 3.0, raw_right / 3.0
+        scaled = SteeringCommand(left, right, raw_confidence / 3.0, p, i, d)
         self.commands[k] = scaled if left > 0 or right > 0 else ZERO
+        return k
 
     def handle_datagram(self, source_id, datagram, now: float):
         """Ingest one datagram, a command or its text, and apply fused powers;
-        logs one row.  Only text (str or bytes) is decoded; malformed text
-        keeps the previous powers and logs a degenerate row, as a catch-all
-        receive loop that never stops the motors would.
+        records one log row.  Only text (str or bytes) is decoded; malformed
+        text keeps the previous powers and records a degenerate row, as a
+        catch-all receive loop that never stops the motors would.
 
         A sensor's command and its text give the same row.  A sensor sends
         finite floats and ints exact in a float (powers: int() of a float
@@ -197,17 +229,9 @@ class VehicleNode:
                 datagram = decode_command(datagram)
             except MalformedDatagram as exc:
                 log.warning("dropping malformed datagram from %r: %s", source_id, exc)
-                self._log_row(now, degenerate=True)
+                self.log.append((now, None, *self.applied, None, True))
                 return self.applied
-        self.ingest(source_id, datagram)
+        k = self.ingest(source_id, datagram)
         self.applied, degenerate = drive_tick(self.commands, self.policy, self.applied)
-        self._log_row(now, degenerate)
+        self.log.append((now, k, *self.applied, datagram, degenerate))
         return self.applied
-
-    def _log_row(self, now: float, degenerate: bool):
-        left, right = self.applied
-        texts = self.texts
-        row = f"{now:.6f},{left},{right}," + ",".join([texts[k] for k in self._log_slots])
-        if degenerate:
-            row += ",-1"
-        self.rows.append(row)

@@ -8,10 +8,12 @@ the vehicle steps alone.  `drive` is that loop for any channels; `run`
 drives it over seeded simulated channels.  Everything then derives from the
 scenario seed, so a run is a pure function of (scenario, seed) and its
 artifacts are byte-identical across repeats.  `udp.run_udp` drives the same
-loop over loopback sockets.
+loop over loopback sockets.  `write_outputs` is the one place a run's drive
+log (RunResult.rows) is formatted, each row once, as it streams to the file.
 """
 
 import contextlib
+import errno
 import functools
 import itertools
 import json
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .control import PidState, sensor_tick
 from .faults import OutageSchedule, gate
-from .fusion import DRIVE_LOG_HEADER, VehicleNode, log_slots
+from .fusion import DRIVE_LOG_HEADER, DriveLog, VehicleNode, log_slots
 from .metrics import (
     CrashDetector,
     SampleSeries,
@@ -52,7 +54,7 @@ class RunResult:
     completed: bool
     crash_time: float
     run_end: float
-    rows: list
+    rows: DriveLog
     series: dict
     summaries: dict
 
@@ -238,7 +240,7 @@ def assemble_result(scenario, node, sensors, correction, deviation,
         completed=completed,
         crash_time=crash_time,
         run_end=run_end,
-        rows=node.rows,
+        rows=node.log,
         series=series,
         summaries=summaries,
     )
@@ -250,9 +252,12 @@ def replace_dir(path):
     ends, so that path never holds files of two runs.  On any exception the
     old directory is left as it was.  A symlink at path is followed and its
     target replaced.  Only a killed process leaves the .<name>.<hex> sibling
-    the new directory is staged in.
+    the new directory is staged in.  A path that exists and is not a
+    directory, or a parent that cannot be made, is an OSError on entry.
     """
     path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
     parent, name = os.path.split(path)
     os.makedirs(parent, exist_ok=True)
     stage = os.path.join(parent, f".{name}.{os.urandom(8).hex()}")

@@ -5,6 +5,7 @@ scenario a few times per value with seeds derived from (seed, value, rep),
 and aggregates the per-run summaries into one table row per value.
 """
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -76,11 +77,12 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     """Run the scenario per (value, repetition) and aggregate summaries.
 
     Every value is applied first, so a bad one is a ConfigError before
-    anything is written or run.  With out_dir, once every run has ended, the
-    runs and the tables replace out_dir whole (runner.replace_dir).  Each run
-    is in <axis>_<value>_rep<rep>, the value in the same text as the .dat
-    value column; values that share that text would share a directory and
-    raise ConfigError too.
+    anything is written or run.  With out_dir, runner.replace_dir is entered
+    before the first run, so an unusable path is an OSError before anything
+    runs; once every run has ended, the runs and the tables replace out_dir
+    whole.  Each run is in <axis>_<value>_rep<rep>, the value in the same
+    text as the .dat value column; values that share that text would share a
+    directory and raise ConfigError too.
     """
     values = list(spec.values)
     labels = [f"{value:.10g}" for value in values]
@@ -91,21 +93,22 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     metric_rows = {}
     crash_rate = []
     all_runs = []
-    for vi, (value, variant) in enumerate(zip(values, variants)):
-        results = [run(replace(variant, seed=derive_seed(scenario.seed, spec.axis, value, rep)))
-                   for rep in range(spec.reps)]
-        all_runs.append(results)
-        crash_rate.append(sum(1 for r in results if not r.completed) / len(results))
-        for name in sorted({m for r in results for m in r.summaries}):
-            counted = [r.summaries[name] for r in results if r.summaries[name].get("count")]
-            cell = ((float(np.mean([c["mean_abs"] for c in counted])),
-                     float(np.mean([c["std_abs"] for c in counted]))) if counted
-                    else (math.nan, math.nan))
-            metric_rows.setdefault(name, [(math.nan, math.nan)] * len(values))
-            metric_rows[name][vi] = cell
-    table = SweepTable(spec.axis, values, metric_rows, crash_rate, all_runs)
-    if out_dir is not None:
-        with replace_dir(out_dir) as new:
+    with replace_dir(out_dir) if out_dir is not None else contextlib.nullcontext() as new:
+        for vi, (value, variant) in enumerate(zip(values, variants)):
+            results = [
+                run(replace(variant, seed=derive_seed(scenario.seed, spec.axis, value, rep)))
+                for rep in range(spec.reps)]
+            all_runs.append(results)
+            crash_rate.append(sum(1 for r in results if not r.completed) / len(results))
+            for name in sorted({m for r in results for m in r.summaries}):
+                counted = [r.summaries[name] for r in results if r.summaries[name].get("count")]
+                cell = ((float(np.mean([c["mean_abs"] for c in counted])),
+                         float(np.mean([c["std_abs"] for c in counted]))) if counted
+                        else (math.nan, math.nan))
+                metric_rows.setdefault(name, [(math.nan, math.nan)] * len(values))
+                metric_rows[name][vi] = cell
+        table = SweepTable(spec.axis, values, metric_rows, crash_rate, all_runs)
+        if new is not None:
             for label, results in zip(labels, all_runs):
                 for rep, result in enumerate(results):
                     write_outputs(result, os.path.join(new, f"{spec.axis}_{label}_rep{rep}"))

@@ -13,17 +13,19 @@ ground truth was skipped, ticks coasted and the simulated channel carried
 commands: every tick runs in full, searches the centreline, and sends each
 command as datagram text for the node to decode.  The kinematics oracle is
 the one-tick step in closed form.  The text oracles are the field formatter
-and the maximum-confidence pick as they were before their fast paths.
+and the maximum-confidence pick as they were before their fast paths, and the
+vehicle node as it was when it formatted each drive-log row as it logged it.
 read_plot_data reads an emitted sweep table back.
 """
 
 import itertools
+import logging
 import math
 import random
 
 import numpy as np
 
-from fusedrive.fusion import VehicleNode, log_slots
+from fusedrive.fusion import _THIRDS, POLICIES, drive_tick, log_slots
 from fusedrive.metrics import CrashDetector, SampleSeries, correction_metric
 from fusedrive.perception import (
     ONBOARD,
@@ -33,7 +35,8 @@ from fusedrive.perception import (
     fold_line_angle,
 )
 from fusedrive.runner import SensorRuntime, assemble_result, write_outputs
-from fusedrive.wire import encode_command
+from fusedrive.wire import (ZERO, MalformedDatagram, SteeringCommand, decode_command,
+                            encode_command, format_field)
 from fusedrive.world import (_SAMPLE_STEP, SAMPLE_BLOCK, Pose, Sampling, lateral_deviation,
                              step_vehicle)
 
@@ -187,6 +190,69 @@ def oracle_fuse_max(cmds):
         return None
     chosen = max(reversed(cmds), key=lambda c: c.confidence)
     return chosen.left, chosen.right
+
+
+class OracleVehicleNode:
+    """fusion.VehicleNode as it was before its drive log formatted rows only
+    when read: ingest formats the slot text, and each datagram appends its
+    row, as text, to rows."""
+
+    def __init__(self, source_ids, policy: str, slot_ids):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown fusion policy {policy!r}")
+        self._index = {sid: k for k, sid in enumerate(source_ids)}
+        if len(self._index) != len(source_ids):
+            raise ValueError("duplicate source ids")
+        self.policy = policy
+        self.applied = (0, 0)
+        self.rows = []
+        self.commands = [ZERO] * len(source_ids)
+        self.texts = ["0,0,0,0,0,0"] * (len(source_ids) + 1)
+        self._log_slots = [self._index.get(sid, len(source_ids)) for sid in slot_ids]
+
+    @property
+    def log(self):
+        """The rows, where runner.assemble_result reads a node's drive log."""
+        return self.rows
+
+    def ingest(self, source_id, cmd: SteeringCommand):
+        k = self._index.get(source_id)
+        if k is None:
+            logging.getLogger("fusedrive.fusion").warning(
+                "ignoring datagram from unknown source %r", source_id)
+            return
+        raw_left, raw_right, raw_confidence, p, i, d = cmd
+        left, right, confidence = raw_left / 3.0, raw_right / 3.0, raw_confidence / 3.0
+        self.texts[k] = ",".join((
+            _THIRDS.get(raw_left) or format_field(left),
+            _THIRDS.get(raw_right) or format_field(right),
+            _THIRDS.get(raw_confidence) or format_field(confidence),
+            format_field(p), format_field(i), format_field(d),
+        ))
+        scaled = SteeringCommand(left, right, confidence, p, i, d)
+        self.commands[k] = scaled if left > 0 or right > 0 else ZERO
+
+    def handle_datagram(self, source_id, datagram, now: float):
+        if isinstance(datagram, (str, bytes)):
+            try:
+                datagram = decode_command(datagram)
+            except MalformedDatagram as exc:
+                logging.getLogger("fusedrive.fusion").warning(
+                    "dropping malformed datagram from %r: %s", source_id, exc)
+                self._log_row(now, degenerate=True)
+                return self.applied
+        self.ingest(source_id, datagram)
+        self.applied, degenerate = drive_tick(self.commands, self.policy, self.applied)
+        self._log_row(now, degenerate)
+        return self.applied
+
+    def _log_row(self, now: float, degenerate: bool):
+        left, right = self.applied
+        texts = self.texts
+        row = f"{now:.6f},{left},{right}," + ",".join([texts[k] for k in self._log_slots])
+        if degenerate:
+            row += ",-1"
+        self.rows.append(row)
 
 
 def oracle_fuse(commands, policy):
@@ -410,9 +476,10 @@ def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
 
 def oracle_drive(scenario, channels, deliver, out_dir=None):
     """runner.drive with the exact centreline search on every tick, and each
-    command encoded at send, as a socket carries it, and decoded by the node."""
+    command encoded at send, as a socket carries it, and decoded by the
+    oracle node, which formats each drive-log row as it logs it."""
     sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
-    node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
+    node = OracleVehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
                        log_slots(scenario.sensors))
     x, y, tangent = scenario.track.point_at(scenario.start_arclength)
     pose = Pose(x, y, tangent)

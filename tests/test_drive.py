@@ -113,7 +113,7 @@ def _run_both(scenario, monkeypatch):
 
 
 def _assert_same(actual, expected):
-    assert actual.rows == expected.rows
+    assert list(actual.rows) == list(expected.rows)
     assert actual.series.keys() == expected.series.keys()
     for name, series in expected.series.items():
         assert actual.series[name].times == series.times, name

@@ -77,11 +77,11 @@ class TestIngest:
         assert node.commands[0].is_zero_report()
 
     def test_negative_powers_park_source(self):
-        node = node_of(["pi"])
-        node.ingest("pi", SteeringCommand(-30, -30, 60))
+        node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE, ("pi", None, None))
+        node.handle_datagram("pi", SteeringCommand(-30, -30, 60), 0.0)
         assert node.commands[0].is_zero_report()
         # but the verbatim (scaled) report is kept for the log
-        assert float(node.texts[0].split(",")[0]) == pytest.approx(-10.0)
+        assert float(list(node.log)[-1].split(",")[3]) == pytest.approx(-10.0)
 
     def test_unknown_source_ignored(self):
         node = node_of(["pi"])
@@ -216,7 +216,7 @@ class TestVehicleNode:
         node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE,
                            slot_ids=("pi", None, None))
         node.handle_datagram("pi", "90;110;60;10;3.5;-2", 0.005)
-        assert node.rows == [
+        assert list(node.log) == [
             "0.005000,30,36,30," + repr(110 / 3.0) + ",20,10,3.5,-2"
             + ",0,0,0,0,0,0,0,0,0,0,0,0"
         ]
@@ -225,7 +225,7 @@ class TestVehicleNode:
         node = VehicleNode(["pi"], CONFIDENCE_WEIGHTED, ("pi", None, None))
         node.handle_datagram("pi", "0;0;0;0;0;0", 0.1)
         assert node.applied == (0, 0)
-        assert node.rows[-1].endswith(",-1")
+        assert list(node.log)[-1].endswith(",-1")
 
     def test_degenerate_keeps_powers(self):
         node = VehicleNode(["pi"], CONFIDENCE_WEIGHTED, ("pi", None, None))
@@ -233,16 +233,17 @@ class TestVehicleNode:
         assert node.applied == (30, 36)
         node.handle_datagram("pi", "0;0;0;0;0;0", 0.2)
         assert node.applied == (30, 36)
-        assert node.rows[-1].endswith(",-1")
+        assert list(node.log)[-1].endswith(",-1")
 
     def test_malformed_datagram_degenerate_row(self):
         node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE, ("pi", None, None))
         node.handle_datagram("pi", "90;110;60;0;0;0", 0.1)
         node.handle_datagram("pi", "not;a;datagram", 0.2)
         assert node.applied == (30, 36)
-        assert node.rows[-1].endswith(",-1")
+        row = list(node.log)[-1]
+        assert row.endswith(",-1")
         # the stored report is untouched by the malformed datagram
-        assert float(node.texts[0].split(",")[0]) == pytest.approx(30.0)
+        assert float(row.split(",")[3]) == pytest.approx(30.0)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("datagram", ["inf;inf;inf;0;0;0", "nan;nan;nan;0;0;0",
@@ -252,9 +253,10 @@ class TestVehicleNode:
         node.handle_datagram("cam0", "90;110;60;0;0;0", 0.1)
         node.handle_datagram("pi", datagram, 0.2)
         assert node.applied == (30, 36)
-        assert len(node.rows) == 2
-        assert node.rows[-1].startswith("0.200000,30,36,0,0,0,0,0,0,")
-        assert node.rows[-1].endswith(",-1")
+        rows = list(node.log)
+        assert len(rows) == 2
+        assert rows[-1].startswith("0.200000,30,36,0,0,0,0,0,0,")
+        assert rows[-1].endswith(",-1")
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_overflowing_fusion_never_raises(self, policy):
@@ -262,12 +264,13 @@ class TestVehicleNode:
         node = VehicleNode(["pi", "cam0"], policy, ("pi", "cam0", None))
         node.handle_datagram("cam0", "90;110;60;0;0;0", 0.1)
         applied = node.handle_datagram("pi", "1e308;1e308;1e308;0;0;0", 0.2)
+        row = list(node.log)[-1]
         if policy == CONFIDENCE_WEIGHTED:
             assert applied == (30, 36)
-            assert node.rows[-1].endswith(",-1")
+            assert row.endswith(",-1")
         else:
             assert applied == (255, 255)
-            assert not node.rows[-1].endswith(",-1")
+            assert not row.endswith(",-1")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -287,10 +290,11 @@ class TestVehicleNode:
             except MalformedDatagram:
                 rejected = True
             applied = node.handle_datagram(source_id, datagram, 0.1 * k)
-            assert len(node.rows) == k + 1
+            rows = list(node.log)
+            assert len(rows) == k + 1
             assert applied == node.applied
             assert all(0 <= p <= 255 for p in applied)
-            assert node.rows[-1].split(",")[1:3] == [str(applied[0]), str(applied[1])]
+            assert rows[-1].split(",")[1:3] == [str(applied[0]), str(applied[1])]
             if rejected:
                 assert applied == held
-                assert node.rows[-1].endswith(",-1")
+                assert rows[-1].endswith(",-1")

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from fusedrive import scenario as scenario_module
 from fusedrive.cli import main
 from fusedrive.control import PidGains
-from fusedrive.fusion import POLICIES
+from fusedrive.fusion import POLICIES, DriveLog
 from fusedrive.runner import run
 from fusedrive.scenario import Scenario, derive_seed, load_scenario, scenario_from_dict
 from fusedrive.sweep import SweepSpec, apply_axis, sweep
@@ -638,7 +638,7 @@ class TestRunner:
         cfg["sensors"][0]["channel"] = {"loss": 1.0}
         res = run(scenario_from_dict(cfg))
         assert res.completed
-        assert res.rows == []
+        assert list(res.rows) == []
         assert res.summaries["correction"] == {"count": 0}
 
     def test_outage_summaries_present_only_with_outage(self):
@@ -679,7 +679,7 @@ class TestRunner:
         cfg["sensors"][0]["channel"] = {"loss": 0.2}
         a = run(scenario_from_dict(dict(cfg, seed=1)))
         b = run(scenario_from_dict(dict(cfg, seed=2)))
-        assert a.rows != b.rows
+        assert list(a.rows) != list(b.rows)
 
     def test_output_files(self, tmp_path):
         cfg = minimal_cfg(duration=5.0)
@@ -743,6 +743,35 @@ class TestRunner:
         assert sorted(os.listdir(target)) == RUN_FILES
         assert sorted(os.listdir(tmp_path)) == ["link", "target"]
 
+    def test_in_memory_runs_format_no_drive_log(self, monkeypatch):
+        scenario = load_scenario(os.path.join(SCENARIO_DIR, "combined_weighted.yaml"))
+        scenario.duration = 10.0
+        spec = SweepSpec("kp", (1.0, 2.0), reps=1)
+
+        def summaries():
+            table = sweep(scenario, spec)
+            return run(scenario).summaries, [r.summaries for rs in table.runs for r in rs]
+
+        expected = summaries()
+
+        def refuse(value):
+            raise AssertionError("a drive-log field was formatted")
+        monkeypatch.setattr("fusedrive.fusion.format_field", refuse)
+        assert summaries() == expected
+
+    def test_written_run_reads_its_drive_log_once(self, tmp_path, monkeypatch):
+        reads = []
+        iterate = DriveLog.__iter__
+
+        def counted(log):
+            reads.append(log)
+            return iterate(log)
+        monkeypatch.setattr(DriveLog, "__iter__", counted)
+        res = run(scenario_from_dict(minimal_cfg(duration=2.0)), tmp_path / "out")
+        assert len(reads) == 1 and reads[0] is res.rows
+        with open(tmp_path / "out" / "drive_log.csv", "r", encoding="utf-8") as fh:
+            assert len(fh.readlines()) == len(res.rows) + 1 > 1
+
 
 class TestSweep:
     def test_single_value_equals_plain_run_with_derived_seed(self):
@@ -751,7 +780,7 @@ class TestSweep:
         direct = copy.deepcopy(sc)
         direct.seed = derive_seed(9, "kp", 1.5, 0)
         res = run(apply_axis(direct, "kp", 1.5))
-        assert table.runs[0][0].rows == res.rows
+        assert list(table.runs[0][0].rows) == list(res.rows)
         assert table.metrics["deviation"][0][0] == pytest.approx(
             res.summaries["deviation"]["mean_abs"])
 
@@ -826,6 +855,20 @@ class TestSweep:
             sweep(scenario_from_dict(minimal_cfg(duration=2.0, seed=2)), spec, out)
         assert snapshot(out) == before
         assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("out", ["file", "file/out"])
+    def test_unusable_output_path_fails_before_any_run(self, out, tmp_path, monkeypatch):
+        # A file at the output path, or at its parent: the sweep raises
+        # before its first run instead of after its last.
+        calls = []
+        monkeypatch.setattr("fusedrive.sweep.run", lambda *args: calls.append(args))
+        (tmp_path / "file").write_text("kept", encoding="utf-8")
+        with pytest.raises(OSError):
+            sweep(scenario_from_dict(minimal_cfg(duration=1.0)),
+                  SweepSpec("kp", (1.0, 2.0), reps=1), tmp_path / out)
+        assert calls == []
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
+        assert os.listdir(tmp_path) == ["file"]
 
     def test_values_sharing_a_dir_label_rejected(self, tmp_path):
         sc = scenario_from_dict(minimal_cfg(duration=1.0))

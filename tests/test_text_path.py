@@ -2,7 +2,8 @@
 encoder, the drive-log text of an ingested command, and the maximum-
 confidence pick, each equal to what the code gave before its fast path; and
 a sensor's command, as the simulated channel carries it, drives the vehicle
-node exactly as its datagram text does."""
+node exactly as its datagram text does.  The node's drive log, formatted when
+read, gives the rows of the node that formatted each row as it logged it."""
 
 import math
 
@@ -15,7 +16,7 @@ from fusedrive.control import commands_from_correction
 from fusedrive.fusion import MAXIMUM_CONFIDENCE, POLICIES, VehicleNode, fuse_max
 from fusedrive.wire import ZERO, SteeringCommand, encode_command, format_field
 
-from oracles import oracle_format_field, oracle_fuse_max
+from oracles import OracleVehicleNode, oracle_format_field, oracle_fuse_max
 
 SPECIAL_FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -75,9 +76,10 @@ raw_values = st.one_of(
 @example(1.0, 2, -3.0, 0.0, 0.0, 0.0)
 def test_ingest_text_matches_oracle(left, right, confidence, p, i, d):
     node = VehicleNode(["pi"], MAXIMUM_CONFIDENCE, ("pi", None, None))
-    node.ingest("pi", SteeringCommand(left, right, confidence, p, i, d))
+    node.handle_datagram("pi", SteeringCommand(left, right, confidence, p, i, d), 0.0)
     scaled = SteeringCommand(left / 3.0, right / 3.0, confidence / 3.0, p, i, d)
-    assert node.texts[0] == ",".join(map(oracle_format_field, scaled))
+    (row,) = node.log
+    assert ",".join(row.split(",")[3:9]) == ",".join(map(oracle_format_field, scaled))
     expected = scaled if scaled.left > 0 or scaled.right > 0 else ZERO
     assert node.commands[0] == expected
     assert list(map(type, node.commands[0])) == list(map(type, expected))
@@ -127,5 +129,40 @@ def test_command_drives_node_as_its_text_does(policy, sends):
     for k, (source_id, cmd) in enumerate(sends):
         by_command.handle_datagram(source_id, cmd, 0.005 * k)
         by_text.handle_datagram(source_id, encode_command(cmd), 0.005 * k)
-    for name in ("commands", "texts", "applied", "rows"):
-        assert getattr(by_command, name) == getattr(by_text, name), name
+    assert by_command.commands == by_text.commands
+    assert by_command.applied == by_text.applied
+    assert list(by_command.log) == list(by_text.log)
+
+
+# Datagram text no node accepts: too few fields, words, non-finite values,
+# an overflowing literal, and bytes that are not UTF-8.
+bad_texts = st.sampled_from([
+    "", "1;2;3", "left;right;60", "nan;1;1;1;1;1", "inf;inf;inf;0;0;0",
+    "1e400;5;100;0;0;0", "1;2;3;4;5;-inf", b"\xff;1;1;1;1;1",
+])
+
+
+@st.composite
+def traffic(draw):
+    """A sensor-shaped command, sent as it is or as its datagram text; or
+    text no node accepts; from a log source or an unknown one."""
+    source_id = draw(st.sampled_from(SOURCES + ("stray",)))
+    cmd = draw(sensor_commands)
+    return source_id, draw(st.sampled_from([cmd, encode_command(cmd), draw(bad_texts)]))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=150)
+@given(st.lists(traffic(), max_size=12))
+@example([("pi", SteeringCommand(97, 103, 100, -0.0, 1e-300, 5e-324)),
+          ("stray", "90;110;60;0;0;0"), ("cam1", "nan;1;1;1;1;1"),
+          ("cam0", encode_command(SteeringCommand(2 ** 53 + 100, 7, 7, 1.5, 0.1, -2.0)))])
+def test_drive_log_rows_match_the_eager_node(policy, sends):
+    # pi and cam1 fill the first and last column groups; the middle one is empty.
+    node = VehicleNode(SOURCES, policy, ("pi", None, "cam1"))
+    oracle = OracleVehicleNode(SOURCES, policy, ("pi", None, "cam1"))
+    for k, (source_id, datagram) in enumerate(sends):
+        assert node.handle_datagram(source_id, datagram, 0.005 * k) == \
+            oracle.handle_datagram(source_id, datagram, 0.005 * k)
+        assert node.applied == oracle.applied
+        assert list(node.log) == oracle.rows

@@ -56,8 +56,9 @@ class TestUdpTransport:
         res = run_udp(sc, pace=10.0)
         assert res.completed
         # both column groups carry data at some point
-        pi_seen = any(row.split(",")[3] != "0" for row in res.rows)
-        cam_seen = any(row.split(",")[9] != "0" for row in res.rows)
+        rows = list(res.rows)
+        pi_seen = any(row.split(",")[3] != "0" for row in rows)
+        cam_seen = any(row.split(",")[9] != "0" for row in rows)
         assert pi_seen and cam_seen
 
     def test_tracks_simulated_transport_loosely(self):
@@ -77,7 +78,7 @@ class TestUdpTransport:
         assert sorted(os.listdir(out)) == [
             "correction.csv", "deviation.csv", "drive_log.csv", "error_pi.csv", "summary.json"]
         log = (out / "drive_log.csv").read_text(encoding="utf-8").splitlines()
-        assert log[1:] == res.rows and len(res.rows) > 10
+        assert log[1:] == list(res.rows) and len(res.rows) > 10
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["completed"] is res.completed is True
 
@@ -89,7 +90,7 @@ class TestUdpTransport:
         res = run_udp(scenario_from_dict(cfg), pace=10.0)
         assert res.completed
         assert len(res.rows) > 5
-        assert any(row.split(",")[3] != "0" for row in res.rows)
+        assert any(row.split(",")[3] != "0" for row in list(res.rows))
 
     def test_every_tick_runs_in_full(self, monkeypatch):
         # A socket can deliver at any time, so the loop never coasts over UDP.
@@ -154,12 +155,13 @@ class TestUdpWireText:
         assert res.completed
         malformed = [r for r in caplog.records if "malformed" in r.getMessage()]
         assert len(malformed) == 1 and "'pi'" in malformed[0].getMessage()
-        degenerate = [k for k, row in enumerate(res.rows) if row.endswith(",-1")]
+        rows = list(res.rows)
+        degenerate = [k for k, row in enumerate(rows) if row.endswith(",-1")]
         assert len(degenerate) == 1
         k = degenerate[0]
-        assert 0 < k < len(res.rows) - 1 and len(sent) > 10
+        assert 0 < k < len(rows) - 1 and len(sent) > 10
         # The row holds the previous powers and the stored reports.
-        assert res.rows[k].split(",")[1:-1] == res.rows[k - 1].split(",")[1:]
+        assert rows[k].split(",")[1:-1] == rows[k - 1].split(",")[1:]
 
 
 class TestUdpFailures:
@@ -192,7 +194,7 @@ class TestUdpFailures:
             res = run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=10.0)
         assert res.completed
         assert len(strays) > 10 and len(res.rows) > 10
-        for row in res.rows:
+        for row in list(res.rows):
             assert "999" not in row.split(",")
 
     @pytest.mark.parametrize("pace", ["0", "-1", "nan", "inf"])
