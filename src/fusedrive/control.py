@@ -4,7 +4,7 @@ Each sensor runs its own controller.  The integral term is a decayed sum
 (new = error + DECAY * old, updated before use) rather than a plain sum, so
 it cannot wind up past error_bound / (1 - DECAY).  Infrastructure sensors
 supply the line-to-vehicle angle as an external derivative; the on-vehicle
-sensor falls back to consecutive error differences.
+sensor uses consecutive error differences.
 """
 
 import math
@@ -46,19 +46,14 @@ class PidState(NamedTuple):
     last_error: float = 0.0
 
 
-def pid_update(gains: PidGains, state: PidState, error: float,
-               external_derivative: float = None):
+def pid_update(gains: PidGains, state: PidState, error: float, derivative: float):
     """One controller step; returns (new_state, correction).
 
-    The integral decays before it is read, and the external derivative (when
-    a sensor can measure the error rate directly) replaces the finite
-    difference of errors.
+    The integral decays before it is read.  derivative is the error rate:
+    measured directly by an infrastructure sensor, the difference of
+    consecutive errors on the vehicle (sensor_tick).
     """
     integral = error + DECAY * state.integral
-    if external_derivative is not None:
-        derivative = external_derivative
-    else:
-        derivative = error - state.last_error
     correction = gains.kp * error + gains.ki * integral + gains.kd * derivative
     return PidState(integral, error), correction
 

@@ -8,7 +8,8 @@ the vehicle steps alone.  `drive` is that loop for any channels; `run`
 drives it over seeded simulated channels.  Everything then derives from the
 scenario seed, so a run is a pure function of (scenario, seed) and its
 artifacts are byte-identical across repeats.  `udp.run_udp` drives the same
-loop over loopback sockets.  `write_outputs` is the one place a run's drive
+loop over loopback sockets.  `drive` claims its output directory before
+the first tick and `write_outputs` fills it: the one place a run's drive
 log (RunResult.rows) is formatted, each row once, as it streams to the file.
 """
 
@@ -115,7 +116,8 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     channels[k].send(source_id, cmd, now) carries sensor k's commands, as
     they are or as text, and channels[k].next_delivery() is the earliest
     time one of them can arrive (-inf: any time); deliver(now) returns the
-    (source_id, datagram) pairs due at now.
+    (source_id, datagram) pairs due at now.  out_dir is claimed (replace_dir)
+    before the first tick: an unusable path is an OSError before any frame.
 
     Only event ticks run in full.  Each ends with one Motion.advance call:
     it steps the vehicle through that tick, then coasts (steps it alone)
@@ -153,67 +155,68 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     Motion.advance does, one tick at a time.  A UDP channel can deliver at
     any time, so that transport never coasts.
     """
-    sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
-    node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
-                       log_slots(scenario.sensors))
-    x, y, tangent = scenario.track.point_at(scenario.start_arclength)
-    pose = Pose(x, y, tangent)
+    with replace_dir(out_dir) as new:
+        sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
+        node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
+                           log_slots(scenario.sensors))
+        x, y, tangent = scenario.track.point_at(scenario.start_arclength)
+        pose = Pose(x, y, tangent)
 
-    correction = SampleSeries("correction")
-    deviation = SampleSeries("deviation")
-    detector = CrashDetector(scenario.crash_threshold, scenario.crash_hold)
-    crash_time = None
+        correction = SampleSeries("correction")
+        deviation = SampleSeries("deviation")
+        detector = CrashDetector(scenario.crash_threshold, scenario.crash_hold)
+        crash_time = None
 
-    threshold = scenario.crash_threshold
-    last_abs, last_x, last_y = math.inf, pose.x, pose.y
-    bound = math.inf  # the first tick searches
-    segment = 0  # the last search's segment: the next one's hint
-    ts = scenario.timestep
-    vehicle = scenario.vehicle
-    applied = motion = None
-    n_ticks = scenario.n_ticks()
-    i = 0
-    while i < n_ticks:
-        now = i * ts
-        for s in sensors:
-            if i == s.next_tick:
-                s.next_tick += s.period_ticks
-                s.channel.send(s.config.sensor_id, s.tick(scenario, pose, now), now)
-        delivered = deliver(now)
-        for source_id, datagram in delivered:
-            node.handle_datagram(source_id, datagram, now)
-        if delivered or bound >= threshold:
-            dev, segment = lateral_deviation(scenario.track, pose, segment)
-            last_abs, last_x, last_y = abs(dev), pose.x, pose.y
-        else:
-            dev = bound
-        if delivered:
-            correction.append(now, correction_metric(*node.applied))
-            deviation.append(now, dev)
-        crash_time = detector.update(now, dev)
-        if crash_time is not None:
-            break
-        if node.applied != applied:
-            applied = node.applied
-            motion = Motion(applied[0], applied[1], ts, vehicle)
-        stop = n_ticks
-        for s in sensors:
-            if s.next_tick < stop:
-                stop = s.next_tick
-        due = math.inf
-        for ch in channels:
-            t = ch.next_delivery()
-            if t < due:
-                due = t
-        stop = first_due_tick(due, ts, i + 1, stop)
-        x, y, heading, stepped, bound = motion.advance(pose.x, pose.y, pose.heading, stop - i,
-                                                       last_abs, last_x, last_y, threshold)
-        pose = Pose(x, y, heading)
-        i += stepped
+        threshold = scenario.crash_threshold
+        last_abs, last_x, last_y = math.inf, pose.x, pose.y
+        bound = math.inf  # the first tick searches
+        segment = 0  # the last search's segment: the next one's hint
+        ts = scenario.timestep
+        vehicle = scenario.vehicle
+        applied = motion = None
+        n_ticks = scenario.n_ticks()
+        i = 0
+        while i < n_ticks:
+            now = i * ts
+            for s in sensors:
+                if i == s.next_tick:
+                    s.next_tick += s.period_ticks
+                    s.channel.send(s.config.sensor_id, s.tick(scenario, pose, now), now)
+            delivered = deliver(now)
+            for source_id, datagram in delivered:
+                node.handle_datagram(source_id, datagram, now)
+            if delivered or bound >= threshold:
+                dev, segment = lateral_deviation(scenario.track, pose, segment)
+                last_abs, last_x, last_y = abs(dev), pose.x, pose.y
+            else:
+                dev = bound
+            if delivered:
+                correction.append(now, correction_metric(*node.applied))
+                deviation.append(now, dev)
+            crash_time = detector.update(now, dev)
+            if crash_time is not None:
+                break
+            if node.applied != applied:
+                applied = node.applied
+                motion = Motion(applied[0], applied[1], ts, vehicle)
+            stop = n_ticks
+            for s in sensors:
+                if s.next_tick < stop:
+                    stop = s.next_tick
+            due = math.inf
+            for ch in channels:
+                t = ch.next_delivery()
+                if t < due:
+                    due = t
+            stop = first_due_tick(due, ts, i + 1, stop)
+            x, y, heading, stepped, bound = motion.advance(pose.x, pose.y, pose.heading, stop - i,
+                                                           last_abs, last_x, last_y, threshold)
+            pose = Pose(x, y, heading)
+            i += stepped
 
-    result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
-    if out_dir is not None:
-        write_outputs(result, out_dir)
+        result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
+        if new is not None:
+            write_outputs(result, new)
     return result
 
 
@@ -254,7 +257,11 @@ def replace_dir(path):
     target replaced.  Only a killed process leaves the .<name>.<hex> sibling
     the new directory is staged in.  A path that exists and is not a
     directory, or a parent that cannot be made, is an OSError on entry.
+    None yields None: a run kept in memory writes nothing.
     """
+    if path is None:
+        yield None
+        return
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isdir(path):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
@@ -279,28 +286,27 @@ def replace_dir(path):
 
 
 def write_outputs(result: RunResult, out_dir):
-    """Replace out_dir with the drive log, metric series, and the JSON summary."""
-    with replace_dir(out_dir) as new:
-        with open(os.path.join(new, "drive_log.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(DRIVE_LOG_HEADER + "\n")
-            for row in result.rows:
-                fh.write(row + "\n")
+    """Write the drive log, metric series, and the JSON summary into out_dir."""
+    with open(os.path.join(out_dir, "drive_log.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(DRIVE_LOG_HEADER + "\n")
+        for row in result.rows:
+            fh.write(row + "\n")
 
-        for name, ser in result.series.items():
-            with open(os.path.join(new, f"{name}.csv"), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(f"time,{name}\n")
-                for t, v in zip(ser.times, ser.values):
-                    fh.write(f"{t:.6f},{v!r}\n")
+    for name, ser in result.series.items():
+        with open(os.path.join(out_dir, f"{name}.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"time,{name}\n")
+            for t, v in zip(ser.times, ser.values):
+                fh.write(f"{t:.6f},{v!r}\n")
 
-        summary = {
-            "scenario": result.scenario_name,
-            "seed": result.seed,
-            "fusion": result.fusion,
-            "duration": result.duration,
-            "completed": result.completed,
-            "crash_time": result.crash_time,
-            "metrics": result.summaries,
-        }
-        with open(os.path.join(new, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    summary = {
+        "scenario": result.scenario_name,
+        "seed": result.seed,
+        "fusion": result.fusion,
+        "duration": result.duration,
+        "completed": result.completed,
+        "crash_time": result.crash_time,
+        "metrics": result.summaries,
+    }
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -5,14 +5,13 @@ scenario a few times per value with seeds derived from (seed, value, rep),
 and aggregates the per-run summaries into one table row per value.
 """
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .runner import replace_dir, run, write_outputs
+from .runner import replace_dir, run
 from .scenario import _GAIN_KEYS, _OUTAGES, Scenario, _wrap, derive_seed
 from .world import ConfigError
 
@@ -79,10 +78,10 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     Every value is applied first, so a bad one is a ConfigError before
     anything is written or run.  With out_dir, runner.replace_dir is entered
     before the first run, so an unusable path is an OSError before anything
-    runs; once every run has ended, the runs and the tables replace out_dir
-    whole.  Each run is in <axis>_<value>_rep<rep>, the value in the same
-    text as the .dat value column; values that share that text would share a
-    directory and raise ConfigError too.
+    runs; each run writes into the staged tree as it ends, and nothing shows
+    until the tree replaces out_dir.  A run is in <axis>_<value>_rep<rep>, the
+    value in the .dat value column's text; values that share that text would
+    share a directory and raise ConfigError too.
     """
     values = list(spec.values)
     labels = [f"{value:.10g}" for value in values]
@@ -93,10 +92,11 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     metric_rows = {}
     crash_rate = []
     all_runs = []
-    with replace_dir(out_dir) if out_dir is not None else contextlib.nullcontext() as new:
-        for vi, (value, variant) in enumerate(zip(values, variants)):
+    with replace_dir(out_dir) as new:
+        for vi, (value, label, variant) in enumerate(zip(values, labels, variants)):
             results = [
-                run(replace(variant, seed=derive_seed(scenario.seed, spec.axis, value, rep)))
+                run(replace(variant, seed=derive_seed(scenario.seed, spec.axis, value, rep)),
+                    None if new is None else os.path.join(new, f"{spec.axis}_{label}_rep{rep}"))
                 for rep in range(spec.reps)]
             all_runs.append(results)
             crash_rate.append(sum(1 for r in results if not r.completed) / len(results))
@@ -109,9 +109,6 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
                 metric_rows[name][vi] = cell
         table = SweepTable(spec.axis, values, metric_rows, crash_rate, all_runs)
         if new is not None:
-            for label, results in zip(labels, all_runs):
-                for rep, result in enumerate(results):
-                    write_outputs(result, os.path.join(new, f"{spec.axis}_{label}_rep{rep}"))
             emit_plot_data(table, new)
     return table
 

@@ -34,7 +34,7 @@ from fusedrive.perception import (
     MarkerObservation,
     fold_line_angle,
 )
-from fusedrive.runner import SensorRuntime, assemble_result, write_outputs
+from fusedrive.runner import SensorRuntime, assemble_result, replace_dir, write_outputs
 from fusedrive.wire import (ZERO, MalformedDatagram, SteeringCommand, decode_command,
                             encode_command, format_field)
 from fusedrive.world import (_SAMPLE_STEP, SAMPLE_BLOCK, Pose, Sampling, lateral_deviation,
@@ -512,7 +512,8 @@ def oracle_drive(scenario, channels, deliver, out_dir=None):
 
     result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
     if out_dir is not None:
-        write_outputs(result, out_dir)
+        with replace_dir(out_dir) as new:
+            write_outputs(result, new)
     return result
 
 

@@ -122,7 +122,7 @@ def test_controller_hand_evaluations_and_integral_bound():
     with _verdict("controller: 61.5 hand case, decayed-integral limit 10 "
                   "within 1e-9, |integral| <= M/(1-0.9) over 10^5 steps"):
         # kp*10 + ki*(10 + 0.9*0) + kd*(10 - 0) = 15 + 1.5 + 45 = 61.5
-        _, correction = pid_update(PidGains(1.5, 0.15, 4.5), PidState(), 10.0)
+        _, correction = pid_update(PidGains(1.5, 0.15, 4.5), PidState(), 10.0, 10.0 - 0.0)
         assert correction == pytest.approx(61.5, abs=1e-9)
 
         # Constant unit error drives the decayed sum to 1/(1-0.9) = 10.  The
@@ -132,7 +132,7 @@ def test_controller_hand_evaluations_and_integral_bound():
         gains = PidGains(0.0, 1.0, 0.0)
         state = PidState()
         for step in range(1, 301):
-            state, correction = pid_update(gains, state, 1.0)
+            state, correction = pid_update(gains, state, 1.0, 1.0 - state.last_error)
             if step == 200:
                 assert 10.0 - correction == pytest.approx(
                     10.0 * 0.9 ** 200, rel=1e-6)
@@ -145,7 +145,8 @@ def test_controller_hand_evaluations_and_integral_bound():
         gains = PidGains(2.0, 0.3, 1.0)
         state = PidState()
         for _ in range(100_000):
-            state, _ = pid_update(gains, state, rng.uniform(-m, m))
+            error = rng.uniform(-m, m)
+            state, _ = pid_update(gains, state, error, error - state.last_error)
             assert abs(state.integral) <= bound
 
 

@@ -24,21 +24,21 @@ from fusedrive.world import Pose, Track, rounded_rectangle_segments
 
 class TestPidUpdate:
     def test_pure_proportional(self):
-        state, correction = pid_update(PidGains(1, 0, 0), PidState(), 7.0)
+        state, correction = pid_update(PidGains(1, 0, 0), PidState(), 7.0, 7.0 - 0.0)
         assert correction == 7.0
         assert state.integral == 7.0
         assert state.last_error == 7.0
 
     def test_hand_evaluation_full_gains(self):
         # kp*10 + ki*(10 + 0.9*0) + kd*(10 - 0) = 15 + 1.5 + 45.
-        state, correction = pid_update(PidGains(1.5, 0.15, 4.5), PidState(), 10.0)
+        state, correction = pid_update(PidGains(1.5, 0.15, 4.5), PidState(), 10.0, 10.0 - 0.0)
         assert correction == pytest.approx(61.5, abs=1e-12)
         assert state.integral == 10.0
 
     def test_integral_updates_before_use(self):
         # With ki = 1 and zero other gains the first correction already
         # includes the fresh error, not just the decayed history.
-        _, correction = pid_update(PidGains(0, 1, 0), PidState(integral=10.0), 5.0)
+        _, correction = pid_update(PidGains(0, 1, 0), PidState(integral=10.0), 5.0, 5.0 - 0.0)
         assert correction == pytest.approx(5.0 + 0.9 * 10.0)
 
     def test_geometric_series_limit(self):
@@ -46,19 +46,19 @@ class TestPidUpdate:
         state = PidState()
         correction = None
         for _ in range(300):
-            state, correction = pid_update(gains, state, 1.0)
+            state, correction = pid_update(gains, state, 1.0, 1.0 - state.last_error)
         assert correction == pytest.approx(10.0, abs=1e-9)
 
     def test_external_derivative_replaces_difference(self):
         gains = PidGains(1.0, 0.02, 0.5)
         state = PidState(last_error=50.0)
-        _, correction = pid_update(gains, state, 10.0, external_derivative=4.0)
+        _, correction = pid_update(gains, state, 10.0, 4.0)
         assert correction == pytest.approx(10.0 + 0.02 * 10.0 + 0.5 * 4.0)
 
     def test_derivative_from_difference(self):
         gains = PidGains(0, 0, 1.0)
         state = PidState(last_error=3.0)
-        _, correction = pid_update(gains, state, 10.0)
+        _, correction = pid_update(gains, state, 10.0, 10.0 - state.last_error)
         assert correction == pytest.approx(7.0)
 
     def test_integral_bounded(self):
@@ -67,7 +67,8 @@ class TestPidUpdate:
         state = PidState()
         bound = 50.0 / (1.0 - 0.9)
         for _ in range(100000):
-            state, _ = pid_update(gains, state, rng.uniform(-50.0, 50.0))
+            error = rng.uniform(-50.0, 50.0)
+            state, _ = pid_update(gains, state, error, error - state.last_error)
             assert abs(state.integral) <= bound
 
     def test_mirrored_errors_negate_corrections(self):
@@ -76,8 +77,8 @@ class TestPidUpdate:
         gains = PidGains(1.2, 0.1, 2.0)
         s_pos, s_neg = PidState(), PidState()
         for e in errors:
-            s_pos, c_pos = pid_update(gains, s_pos, e)
-            s_neg, c_neg = pid_update(gains, s_neg, -e)
+            s_pos, c_pos = pid_update(gains, s_pos, e, e - s_pos.last_error)
+            s_neg, c_neg = pid_update(gains, s_neg, -e, -e - s_neg.last_error)
             assert c_neg == pytest.approx(-c_pos, abs=1e-9)
 
     def test_gain_validation(self):
@@ -142,6 +143,16 @@ class TestSensorTick:
         assert cmd.p == pytest.approx(0.333 * 60.0)
         assert cmd.left == int(100 - cmd.p)
         assert cmd.right == int(100 + cmd.p)
+
+    def test_onboard_derivative_is_the_error_difference(self):
+        # Error 0.333 * 60 px after an error of 3: kd alone sees the difference.
+        obs = (MarkerObservation((0, 0), (0, 0), False), _visible_box(100.0))
+        state, cmd = sensor_tick(onboard_camera(), PidGains(0.0, 0.0, 1.0),
+                                 PidState(last_error=3.0), obs)
+        assert cmd.p == pytest.approx(0.333 * 60.0)
+        assert cmd.d == cmd.p - 3.0
+        assert (cmd.left, cmd.right) == commands_from_correction(cmd.d)
+        assert state.last_error == cmd.p
 
     @pytest.mark.parametrize("width", [320, 400, 640])
     def test_onboard_error_from_the_frames_center_column(self, width):

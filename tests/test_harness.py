@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusedrive import runner as runner_module
 from fusedrive import scenario as scenario_module
 from fusedrive.cli import main
 from fusedrive.control import PidGains
@@ -27,6 +29,7 @@ from fusedrive.fusion import POLICIES, DriveLog
 from fusedrive.runner import run
 from fusedrive.scenario import Scenario, derive_seed, load_scenario, scenario_from_dict
 from fusedrive.sweep import SweepSpec, apply_axis, sweep
+from fusedrive.udp import run_udp
 from fusedrive.wire import SimulatedChannel, encode_command
 from fusedrive.world import ConfigError
 
@@ -319,6 +322,15 @@ def load_and_run(cfg, path):
     assert "Traceback" not in err.getvalue()
 
 
+def numeric_leaves(value, path=()):
+    """The key path of every int or float leaf within value."""
+    for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+        if isinstance(child, (dict, list)):
+            yield from numeric_leaves(child, (*path, key))
+        elif type(child) in (int, float):
+            yield (*path, key)
+
+
 class TestLoaderFuzz:
     """Edits of the shipped files load, or are a ConfigError, with either
     parser, and those that load run through the CLI."""
@@ -348,6 +360,35 @@ class TestLoaderFuzz:
             parent[key] *= data.draw(st.sampled_from([-1, 0, 0.1, 0.5, 2, 10, 1e6]))
         with tempfile.TemporaryDirectory() as tmp:
             load_and_run(cfg, os.path.join(tmp, name))
+
+    def test_each_numeric_leaf_at_extremes_ends_in_bounded_time(self, tmp_path, capsys):
+        # Each key path once, from the first shipped file that holds it.
+        files = {}
+        for name, cfg in SHIPPED_CFGS.items():
+            for path in numeric_leaves(cfg):
+                files.setdefault(path, name)
+
+        def overran(signum, frame):
+            pytest.fail("a 2 s run took over 5 s")
+        handler = signal.signal(signal.SIGALRM, overran)
+        try:
+            for path, name in files.items():
+                for value in (0, 1e-300, -1e-300, 1e300, -1e300, 2 ** 63):
+                    cfg = dict(copy.deepcopy(SHIPPED_CFGS[name]), duration=2.0)
+                    parent = cfg
+                    for key in path[:-1]:
+                        parent = parent[key]
+                    parent[path[-1]] = value
+                    scenario = tmp_path / name
+                    scenario.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+                    signal.alarm(5)
+                    code = main(["run", str(scenario), "--out", str(tmp_path / "runs")])
+                    signal.alarm(0)
+                    assert code in (0, 1, 2), (name, path, value)
+                    assert "Traceback" not in capsys.readouterr().err, (name, path, value)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
 
 
 class TestParsers:
@@ -616,6 +657,13 @@ def fail_json_dump(monkeypatch):
     monkeypatch.setattr("fusedrive.runner.json.dump", failing_dump)
 
 
+def refuse_frames(monkeypatch):
+    """Fail the test at the first frame any sensor takes."""
+    def refuse(*args):
+        raise AssertionError("a frame was taken")
+    monkeypatch.setattr(runner_module, "observe", refuse)
+
+
 RUN_FILES = ["correction.csv", "deviation.csv", "drive_log.csv", "error_pi.csv", "summary.json"]
 
 
@@ -742,6 +790,20 @@ class TestRunner:
         assert os.readlink(tmp_path / "link") == str(target)
         assert sorted(os.listdir(target)) == RUN_FILES
         assert sorted(os.listdir(tmp_path)) == ["link", "target"]
+
+    @pytest.mark.parametrize("transport", [run, run_udp], ids=["sim", "udp"])
+    @pytest.mark.parametrize("out", ["file", "file/out"])
+    def test_unusable_output_path_fails_before_the_first_frame(self, transport, out, tmp_path,
+                                                                 monkeypatch):
+        # A file at the output path, or at its parent: the run raises before
+        # any sensor observes, instead of after its last tick.
+        refuse_frames(monkeypatch)
+        (tmp_path / "file").write_text("kept", encoding="utf-8")
+        cfg = minimal_cfg(duration=1.0, udp={"vehicle_port": 0, "sensor_port_base": 0})
+        with pytest.raises(OSError):
+            transport(scenario_from_dict(cfg), tmp_path / out)
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
+        assert os.listdir(tmp_path) == ["file"]
 
     def test_in_memory_runs_format_no_drive_log(self, monkeypatch):
         scenario = load_scenario(os.path.join(SCENARIO_DIR, "combined_weighted.yaml"))
@@ -991,9 +1053,13 @@ class TestCli:
     @pytest.mark.parametrize("argv, name", [
         (["run"], "tiny"),
         (["sweep", "--axis", "kp", "--values", "1", "--reps", "1"], "tiny_kp"),
+        (["run", "--transport", "udp", "--pace", "1"], "tiny"),
     ])
-    def test_output_path_that_is_a_file_exits_one(self, argv, name, tmp_path, capsys):
-        path = self.write_scenario(tmp_path, duration=1.0)
+    def test_output_path_that_is_a_file_exits_one(self, argv, name, tmp_path, capsys,
+                                                  monkeypatch):
+        refuse_frames(monkeypatch)
+        path = self.write_scenario(tmp_path, duration=1.0,
+                                   udp={"vehicle_port": 0, "sensor_port_base": 0})
         (tmp_path / "runs").mkdir()
         (tmp_path / "runs" / name).write_text("kept", encoding="utf-8")
         assert main([argv[0], path, *argv[1:], "--out", str(tmp_path / "runs")]) == 1
