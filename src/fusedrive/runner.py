@@ -8,9 +8,10 @@ the vehicle steps alone.  `drive` is that loop for any channels; `run`
 drives it over seeded simulated channels.  Everything then derives from the
 scenario seed, so a run is a pure function of (scenario, seed) and its
 artifacts are byte-identical across repeats.  `udp.run_udp` drives the same
-loop over loopback sockets.  `drive` claims its output directory before
-the first tick and `write_outputs` fills it: the one place a run's drive
-log (RunResult.rows) is formatted, each row once, as it streams to the file.
+loop over the same channels and carries each delivery across a socket.
+`drive` claims its output directory before the first tick and
+`write_outputs` fills it: the one place a run's drive log (RunResult.rows)
+is formatted, each row once, as it streams to the file.
 """
 
 import contextlib
@@ -95,28 +96,31 @@ class SensorRuntime:
         return finite_command(gate(cmd, dark))
 
 
+def simulated_channels(scenario: Scenario) -> list:
+    """Each sensor's seeded SimulatedChannel, all on one sequence counter."""
+    seq = itertools.count().__next__
+    return [SimulatedChannel(s.channel_loss, s.channel_delay,
+                             derive_seed(scenario.seed, s.sensor_id, "channel"), seq)
+            for s in scenario.sensors]
+
+
 def run(scenario: Scenario, out_dir=None) -> RunResult:
     """Execute one scenario on the simulated channel; returns the RunResult.
 
     When out_dir is given the drive log, metric series, and summary are
     written there as well.
     """
-    seq = itertools.count().__next__
-    channels = [
-        SimulatedChannel(s.channel_loss, s.channel_delay,
-                         derive_seed(scenario.seed, s.sensor_id, "channel"), seq)
-        for s in scenario.sensors
-    ]
+    channels = simulated_channels(scenario)
     return drive(scenario, channels, functools.partial(merge_deliveries, channels), out_dir)
 
 
 def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     """The tick loop, whatever carries the datagrams.
 
-    channels[k].send(source_id, cmd, now) carries sensor k's commands, as
-    they are or as text, and channels[k].next_delivery() is the earliest
-    time one of them can arrive (-inf: any time); deliver(now) returns the
-    (source_id, datagram) pairs due at now.  out_dir is claimed (replace_dir)
+    channels[k].send(source_id, cmd, now) queues sensor k's commands, and
+    channels[k].next_delivery() is the earliest time one of them can
+    arrive; deliver(now) returns the (source_id, datagram) pairs due at now,
+    each datagram the command or its text.  out_dir is claimed (replace_dir)
     before the first tick: an unusable path is an OSError before any frame.
 
     Only event ticks run in full.  Each ends with one Motion.advance call:
@@ -152,8 +156,7 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     is reset already: the full tick before the stretch fed it either a bound
     under the threshold or a searched |deviation| below the stretch's first
     bound.  Then it would step the vehicle under the powers it holds, as
-    Motion.advance does, one tick at a time.  A UDP channel can deliver at
-    any time, so that transport never coasts.
+    Motion.advance does, one tick at a time.
     """
     with replace_dir(out_dir) as new:
         sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]

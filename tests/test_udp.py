@@ -1,24 +1,35 @@
-"""Loopback-UDP transport: wire format and vehicle node over real sockets.
+"""Loopback-UDP transport: the simulated channels' deliveries, crossing real sockets.
 
-These runs are paced against the wall clock and therefore not deterministic;
-assertions stay qualitative (it drives, it logs, sources resolve by address).
-The socket is the one place a command travels as text.
+A UDP run decides loss and delay on the seeded channels `run` uses and
+coasts as `run` does, so it must equal `run` exactly, whatever its pace:
+drawn scenarios and every golden pin are checked here with ==.  The socket
+is the one place a command travels as text; a datagram that goes missing
+or arrives changed fails the run.
 """
 
+import dataclasses
+import hashlib
 import json
-import logging
 import os
 import socket
+import time
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
 
-from fusedrive import udp
+from fusedrive import runner, udp
 from fusedrive.cli import main
+from fusedrive.faults import ProbabilisticOutage
 from fusedrive.runner import run
-from fusedrive.scenario import scenario_from_dict
+from fusedrive.scenario import load_scenario, scenario_from_dict
 from fusedrive.udp import run_udp
-from fusedrive.wire import SteeringCommand, encode_command
+from fusedrive.wire import encode_command
+
+from test_drive import _assert_same, _scenario_cfg
+from test_golden import GOLDEN, LOSSY_BLACKOUT, SCENARIOS
+
+PORTS_0 = {"vehicle_port": 0, "sensor_port_base": 0}
 
 
 def udp_cfg(sensors, duration=5.0):
@@ -30,7 +41,7 @@ def udp_cfg(sensors, duration=5.0):
         "fusion": "confidence_weighted",
         "sensors": sensors,
         # port 0 = ephemeral, so parallel test runs never collide
-        "udp": {"vehicle_port": 0, "sensor_port_base": 0},
+        "udp": dict(PORTS_0),
     }
 
 
@@ -40,6 +51,30 @@ PAIR = ONBOARD + [
      "camera": {"coverage": [0, 0, 2, 2], "pixels_per_meter": 300,
                 "crop_size": 36}},
 ]
+LOSSY = {"loss": 0.2, "delay": [0.0, 0.03]}
+
+
+def _lossy(sensors):
+    return [dict(sensor, channel=LOSSY) for sensor in sensors]
+
+
+def _recorded(monkeypatch, module, transport, scenario):
+    """transport(scenario) with each call of the deliver that module.drive is
+    given recorded as (now, the pairs it returned)."""
+    calls = []
+    drive = module.drive
+
+    def recording_drive(scenario, channels, deliver, out_dir=None):
+        def recorded(now):
+            pairs = deliver(now)
+            calls.append((now, pairs))
+            return pairs
+        return drive(scenario, channels, recorded, out_dir)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "drive", recording_drive)
+        transport(scenario)
+    return calls
 
 
 class TestUdpTransport:
@@ -61,15 +96,10 @@ class TestUdpTransport:
         cam_seen = any(row.split(",")[9] != "0" for row in rows)
         assert pi_seen and cam_seen
 
-    def test_tracks_simulated_transport_loosely(self):
-        cfg = udp_cfg(ONBOARD, duration=8.0)
-        sim = run(scenario_from_dict(cfg))
-        real = run_udp(scenario_from_dict(cfg), pace=10.0)
-        assert real.completed and sim.completed
-        sim_dev = sim.summaries["deviation"]["mean_abs"]
-        real_dev = real.summaries["deviation"]["mean_abs"]
-        # same controller, same track; wall pacing only adds jitter
-        assert real_dev == pytest.approx(sim_dev, abs=0.01)
+    def test_paced_run_equals_simulated_transport(self):
+        # Pacing only waits for the wall clock: the paced lossy run is `run`.
+        cfg = udp_cfg(_lossy(PAIR), duration=4.0)
+        _assert_same(run_udp(scenario_from_dict(cfg), pace=10.0), run(scenario_from_dict(cfg)))
 
     def test_outputs_written(self, tmp_path):
         sc = scenario_from_dict(udp_cfg(ONBOARD, duration=3.0))
@@ -92,23 +122,15 @@ class TestUdpTransport:
         assert len(res.rows) > 5
         assert any(row.split(",")[3] != "0" for row in list(res.rows))
 
-    def test_every_tick_runs_in_full(self, monkeypatch):
-        # A socket can deliver at any time, so the loop never coasts over UDP.
-        calls = []
-        drive = udp.drive
-
-        def counting_drive(scenario, channels, deliver, out_dir=None):
-            def counted(now):
-                calls.append(now)
-                return deliver(now)
-            return drive(scenario, channels, counted, out_dir)
-
-        monkeypatch.setattr(udp, "drive", counting_drive)
-        sc = scenario_from_dict(udp_cfg(ONBOARD, duration=1.0))
-        res = run_udp(sc, pace=10.0)
-        assert res.completed
-        assert len(calls) == sc.n_ticks()
-        assert calls == [i * sc.timestep for i in range(sc.n_ticks())]
+    @pytest.mark.parametrize("sensors, calls", [(ONBOARD, 12), (_lossy(ONBOARD), 23)],
+                             ids=["clean", "lossy"])
+    def test_coasts_as_run_does(self, sensors, calls, monkeypatch):
+        # The loop calls deliver on the same ticks over UDP as in `run`.
+        sc = scenario_from_dict(udp_cfg(sensors, duration=1.0))
+        sim = _recorded(monkeypatch, runner, run, sc)
+        real = _recorded(monkeypatch, udp, lambda s: run_udp(s, pace=10.0), sc)
+        assert [now for now, _ in real] == [now for now, _ in sim]
+        assert len(real) == calls and sc.n_ticks() == 200
 
 
 def _failing_send(after):
@@ -125,43 +147,47 @@ def _failing_send(after):
     return send
 
 
+def _dropping_send(changed_to, nth=10):
+    """A socket.socket.send that sends the nth datagram as changed_to instead
+    (None: not at all), and the list of every datagram it was given."""
+    real = socket.socket.send
+    sent = []
+
+    def send(sock, data):
+        sent.append(data)
+        if len(sent) != nth:
+            return real(sock, data)
+        return len(data) if changed_to is None else real(sock, changed_to)
+
+    return send, sent
+
+
 class TestUdpWireText:
-    def test_socket_channel_sends_command_text(self):
-        cmd = SteeringCommand(97, 103, 60, 0.25, -1.5, 2.0)
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as vehicle, \
-                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sensor:
-            vehicle.bind(("127.0.0.1", 0))
-            sensor.bind(("127.0.0.1", 0))
-            sensor.connect(vehicle.getsockname())
-            vehicle.settimeout(5.0)
-            udp._SocketChannel(sensor).send("pi", cmd, 0.0)
-            data, addr = vehicle.recvfrom(1500)
-            assert addr == sensor.getsockname()
-        assert data == encode_command(cmd).encode("utf-8") == b"97;103;60;0.25;-1.5;2"
+    def test_vehicle_socket_receives_command_text(self, monkeypatch):
+        sc = scenario_from_dict(udp_cfg(_lossy(ONBOARD), duration=2.0))
+        delivered = [cmd for _, pairs in _recorded(monkeypatch, runner, run, sc)
+                     for _, cmd in pairs]
+        real = socket.socket.recvfrom
+        received = []
 
-    def test_undecodable_text_from_known_sensor_logs_one_degenerate_row(
-            self, monkeypatch, caplog):
-        real = socket.socket.send
-        sent = []
+        def recvfrom(sock, size):
+            data, addr = real(sock, size)
+            received.append(data)
+            return data, addr
 
-        def send(sock, data):
-            # The tenth datagram of the run goes out as text that does not decode.
-            sent.append(data)
-            return real(sock, b"left;right;60" if len(sent) == 10 else data)
+        monkeypatch.setattr(socket.socket, "recvfrom", recvfrom)
+        run_udp(sc, pace=1e9)
+        assert len(delivered) > 10
+        assert received == [encode_command(cmd).encode("utf-8") for cmd in delivered]
 
+    def test_changed_datagram_fails_the_run(self, monkeypatch):
+        # Text the node could not decode never reaches it: the node's own
+        # handling of it is tested in test_fusion.
+        send, sent = _dropping_send(b"left;right;60")
         monkeypatch.setattr(socket.socket, "send", send)
-        with caplog.at_level(logging.WARNING, logger="fusedrive.fusion"):
-            res = run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=10.0)
-        assert res.completed
-        malformed = [r for r in caplog.records if "malformed" in r.getMessage()]
-        assert len(malformed) == 1 and "'pi'" in malformed[0].getMessage()
-        rows = list(res.rows)
-        degenerate = [k for k, row in enumerate(rows) if row.endswith(",-1")]
-        assert len(degenerate) == 1
-        k = degenerate[0]
-        assert 0 < k < len(rows) - 1 and len(sent) > 10
-        # The row holds the previous powers and the stored reports.
-        assert rows[k].split(",")[1:-1] == rows[k - 1].split(",")[1:]
+        with pytest.raises(OSError, match="sensor 'pi' arrived changed"):
+            run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=10.0)
+        assert len(sent) == 10
 
 
 class TestUdpFailures:
@@ -178,6 +204,31 @@ class TestUdpFailures:
                      "--out", str(tmp_path / "runs")])
         assert code == 1
         assert "on purpose" in capsys.readouterr().err
+
+    def test_lost_datagram_fails_the_run_within_2_s(self, monkeypatch):
+        send, sent = _dropping_send(None)
+        monkeypatch.setattr(socket.socket, "send", send)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="sensor 'pi' not received"):
+            run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=1e9)
+        assert time.monotonic() - start < 2.0
+        assert len(sent) == 10
+
+    def test_lost_datagram_exits_one_and_keeps_the_old_outputs(self, tmp_path, monkeypatch,
+                                                               capsys):
+        path = tmp_path / "udp.yaml"
+        path.write_text(yaml.safe_dump(udp_cfg(ONBOARD, duration=2.0)), encoding="utf-8")
+        (tmp_path / "runs" / "udp").mkdir(parents=True)
+        (tmp_path / "runs" / "udp" / "summary.json").write_text("kept", encoding="utf-8")
+        monkeypatch.setattr(socket.socket, "send", _dropping_send(None)[0])
+        code = main(["run", str(path), "--transport", "udp", "--pace", "1e9",
+                     "--out", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "'pi'" in err and "Traceback" not in err
+        assert os.listdir(tmp_path / "runs") == ["udp"]
+        assert os.listdir(tmp_path / "runs" / "udp") == ["summary.json"]
+        assert (tmp_path / "runs" / "udp" / "summary.json").read_text(encoding="utf-8") == "kept"
 
     def test_unknown_sender_never_logged(self, monkeypatch):
         real = socket.socket.send
@@ -206,3 +257,34 @@ class TestUdpFailures:
                      "--out", str(tmp_path / "runs")])
         assert code == 1
         assert "configuration error: pace" in capsys.readouterr().err
+
+
+class TestLockstep:
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=_scenario_cfg())
+    def test_drawn_scenarios_equal_run(self, cfg):
+        cfg = dict(cfg, udp=dict(PORTS_0))
+        _assert_same(run_udp(scenario_from_dict(cfg), pace=1e9), run(scenario_from_dict(cfg)))
+
+    @staticmethod
+    def _lossy_blackout():
+        # The variant test_golden pins: combined_weighted on a lossy, delayed
+        # channel under random blackouts.
+        scenario = load_scenario(SCENARIOS / "combined_weighted.yaml")
+        outage = ProbabilisticOutage(interval=0.4, threshold=35)
+        scenario.sensors = [
+            dataclasses.replace(s, channel_loss=0.2, channel_delay=(0.0, 0.03), outage=outage)
+            for s in scenario.sensors
+        ]
+        return scenario
+
+    @pytest.mark.parametrize("name", [*sorted(GOLDEN), "lossy_blackout"])
+    def test_golden_pins_hold_over_sockets(self, name, tmp_path):
+        if name == "lossy_blackout":
+            scenario, pins = self._lossy_blackout(), LOSSY_BLACKOUT
+        else:
+            scenario, pins = load_scenario(SCENARIOS / f"{name}.yaml"), GOLDEN[name]
+        scenario.udp = dataclasses.replace(scenario.udp, **PORTS_0)
+        run_udp(scenario, tmp_path / "out", pace=1e9)
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (tmp_path / "out").iterdir()} == pins
