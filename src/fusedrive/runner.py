@@ -1,22 +1,20 @@
 """Fixed-timestep experiment runner: the one tick loop of both transports.
 
 Each tick: sensors due this tick observe the world, run their PID, pass the
-command through their outage gate, and send it into their channel; the
-vehicle node takes the datagrams due now and re-fuses per datagram; metrics
-record; the vehicle steps.  Ticks on which none of that can matter coast:
-the vehicle steps alone.  `drive` is that loop for any channels; `run`
-drives it over seeded simulated channels.  Everything then derives from the
+command through their outage gate, and send it into their seeded simulated
+channel; the vehicle node takes the datagrams due now and re-fuses per
+datagram; metrics record; the vehicle steps.  Ticks on which none of that
+can matter coast: the vehicle steps alone.  Everything derives from the
 scenario seed, so a run is a pure function of (scenario, seed) and its
-artifacts are byte-identical across repeats.  `udp.run_udp` drives the same
-loop over the same channels and carries each delivery across a socket.
-`drive` claims its output directory before the first tick and
-`write_outputs` fills it: the one place a run's drive log (RunResult.rows)
-is formatted, each row once, as it streams to the file.
+artifacts are byte-identical across repeats.  `udp.run_udp` runs the same
+loop and hands `run` a hook that carries each delivery across a socket.
+`run` claims its output directory before the first tick and `write_outputs`
+fills it: the one place a run's drive log (RunResult.rows) is formatted,
+each row once, as it streams to the file.
 """
 
 import contextlib
 import errno
-import functools
 import itertools
 import json
 import math
@@ -96,32 +94,17 @@ class SensorRuntime:
         return finite_command(gate(cmd, dark))
 
 
-def simulated_channels(scenario: Scenario) -> list:
-    """Each sensor's seeded SimulatedChannel, all on one sequence counter."""
-    seq = itertools.count().__next__
-    return [SimulatedChannel(s.channel_loss, s.channel_delay,
-                             derive_seed(scenario.seed, s.sensor_id, "channel"), seq)
-            for s in scenario.sensors]
+def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
+    """Execute one scenario; returns the RunResult.
 
-
-def run(scenario: Scenario, out_dir=None) -> RunResult:
-    """Execute one scenario on the simulated channel; returns the RunResult.
-
+    Each sensor's commands travel on its seeded SimulatedChannel, all on one
+    sequence counter.  Each full tick takes merge_deliveries(channels, now),
+    the (source_id, command) pairs due at now, and when cross is given hands
+    them to cross(now, pairs), which returns the same pairs in the same
+    order for the node to take, each datagram the command or its text.
     When out_dir is given the drive log, metric series, and summary are
-    written there as well.
-    """
-    channels = simulated_channels(scenario)
-    return drive(scenario, channels, functools.partial(merge_deliveries, channels), out_dir)
-
-
-def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
-    """The tick loop, whatever carries the datagrams.
-
-    channels[k].send(source_id, cmd, now) queues sensor k's commands, and
-    channels[k].next_delivery() is the earliest time one of them can
-    arrive; deliver(now) returns the (source_id, datagram) pairs due at now,
-    each datagram the command or its text.  out_dir is claimed (replace_dir)
-    before the first tick: an unusable path is an OSError before any frame.
+    written there as well; it is claimed (replace_dir) before the first
+    tick, so an unusable path is an OSError before any frame.
 
     Only event ticks run in full.  Each ends with one Motion.advance call:
     it steps the vehicle through that tick, then coasts (steps it alone)
@@ -159,6 +142,10 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
     Motion.advance does, one tick at a time.
     """
     with replace_dir(out_dir) as new:
+        seq = itertools.count().__next__
+        channels = [SimulatedChannel(s.channel_loss, s.channel_delay,
+                                     derive_seed(scenario.seed, s.sensor_id, "channel"), seq)
+                    for s in scenario.sensors]
         sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
         node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
                            log_slots(scenario.sensors))
@@ -185,7 +172,9 @@ def drive(scenario: Scenario, channels, deliver, out_dir=None) -> RunResult:
                 if i == s.next_tick:
                     s.next_tick += s.period_ticks
                     s.channel.send(s.config.sensor_id, s.tick(scenario, pose, now), now)
-            delivered = deliver(now)
+            delivered = merge_deliveries(channels, now)
+            if cross is not None:
+                delivered = cross(now, delivered)
             for source_id, datagram in delivered:
                 node.handle_datagram(source_id, datagram, now)
             if delivered or bound >= threshold:

@@ -1,24 +1,26 @@
 """Real-UDP transport: the simulator's tick loop over loopback sockets.
 
-`run_udp` drives `runner.drive` over the seeded channels `run` uses, so a
-UDP run loses, delays and coasts exactly as `run` does and writes the same
-files.  Only the crossing is real: each pair a tick delivers is sent as its
-command's text from that sensor's socket, received at the vehicle node's
-socket, named by sender address, checked against the text sent, and decoded
-by the node.  Datagrams from unknown senders are dropped.  A datagram that
-has not arrived within a second, or arrives changed, is an OSError that
-names its sensor, as is any other socket error.
+`run_udp` runs `runner.run`, so a UDP run loses, delays and coasts on the
+seeded channels exactly as `run` does and writes the same files.  Only the
+crossing is real: `run` hands each tick's deliveries to a hook that sends
+each pair as its command's text from that sensor's socket, receives it at
+the vehicle node's socket, names it by sender address, checks it against
+the text sent, and returns it for the node to decode.  Datagrams from
+unknown senders are dropped.  A datagram that has not arrived within a
+second of its tick's sends, or arrives changed, is an OSError that names
+its sensor, as is any other socket error.
 """
 
 import collections
 import contextlib
 import math
 import socket
+import threading
 import time
 
-from .runner import RunResult, drive, simulated_channels
+from .runner import RunResult, run
 from .scenario import Scenario
-from .wire import encode_command, merge_deliveries
+from .wire import encode_command
 from .world import ConfigError
 
 _RECV_BYTES = 1500
@@ -35,16 +37,20 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
     """Execute one scenario over loopback UDP, paced to wall clock / pace.
 
     pace must be finite and positive; pace > 1 runs faster than real time.
+    It must also keep scenario.duration / pace s from now below
+    threading.TIMEOUT_MAX on the monotonic clock, past which time.sleep fails.
     Ports come from the scenario's udp section; port 0 picks free ephemeral
     ports, so parallel test runs never collide.
     """
     if not (math.isfinite(pace) and pace > 0.0):
         raise ConfigError(f"pace must be finite and positive, got {pace!r}")
+    if scenario.duration / pace >= threading.TIMEOUT_MAX - time.monotonic():
+        raise ConfigError(f"pace {pace!r} stretches the {scenario.duration} s run "
+                          f"past the longest wait the clock allows")
     host = scenario.udp.host
     base = scenario.udp.sensor_port_base
     with contextlib.ExitStack() as stack:
         vehicle = _bound(stack, host, scenario.udp.vehicle_port)
-        vehicle.settimeout(_TIMEOUT_S)
         senders = {}
         sources = {}
         for idx, cfg in enumerate(scenario.sensors):
@@ -53,21 +59,24 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
             senders[cfg.sensor_id] = sock
             sources[sock.getsockname()] = cfg.sensor_id
         arrived = {source_id: collections.deque() for source_id in senders}
-        channels = simulated_channels(scenario)
         t0 = time.monotonic()
 
-        def deliver(now):
+        def cross(now, pairs):
             delay = t0 + now / pace - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            sent = [(source_id, encode_command(cmd).encode("utf-8"))
-                    for source_id, cmd in merge_deliveries(channels, now)]
+            sent = [(source_id, encode_command(cmd).encode("utf-8")) for source_id, cmd in pairs]
             for source_id, text in sent:
                 senders[source_id].send(text)
+            deadline = time.monotonic() + _TIMEOUT_S
             received = []
             for source_id, text in sent:
                 while not arrived[source_id]:
+                    left = deadline - time.monotonic()
                     try:
+                        if left <= 0.0:
+                            raise TimeoutError
+                        vehicle.settimeout(left)
                         data, addr = vehicle.recvfrom(_RECV_BYTES)
                     except TimeoutError:
                         raise OSError(f"datagram from sensor {source_id!r} not received "
@@ -81,4 +90,4 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
                 received.append((source_id, data))
             return received
 
-        return drive(scenario, channels, deliver, out_dir)
+        return run(scenario, out_dir, cross)

@@ -35,8 +35,9 @@ from fusedrive.perception import (
     fold_line_angle,
 )
 from fusedrive.runner import SensorRuntime, assemble_result, replace_dir, write_outputs
-from fusedrive.wire import (ZERO, MalformedDatagram, SteeringCommand, decode_command,
-                            encode_command, format_field)
+from fusedrive.scenario import derive_seed
+from fusedrive.wire import (ZERO, MalformedDatagram, SimulatedChannel, SteeringCommand,
+                            decode_command, encode_command, format_field, merge_deliveries)
 from fusedrive.world import (_SAMPLE_STEP, SAMPLE_BLOCK, Pose, Sampling, lateral_deviation,
                              step_vehicle)
 
@@ -474,10 +475,14 @@ def oracle_observe(camera, track, pose, layout=MarkerLayout(), rng=None):
     return markers, LineBoxObservation((cx, cy), w, h, raw, fraction)
 
 
-def oracle_drive(scenario, channels, deliver, out_dir=None):
-    """runner.drive with the exact centreline search on every tick, and each
+def oracle_drive(scenario, out_dir=None):
+    """runner.run with the exact centreline search on every tick, and each
     command encoded at send, as a socket carries it, and decoded by the
     oracle node, which formats each drive-log row as it logs it."""
+    seq = itertools.count().__next__
+    channels = [SimulatedChannel(s.channel_loss, s.channel_delay,
+                                 derive_seed(scenario.seed, s.sensor_id, "channel"), seq)
+                for s in scenario.sensors]
     sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
     node = OracleVehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
                        log_slots(scenario.sensors))
@@ -498,7 +503,7 @@ def oracle_drive(scenario, channels, deliver, out_dir=None):
                 continue
             text = encode_command(s.tick(scenario, pose, now))
             s.channel.send(s.config.sensor_id, text, now)
-        delivered = deliver(now)
+        delivered = merge_deliveries(channels, now)
         for source_id, datagram in delivered:
             node.handle_datagram(source_id, datagram, now)
         dev, _ = lateral_deviation(scenario.track, pose)

@@ -1,12 +1,12 @@
 """The tick loop skips only work whose result is never read, and that is exact.
 
-`runner.drive` feeds the crash detector a distance bound instead of the
+`runner.run` feeds the crash detector a distance bound instead of the
 exact centreline search on ticks that deliver nothing and stay clear of the
 crash threshold, and it coasts (steps the vehicle alone) through ticks with
 no sensor due and no datagram due; and its simulated channel carries each
-command, not the command's text.  Every case here runs the loop both ways,
-the oracle running every tick in full, searching on each and carrying text,
-and compares the results with ==.  The cases push the bound to fail often
+command, not the command's text.  Every case here runs `run` and the
+oracle's own loop, which runs every tick in full, searches on each and
+carries text, and compares the results with ==.  The cases push the bound to fail often
 (tiny thresholds, no hold, long gaps between deliveries, crashing runs, a
 start far off the line) and put events where coasting must stop exactly:
 deliveries landing on tick boundaries, no deliveries at all, a sensor due
@@ -17,7 +17,7 @@ import dataclasses
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusedrive import runner
@@ -104,12 +104,8 @@ COMPLETING = {"onboard_threshold_0.01", "start_off_line_wide_threshold",
               "onboard_200hz"}
 
 
-def _run_both(scenario, monkeypatch):
-    actual = runner.run(scenario)
-    with monkeypatch.context() as patch:
-        patch.setattr(runner, "drive", oracle_drive)
-        expected = runner.run(scenario)
-    return actual, expected
+def _run_both(scenario):
+    return runner.run(scenario), oracle_drive(scenario)
 
 
 def _assert_same(actual, expected):
@@ -124,8 +120,8 @@ def _assert_same(actual, expected):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_skipping_ground_truth_changes_nothing(case, monkeypatch):
-    actual, expected = _run_both(CASES[case](), monkeypatch)
+def test_skipping_ground_truth_changes_nothing(case):
+    actual, expected = _run_both(CASES[case]())
     _assert_same(actual, expected)
     assert actual.completed == (case in COMPLETING)
 
@@ -182,12 +178,12 @@ def _scenario_cfg(draw):
     }
 
 
-@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=80)
 @given(cfg=_scenario_cfg())
-def test_drawn_scenarios_match_the_full_loop(cfg, monkeypatch):
+def test_drawn_scenarios_match_the_full_loop(cfg):
     # Any scenario a file can hold: the coasting, bound-fed loop and the
     # oracle that runs, searches and carries text on every tick agree.
-    actual, expected = _run_both(scenario_from_dict(cfg), monkeypatch)
+    actual, expected = _run_both(scenario_from_dict(cfg))
     _assert_same(actual, expected)
 
 

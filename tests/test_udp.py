@@ -12,13 +12,14 @@ import hashlib
 import json
 import os
 import socket
+import threading
 import time
 
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 
-from fusedrive import runner, udp
+from fusedrive import runner
 from fusedrive.cli import main
 from fusedrive.faults import ProbabilisticOutage
 from fusedrive.runner import run
@@ -58,21 +59,19 @@ def _lossy(sensors):
     return [dict(sensor, channel=LOSSY) for sensor in sensors]
 
 
-def _recorded(monkeypatch, module, transport, scenario):
-    """transport(scenario) with each call of the deliver that module.drive is
-    given recorded as (now, the pairs it returned)."""
+def _recorded(monkeypatch, transport, scenario):
+    """transport(scenario) with each call of runner.merge_deliveries recorded
+    as (now, the pairs it returned)."""
     calls = []
-    drive = module.drive
+    merge = runner.merge_deliveries
 
-    def recording_drive(scenario, channels, deliver, out_dir=None):
-        def recorded(now):
-            pairs = deliver(now)
-            calls.append((now, pairs))
-            return pairs
-        return drive(scenario, channels, recorded, out_dir)
+    def recorded(channels, now):
+        pairs = merge(channels, now)
+        calls.append((now, pairs))
+        return pairs
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "drive", recording_drive)
+        patch.setattr(runner, "merge_deliveries", recorded)
         transport(scenario)
     return calls
 
@@ -125,10 +124,10 @@ class TestUdpTransport:
     @pytest.mark.parametrize("sensors, calls", [(ONBOARD, 12), (_lossy(ONBOARD), 23)],
                              ids=["clean", "lossy"])
     def test_coasts_as_run_does(self, sensors, calls, monkeypatch):
-        # The loop calls deliver on the same ticks over UDP as in `run`.
+        # The loop merges on the same ticks over UDP as in `run`.
         sc = scenario_from_dict(udp_cfg(sensors, duration=1.0))
-        sim = _recorded(monkeypatch, runner, run, sc)
-        real = _recorded(monkeypatch, udp, lambda s: run_udp(s, pace=10.0), sc)
+        sim = _recorded(monkeypatch, run, sc)
+        real = _recorded(monkeypatch, lambda s: run_udp(s, pace=10.0), sc)
         assert [now for now, _ in real] == [now for now, _ in sim]
         assert len(real) == calls and sc.n_ticks() == 200
 
@@ -165,7 +164,7 @@ def _dropping_send(changed_to, nth=10):
 class TestUdpWireText:
     def test_vehicle_socket_receives_command_text(self, monkeypatch):
         sc = scenario_from_dict(udp_cfg(_lossy(ONBOARD), duration=2.0))
-        delivered = [cmd for _, pairs in _recorded(monkeypatch, runner, run, sc)
+        delivered = [cmd for _, pairs in _recorded(monkeypatch, run, sc)
                      for _, cmd in pairs]
         real = socket.socket.recvfrom
         received = []
@@ -214,6 +213,40 @@ class TestUdpFailures:
         assert time.monotonic() - start < 2.0
         assert len(sent) == 10
 
+    def test_stray_sender_does_not_extend_the_wait(self, monkeypatch):
+        # Each stray datagram is dropped and must not restart the wait for the lost one.
+        drop, sent = _dropping_send(None)
+        vehicle = []
+
+        def send(sock, data):
+            vehicle.append(sock.getpeername())
+            return drop(sock, data)
+
+        monkeypatch.setattr(socket.socket, "send", send)
+        stop = threading.Event()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+            def spray():
+                # Every 0.2 s for 6 s at most, so that an unbounded wait still ends.
+                for _ in range(30):
+                    if stop.wait(0.2):
+                        return
+                    if vehicle:
+                        stray.sendto(b"999;999;100;0;0;0", vehicle[-1])
+
+            helper = threading.Thread(target=spray)
+            helper.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(OSError, match="sensor 'pi' not received"):
+                    run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=1e9)
+                elapsed = time.monotonic() - start
+            finally:
+                stop.set()
+                helper.join(timeout=10.0)
+        assert not helper.is_alive()
+        assert elapsed < 2.0
+        assert len(sent) == 10
+
     def test_lost_datagram_exits_one_and_keeps_the_old_outputs(self, tmp_path, monkeypatch,
                                                                capsys):
         path = tmp_path / "udp.yaml"
@@ -248,7 +281,7 @@ class TestUdpFailures:
         for row in list(res.rows):
             assert "999" not in row.split(",")
 
-    @pytest.mark.parametrize("pace", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("pace", ["0", "-1", "nan", "inf", "1e-300"])
     def test_bad_pace_exits_one_before_binding(self, pace, tmp_path, monkeypatch, capsys):
         path = tmp_path / "udp.yaml"
         path.write_text(yaml.safe_dump(udp_cfg(ONBOARD)), encoding="utf-8")
