@@ -154,23 +154,25 @@ class DriveLog:
         decode_command floats).  An int or float equal to a key k has the
         value k, and every k is exact in a float, so raw / 3.0 is the float
         k / 3.0 and format_field gives it the table's text.  -0.0 finds key
-        0, and both format as "0".
+        0, and both format as "0".  format_field gives a float that is not
+        integral its repr, so when p, i and d are all such floats the slot
+        takes their reprs directly; otherwise each goes through format_field.
         """
         texts = ["0,0,0,0,0,0"] * (self._n_sources + 1)
-        slots = self._slots
+        a, b, c = self._slots
         for now, k, left, right, cmd, degenerate in self.records:
             if k is not None:
                 raw_left, raw_right, raw_confidence, p, i, d = cmd
-                texts[k] = ",".join((
-                    _THIRDS.get(raw_left) or format_field(raw_left / 3.0),
-                    _THIRDS.get(raw_right) or format_field(raw_right / 3.0),
-                    _THIRDS.get(raw_confidence) or format_field(raw_confidence / 3.0),
-                    format_field(p), format_field(i), format_field(d),
-                ))
-            row = f"{now:.6f},{left},{right}," + ",".join([texts[s] for s in slots])
-            if degenerate:
-                row += ",-1"
-            yield row
+                scaled = (f"{_THIRDS.get(raw_left) or format_field(raw_left / 3.0)},"
+                          f"{_THIRDS.get(raw_right) or format_field(raw_right / 3.0)},"
+                          f"{_THIRDS.get(raw_confidence) or format_field(raw_confidence / 3.0)}")
+                if (type(p) is float and type(i) is float and type(d) is float
+                        and not (p.is_integer() or i.is_integer() or d.is_integer())):
+                    texts[k] = f"{scaled},{p!r},{i!r},{d!r}"
+                else:
+                    texts[k] = f"{scaled},{format_field(p)},{format_field(i)},{format_field(d)}"
+            yield (f"{now:.6f},{left},{right},{texts[a]},{texts[b]},{texts[c]}"
+                   f"{',-1' if degenerate else ''}")
 
 
 class VehicleNode:

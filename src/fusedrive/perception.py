@@ -10,13 +10,18 @@ line from pixel coordinates alone.
 
 Image coordinates are y-down, so projecting from the y-up board flips y.
 
-A frame reads the longest run of its mask through a slice when the run is
-one stretch of the mask (most frames), and through its index array when it
-is joined across sample 0 or split.  The slice path is exact: it holds the
+A frame masks only the centreline blocks that its window's box can reach.
+It finds them in two levels: the boxes of the groups of blocks first, then
+the boxes of the blocks in each group whose box meets the window.  A frame
+reads the longest run of its mask through a slice when the run is one
+stretch of the mask (most frames), and through its index array when it is
+joined across sample 0 or split.  The slice path is exact: it holds the
 same samples in the same order as the index array, both contiguous, so
 np.add.reduce sums the same sequence the same way, and the middle tangent
 is the same sample.  The masks are built in place from the same float
-operations as the full-mask oracle in the tests.
+operations as the full-mask oracle in the tests, and each observer writes
+out its pixel arithmetic (projection, jitter, clamp, chunk centre) in the
+oracle's order.
 """
 
 import math
@@ -25,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .world import SAMPLE_BLOCK
+from .world import GROUP_BLOCKS, SAMPLE_BLOCK
 
 ONBOARD = "onboard"
 INFRASTRUCTURE = "infrastructure"
@@ -91,20 +96,6 @@ class CameraModel:
         object.__setattr__(self, "crop_m", self.crop_size / self.pixels_per_meter)
         object.__setattr__(self, "half_width_m", self.image_width / (2.0 * self.pixels_per_meter))
 
-    def to_pixel(self, x: float, y: float):
-        """Project a board point to image pixels (y-down)."""
-        mx, my = self.board_mid
-        return (self.center_x + (x - mx) * self.pixels_per_meter,
-                self.center_y - (y - my) * self.pixels_per_meter)
-
-    def jitter(self, rng) -> float:
-        """rng.uniform(-noise_px, noise_px), by that method's own formula and
-        draw; 0.0 without an rng or noise."""
-        noise = self.noise_px
-        if rng is None or noise <= 0.0:
-            return 0.0
-        return -noise + (noise - -noise) * rng.random()
-
 
 def onboard_camera(pixels_per_meter=2000.0, image_width=320, image_height=240,
                    crop_size=80, look_ahead=0.06, noise_px=2.0) -> CameraModel:
@@ -164,12 +155,6 @@ def fold_line_angle(direction_deg: float, long_px: float, short_px: float):
     return short_px, long_px, 90.0 - psi
 
 
-def _clamp(v, lo, hi):
-    """min(hi, max(lo, v)), spelled out: the same pick, zeros' signs included."""
-    v = v if v > lo else lo
-    return v if v < hi else hi
-
-
 def _longest_run(idx: np.ndarray, n: int):
     """Longest circular run of idx, the sorted indices of a mask's samples in
     a loop of n, when they form more than one stretch; ties go to the run
@@ -182,61 +167,54 @@ def _longest_run(idx: np.ndarray, n: int):
     return max(runs, key=len)
 
 
-def _mean(a: np.ndarray) -> float:
-    """np.mean of a 1-D float64 array, bit for bit, without its call overhead."""
-    return float(np.add.reduce(a)) / a.size
-
-
 def _window(track, x0, x1, y0, y1):
     """(lo, xs, ys): columns from sample lo on that hold every sample inside
     [x0, x1] x [y0, y1], or None when none can be.
 
     The slice runs from the first to the last sample block whose bounding
     box meets the rectangle; a sample inside the rectangle lies in its
-    block's box, so that block is one of them.  When the hit blocks include
-    the first and the last one (a window across sample 0) the slice is the
-    whole loop, so circular runs still join.
+    block's box, so that block is one of them.  The scan has two levels: a
+    block's box is tested only when the box of its group (GROUP_BLOCKS
+    blocks) meets the rectangle, and a block's box lies inside its group's,
+    so no block that meets it is skipped.  When the hit blocks include the
+    first and the last one (a window across sample 0) the slice is the whole
+    loop, so circular runs still join.
     """
     sampling = track.sampling
-    hit = [i for i, (bx0, bx1, by0, by1) in enumerate(sampling.boxes)
-           if bx0 <= x1 and bx1 >= x0 and by0 <= y1 and by1 >= y0]
+    boxes = sampling.boxes
+    hit = []
+    g = 0  # the group's first block
+    for gx0, gx1, gy0, gy1 in sampling.groups:
+        if gx0 <= x1 and gx1 >= x0 and gy0 <= y1 and gy1 >= y0:
+            for i, (bx0, bx1, by0, by1) in enumerate(boxes[g:g + GROUP_BLOCKS], g):
+                if bx0 <= x1 and bx1 >= x0 and by0 <= y1 and by1 >= y0:
+                    hit.append(i)
+        g += GROUP_BLOCKS
     if not hit:
         return None
     lo, hi = hit[0] * SAMPLE_BLOCK, (hit[-1] + 1) * SAMPLE_BLOCK
     return lo, sampling.xs[lo:hi], sampling.ys[lo:hi]
 
 
-def _line_box(camera, track, mask, lo, center, heading, full_m):
-    """Box of the longest run of mask (entry 0 is sample lo), or _NO_LINE.
+def _chunk(track, mask, lo):
+    """(sel, size, mid) of the longest run of mask, whose entry 0 is sample
+    lo, or None for an empty mask.
 
-    center(sel) gives its center pixel from the run's entries of the masked
-    columns, sel being a slice (one stretch) or an index array (a joined or
-    split run); heading is the board direction (deg) of image up, None for
-    the board's +y; full_m is the chunk length of a full view.
+    sel picks the run's entries of the masked columns: a slice for one
+    stretch, an index array for a joined or split run.  size is the run's
+    length and mid the sample at its middle.
     """
     idx = mask.nonzero()[0]
     size = idx.size
     if size == 0:
-        return _NO_LINE
+        return None
     first = idx.item(0)
-    sampling = track.sampling
     if idx.item(-1) - first == size - 1:
-        sel = slice(first, first + size)
-        mid = lo + first + size // 2
-    else:
-        idx += lo
-        run = _longest_run(idx, sampling.xs.size)
-        size = run.size
-        mid = run.item(size // 2)
-        sel = run - lo
-    length = size * sampling.step
-    chunk_center = center(sel)
-    direction = sampling.tans.item(mid)
-    if heading is not None:
-        direction = direction - heading + 90.0
-    w, h, raw = fold_line_angle(direction, length * camera.pixels_per_meter,
-                                track.line_width * camera.pixels_per_meter)
-    return LineBoxObservation(chunk_center, w, h, raw, min(1.0, length / full_m))
+        return slice(first, first + size), size, lo + first + size // 2
+    idx += lo
+    run = _longest_run(idx, track.sampling.xs.size)
+    size = run.size
+    return run - lo, size, run.item(size // 2)
 
 
 def observe(camera: CameraModel, track, pose, layout: MarkerLayout = MarkerLayout(), rng=None):
@@ -289,11 +267,22 @@ def _observe_onboard(camera, track, pose, layout, rng):
     tmp += np.multiply(v, v, out=dx)
     mask &= tmp > layout.body_radius ** 2
 
-    def center(sel):
-        x_px = camera.center_x - _mean(v[sel]) * camera.pixels_per_meter + camera.jitter(rng)
-        return _clamp(x_px, 0.0, float(camera.image_width)), camera.crop_size / 2.0
-
-    return _NO_MARKERS, _line_box(camera, track, mask, lo, center, pose.heading, depth)
+    chunk = _chunk(track, mask, lo)
+    if chunk is None:
+        return _NO_MARKERS, _NO_LINE
+    sel, size, at = chunk
+    # The run's mean v in pixels from the center column, jittered (see
+    # _observe_infrastructure) and clamped to the image.
+    ppm, noise, width = camera.pixels_per_meter, camera.noise_px, float(camera.image_width)
+    x_px = (camera.center_x - float(np.add.reduce(v[sel])) / size * ppm
+            + (0.0 if rng is None or noise <= 0.0 else -noise + (noise - -noise) * rng.random()))
+    x_px = x_px if x_px > 0.0 else 0.0
+    x_px = x_px if x_px < width else width
+    length = size * track.sampling.step
+    w, h, raw = fold_line_angle(track.sampling.tans.item(at) - pose.heading + 90.0,
+                                length * ppm, track.line_width * ppm)
+    return _NO_MARKERS, LineBoxObservation((x_px, camera.crop_size / 2.0), w, h, raw,
+                                           min(1.0, length / depth))
 
 
 def _observe_infrastructure(camera, track, pose, layout, rng):
@@ -307,21 +296,33 @@ def _observe_infrastructure(camera, track, pose, layout, rng):
             and x0c <= obx <= x1c and y0c <= oby <= y1c):
         return _NO_MARKERS, _NO_LINE
     width, height = float(camera.image_width), float(camera.image_height)
-    gx, gy = camera.to_pixel(gbx, gby)
-    ox, oy = camera.to_pixel(obx, oby)
-    gx = _clamp(gx + camera.jitter(rng), 0.0, width)
-    gy = _clamp(gy + camera.jitter(rng), 0.0, height)
-    ox = _clamp(ox + camera.jitter(rng), 0.0, width)
-    oy = _clamp(oy + camera.jitter(rng), 0.0, height)
+    ppm, noise, (mx, my) = camera.pixels_per_meter, camera.noise_px, camera.board_mid
+    cx, cy = camera.center_x, camera.center_y
+    # Each pixel is a board point projected (y-down), plus one draw of
+    # rng.uniform(-noise, noise) by that method's own formula (0.0 without
+    # an rng or noise), clamped to the image as min(hi, max(0.0, v)) picks.
+    draw = None if rng is None or noise <= 0.0 else rng.random
+    span = noise - -noise
+    gx = cx + (gbx - mx) * ppm + (-noise + span * draw() if draw else 0.0)
+    gx = gx if gx > 0.0 else 0.0
+    gx = gx if gx < width else width
+    gy = cy - (gby - my) * ppm + (-noise + span * draw() if draw else 0.0)
+    gy = gy if gy > 0.0 else 0.0
+    gy = gy if gy < height else height
+    ox = cx + (obx - mx) * ppm + (-noise + span * draw() if draw else 0.0)
+    ox = ox if ox > 0.0 else 0.0
+    ox = ox if ox < width else width
+    oy = cy - (oby - my) * ppm + (-noise + span * draw() if draw else 0.0)
+    oy = oy if oy > 0.0 else 0.0
+    oy = oy if oy < height else height
     markers = MarkerObservation((gx, gy), (ox, oy), True)
 
     # Look-ahead window around the point one marker gap ahead of the nose,
     # derived from the jittered pixels exactly as the fix computations do.
     fx_px, fy_px = front_point(markers)
     half_m = camera.crop_m
-    mx, my = camera.board_mid
-    fx_b = mx + (fx_px - camera.center_x) / camera.pixels_per_meter
-    fy_b = my - (fy_px - camera.center_y) / camera.pixels_per_meter
+    fx_b = mx + (fx_px - cx) / ppm
+    fy_b = my - (fy_px - cy) / ppm
     wx0, wx1 = max(fx_b - half_m, x0c), min(fx_b + half_m, x1c)
     wy0, wy1 = max(fy_b - half_m, y0c), min(fy_b + half_m, y1c)
     if wx0 >= wx1 or wy0 >= wy1:
@@ -339,13 +340,22 @@ def _observe_infrastructure(camera, track, pose, layout, rng):
     dx *= dx
     dx += np.multiply(dy, dy, out=dy)
     mask &= dx > layout.body_radius ** 2
-
-    def center(sel):
-        cx, cy = camera.to_pixel(_mean(xs[sel]), _mean(ys[sel]))
-        return (_clamp(cx + camera.jitter(rng), 0.0, width),
-                _clamp(cy + camera.jitter(rng), 0.0, height))
-
-    return markers, _line_box(camera, track, mask, lo, center, None, half_m)
+    chunk = _chunk(track, mask, lo)
+    if chunk is None:
+        return markers, _NO_LINE
+    # The run's mean point (np.mean bit for bit), projected, jittered and clamped.
+    sel, size, at = chunk
+    px = cx + (float(np.add.reduce(xs[sel])) / size - mx) * ppm + (
+        -noise + span * draw() if draw else 0.0)
+    px = px if px > 0.0 else 0.0
+    px = px if px < width else width
+    py = cy - (float(np.add.reduce(ys[sel])) / size - my) * ppm + (
+        -noise + span * draw() if draw else 0.0)
+    py = py if py > 0.0 else 0.0
+    py = py if py < height else height
+    length = size * track.sampling.step
+    w, h, raw = fold_line_angle(track.sampling.tans.item(at), length * ppm, track.line_width * ppm)
+    return markers, LineBoxObservation((px, py), w, h, raw, min(1.0, length / half_m))
 
 
 def front_point(markers: MarkerObservation):

@@ -110,10 +110,10 @@ _count = functools.partial(_int, low=1)
 _port = functools.partial(_int, low=0, high=65535)
 
 
-def _name(value) -> str:
-    name = str(value)  # it names the run's output directory
-    if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
-        raise ValueError(f"{name!r} is not a directory name")
+def _file_name(value, reserved=()) -> str:
+    name = str(value)  # a run's output directory, or a sensor's error_<id>.csv
+    if name in reserved or os.path.basename(name) != name or "\0" in name:
+        raise ValueError(f"{name!r} cannot name a file")
     return name
 
 
@@ -255,7 +255,7 @@ def _sensor(cfg, where: str) -> SensorConfig:
         cfg, where, "kind", _SENSOR_KINDS, "sensor kind")
     # Gains and camera are built even when the file leaves them out.
     fields = _read({"gains": None, "camera": None, **rest}, where, {
-        "id": str,
+        "id": _file_name,
         "rate_hz": _positive,
         "gains": lambda v: (gains if v is None
                             else _read(v, f"{where}.gains", _GAIN_KEYS, PidGains)),
@@ -295,7 +295,7 @@ def _vehicle(**fields) -> dict:
 
 
 _SCENARIO_KEYS = {
-    "name": _name,
+    "name": functools.partial(_file_name, reserved=("", ".", "..")),
     "seed": _int,
     "duration": _positive,
     "timestep": _positive,

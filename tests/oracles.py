@@ -38,8 +38,8 @@ from fusedrive.runner import SensorRuntime, assemble_result, replace_dir, write_
 from fusedrive.scenario import derive_seed
 from fusedrive.wire import (ZERO, MalformedDatagram, SimulatedChannel, SteeringCommand,
                             decode_command, encode_command, format_field, merge_deliveries)
-from fusedrive.world import (_SAMPLE_STEP, SAMPLE_BLOCK, Pose, Sampling, lateral_deviation,
-                             step_vehicle)
+from fusedrive.world import (_SAMPLE_STEP, GROUP_BLOCKS, SAMPLE_BLOCK, Pose, Sampling,
+                             lateral_deviation, step_vehicle)
 
 
 def oracle_compute_robot_angle(greencx, greency, orangecx, orangecy):
@@ -326,7 +326,8 @@ def oracle_track_samples(track, n, step):
 
 def oracle_track_sampling(track):
     """track.sampling from one walk along the segments, sample by sample,
-    with each block's box as plain min and max over its samples."""
+    with each block's and each group's box as plain min and max over its
+    samples."""
     segments = track.segments
     cum = list(itertools.accumulate((seg.length for seg in segments), initial=0.0))
     n = max(8, int(round(cum[-1] / _SAMPLE_STEP)))
@@ -343,11 +344,12 @@ def oracle_track_sampling(track):
         seg = segments[i]
         local = s - cum[i]
         xs[k], ys[k], tans[k] = seg.point_at(local)
-    boxes = []
-    for k in range(0, n, SAMPLE_BLOCK):
-        bx, by = xs[k:k + SAMPLE_BLOCK].tolist(), ys[k:k + SAMPLE_BLOCK].tolist()
-        boxes.append((min(bx), max(bx), min(by), max(by)))
-    return Sampling(xs, ys, tans, step, boxes)
+    boxes, groups = [], []
+    for stride, out in ((SAMPLE_BLOCK, boxes), (SAMPLE_BLOCK * GROUP_BLOCKS, groups)):
+        for k in range(0, n, stride):
+            bx, by = xs[k:k + stride].tolist(), ys[k:k + stride].tolist()
+            out.append((min(bx), max(bx), min(by), max(by)))
+    return Sampling(xs, ys, tans, step, boxes, groups)
 
 
 def _oracle_longest_run(mask):

@@ -131,6 +131,10 @@ MALFORMED = [
     ("name", minimal_cfg(name="../escaped")),
     ("name", minimal_cfg(name="/")),
     ("name", minimal_cfg(name="a\0b")),
+    # A sensor id names its error_<id>.csv: these ran the whole simulation,
+    # then failed to open that file.
+    ("sensors[0].id", sensor_cfg(id="a/b")),
+    ("sensors[0].id", sensor_cfg(id="a\0b")),
 ]
 
 # Used to load and run for ever: the tick count is capped.

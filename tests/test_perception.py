@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedrive.perception import (
     MarkerLayout,
     _longest_run,
-    _mean,
     compute_robot_angle,
     confidence_from_visibility,
     direction_fix,
@@ -31,7 +32,7 @@ import fusedrive.perception as perception
 import fusedrive.runner as runner
 from fusedrive.faults import ProbabilisticOutage
 from fusedrive.runner import run
-from fusedrive.scenario import load_scenario
+from fusedrive.scenario import load_scenario, track_from_config
 from fusedrive.world import Pose, Track, rounded_rectangle_segments
 
 import oracles
@@ -315,12 +316,13 @@ class TestLongestRun:
 
 
 def test_mean_equals_np_mean_bit_for_bit():
+    # observe takes a chunk's centre as float(np.add.reduce(a)) / a.size.
     rng = np.random.default_rng(19)
     for size in range(1, 401):
         for scale in (1.0, 1e-3, 1e6):
             a = (rng.standard_normal(size) + rng.uniform(-2.0, 2.0)) * scale
             assert np.add.reduce(a) / a.size == np.mean(a)
-            assert _mean(a) == np.mean(a)
+            assert float(np.add.reduce(a)) / a.size == np.mean(a)
 
 
 _OBSERVE_CAMERAS = {
@@ -357,18 +359,20 @@ def _observe_poses(track, seed):
     return poses
 
 
-def _strip_edge_poses(track, camera):
-    """Heading-0 poses that put a sample block's extreme sample on a strip edge.
+def _strip_edge_poses(boxes, camera):
+    """Heading-0 poses that put the extreme sample of each box (a sample
+    block's or a group's) on a strip edge.
 
     With heading 0, u and v are plain differences, so a block whose only
     candidate samples sit exactly on the edge is found only if the window's
-    box reaches the block's box; each pose is also nudged by a few ulps.
+    box reaches the block's box, and its group's; each pose is also nudged
+    by a few ulps.
     """
     near = camera.look_ahead
     far = near + camera.crop_size / camera.pixels_per_meter
     half_w = camera.image_width / (2.0 * camera.pixels_per_meter)
     poses = []
-    for x_lo, x_hi, y_lo, y_hi in track.sampling.boxes:
+    for x_lo, x_hi, y_lo, y_hi in boxes:
         mid_x = (x_lo + x_hi) / 2.0
         mid_y = (y_lo + y_hi) / 2.0
         for px, py in ((x_hi - near, mid_y - half_w / 2.0),
@@ -388,7 +392,8 @@ def test_observe_matches_full_mask_oracle(track_name, camera_name):
     camera = _OBSERVE_CAMERAS[camera_name]
     poses = _observe_poses(track, 23)
     if camera.kind == "onboard":
-        poses += _strip_edge_poses(track, camera)
+        poses += _strip_edge_poses(track.sampling.boxes, camera)
+        poses += _strip_edge_poses(track.sampling.groups, camera)
     seen = 0
     for k, pose in enumerate(poses):
         got = observe(camera, track, pose, rng=random.Random(k))
@@ -396,6 +401,63 @@ def test_observe_matches_full_mask_oracle(track_name, camera_name):
         assert got == want, pose
         seen += want[1].visible
     assert seen > len(poses) // 10
+
+
+# A rounded rectangle as explicit segments, from halfway round a corner:
+# sample 0 lies on an arc, so a window across it meets two curved ends.
+ARC_START_TRACK = track_from_config({"kind": "segments", "segments": [
+    {"type": "arc", "center": [1.5, 0.5], "radius": 0.3, "start_deg": 315.0, "sweep_deg": 45.0},
+    {"type": "straight", "start": [1.8, 0.5], "end": [1.8, 1.5]},
+    {"type": "arc", "center": [1.5, 1.5], "radius": 0.3, "start_deg": 0.0, "sweep_deg": 90.0},
+    {"type": "straight", "start": [1.5, 1.8], "end": [0.5, 1.8]},
+    {"type": "arc", "center": [0.5, 1.5], "radius": 0.3, "start_deg": 90.0, "sweep_deg": 90.0},
+    {"type": "straight", "start": [0.2, 1.5], "end": [0.2, 0.5]},
+    {"type": "arc", "center": [0.5, 0.5], "radius": 0.3, "start_deg": 180.0, "sweep_deg": 90.0},
+    {"type": "straight", "start": [0.5, 0.2], "end": [1.5, 0.2]},
+    {"type": "arc", "center": [1.5, 0.5], "radius": 0.3, "start_deg": 270.0, "sweep_deg": 45.0},
+]})
+
+
+def _ulps(x, k):
+    """x moved k floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _drawn_frames(draw):
+    """(camera, pose, seed): a pose near the line, often within 0.2 m of
+    sample 0 either way, facing along or against it or within a few ulps of
+    0 or 360 deg; seen by an onboard camera or by a roadside one whose
+    coverage edges lie within 0.4 m of the pose."""
+    track = ARC_START_TRACK
+    s = draw(st.floats(-0.2, 0.2) | st.floats(0.0, track.total_length))
+    x, y, tan = track.point_at(s)
+    x += draw(st.floats(-0.03, 0.03))
+    y += draw(st.floats(-0.03, 0.03))
+    if draw(st.booleans()):
+        heading = _ulps(draw(st.sampled_from([0.0, 360.0])), draw(st.integers(-4, 4)))
+    else:
+        heading = tan + draw(st.sampled_from([0.0, 180.0])) + draw(st.floats(-25.0, 25.0))
+    noise = draw(st.sampled_from([2.0, 0.0]))
+    if draw(st.booleans()):
+        camera = onboard_camera(pixels_per_meter=draw(st.sampled_from([2000.0, 1300.0])),
+                                noise_px=noise)
+    else:
+        left, below, right, above = (draw(st.floats(1e-3, 0.4) | st.just(0.4)) for _ in range(4))
+        camera = infrastructure_camera((x - left, y - below, x + right, y + above), noise_px=noise)
+    return camera, Pose(x, y, heading), draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=400)
+@given(_drawn_frames())
+def test_drawn_frames_match_full_mask_oracle(frame):
+    camera, pose, seed = frame
+    rng, twin = random.Random(seed), random.Random(seed)
+    got = observe(camera, ARC_START_TRACK, pose, rng=rng)
+    assert got == oracles.oracle_observe(camera, ARC_START_TRACK, pose, rng=twin)
+    assert rng.getstate() == twin.getstate()
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -157,6 +157,12 @@ def traffic(draw):
 @example([("pi", SteeringCommand(97, 103, 100, -0.0, 1e-300, 5e-324)),
           ("stray", "90;110;60;0;0;0"), ("cam1", "nan;1;1;1;1;1"),
           ("cam0", encode_command(SteeringCommand(2 ** 53 + 100, 7, 7, 1.5, 0.1, -2.0)))])
+# p, i and d all non-integral floats (the slot's repr path), then each with
+# exactly one integral float, which must print without a decimal point.
+@example([("pi", SteeringCommand(97, 103, 100, 0.5, -1.25, 3e-7))])
+@example([("pi", SteeringCommand(97, 103, 100, 2.0, -1.25, 3e-7))])
+@example([("cam1", SteeringCommand(97, 103, 100, 0.5, -0.0, 3e-7))])
+@example([("pi", SteeringCommand(97, 103, 100, 0.5, -1.25, 2.0))])
 def test_drive_log_rows_match_the_eager_node(policy, sends):
     # pi and cam1 fill the first and last column groups; the middle one is empty.
     node = VehicleNode(SOURCES, policy, ("pi", None, "cam1"))
