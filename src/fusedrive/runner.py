@@ -15,6 +15,7 @@ each row once, as it streams to the file.
 
 import contextlib
 import errno
+import functools
 import itertools
 import json
 import math
@@ -60,24 +61,23 @@ class RunResult:
 
 
 class SensorRuntime:
-    """One sensor's pipeline: PID state, seeded noise and outage streams, the
-    channel its datagrams travel on, and its error series."""
+    """One sensor's pipeline: PID state, the seeded streams of its noise,
+    outage phase, outage and channel, and its error series.  Its channel
+    numbers its datagrams on seq, the run's shared counter (None: its own)."""
 
-    def __init__(self, scenario: Scenario, config, channel):
+    def __init__(self, scenario: Scenario, config, seq):
+        stream = functools.partial(derive_seed, scenario.seed, config.sensor_id)
         self.config = config
         self.period_ticks = scenario.sensor_period_ticks(config)
         self.next_tick = 0  # the next tick with this sensor due
-        self.channel = channel
+        self.channel = SimulatedChannel(config.channel_loss, config.channel_delay,
+                                        stream("channel"), seq)
         self.pid_state = PidState()
-        self.noise_rng = random.Random(derive_seed(scenario.seed, config.sensor_id, "noise"))
+        self.noise_rng = random.Random(stream("noise"))
         phase = 0.0
         if config.outage is not None:
-            phase_rng = random.Random(derive_seed(scenario.seed, config.sensor_id, "phase"))
-            phase = phase_rng.uniform(0.0, config.outage.span)
-        self.outage = OutageSchedule(
-            config.outage, phase,
-            random.Random(derive_seed(scenario.seed, config.sensor_id, "outage")),
-        )
+            phase = random.Random(stream("phase")).uniform(0.0, config.outage.span)
+        self.outage = OutageSchedule(config.outage, phase, random.Random(stream("outage")))
         self.errors = SampleSeries(f"error_{config.sensor_id}")
 
     def tick(self, scenario: Scenario, pose, now: float) -> SteeringCommand:
@@ -143,10 +143,8 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
     """
     with replace_dir(out_dir) as new:
         seq = itertools.count().__next__
-        channels = [SimulatedChannel(s.channel_loss, s.channel_delay,
-                                     derive_seed(scenario.seed, s.sensor_id, "channel"), seq)
-                    for s in scenario.sensors]
-        sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
+        sensors = [SensorRuntime(scenario, s, seq) for s in scenario.sensors]
+        channels = [s.channel for s in sensors]  # merge_deliveries' argument
         node = VehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
                            log_slots(scenario.sensors))
         x, y, tangent = scenario.track.point_at(scenario.start_arclength)
@@ -191,13 +189,11 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
             if node.applied != applied:
                 applied = node.applied
                 motion = Motion(applied[0], applied[1], ts, vehicle)
-            stop = n_ticks
+            stop, due = n_ticks, math.inf
             for s in sensors:
                 if s.next_tick < stop:
                     stop = s.next_tick
-            due = math.inf
-            for ch in channels:
-                t = ch.next_delivery()
+                t = s.channel.next_delivery()
                 if t < due:
                     due = t
             stop = first_due_tick(due, ts, i + 1, stop)

@@ -117,6 +117,12 @@ def _file_name(value, reserved=()) -> str:
     return name
 
 
+def _sensor_id(value) -> str:
+    if len(os.fsencode(f"error_{value}.csv")) > 255:  # NAME_MAX on Linux and macOS
+        raise ValueError(f"error_{value}.csv is longer than 255 bytes")
+    return _file_name(value)
+
+
 def _numbers(value, n=2) -> tuple:
     """A list of n finite numbers (a pair by default), as a tuple."""
     if not isinstance(value, (list, tuple)) or len(value) != n:
@@ -255,7 +261,7 @@ def _sensor(cfg, where: str) -> SensorConfig:
         cfg, where, "kind", _SENSOR_KINDS, "sensor kind")
     # Gains and camera are built even when the file leaves them out.
     fields = _read({"gains": None, "camera": None, **rest}, where, {
-        "id": _file_name,
+        "id": _sensor_id,
         "rate_hz": _positive,
         "gains": lambda v: (gains if v is None
                             else _read(v, f"{where}.gains", _GAIN_KEYS, PidGains)),

@@ -2,16 +2,16 @@
 
 `run_udp` runs `runner.run`, so a UDP run loses, delays and coasts on the
 seeded channels exactly as `run` does and writes the same files.  Only the
-crossing is real: `run` hands each tick's deliveries to a hook that sends
-each pair as its command's text from that sensor's socket, receives it at
-the vehicle node's socket, names it by sender address, checks it against
-the text sent, and returns it for the node to decode.  Datagrams from
-unknown senders are dropped.  A datagram that has not arrived within a
-second of its tick's sends, or arrives changed, is an OSError that names
-its sensor, as is any other socket error.
+crossing is real: `run` hands each tick's deliveries to a hook that carries
+one datagram at a time.  It sends a pair as its command's text from that
+sensor's socket, receives at the vehicle node's socket until a datagram
+arrives from that sensor's address, checks it against the text sent, and
+only then sends the next pair; the node decodes what arrived.  Datagrams
+from any other address are dropped.  A datagram that has not arrived within
+a second of its own send, or arrives changed, is an OSError that names its
+sensor, as is any other socket error.
 """
 
-import collections
 import contextlib
 import math
 import socket
@@ -40,7 +40,8 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
     It must also keep scenario.duration / pace s from now below
     threading.TIMEOUT_MAX on the monotonic clock, past which time.sleep fails.
     Ports come from the scenario's udp section; port 0 picks free ephemeral
-    ports, so parallel test runs never collide.
+    ports, so parallel test runs never collide.  One datagram is in flight at
+    a time, and each has 1 s from its own send to arrive.
     """
     if not (math.isfinite(pace) and pace > 0.0):
         raise ConfigError(f"pace must be finite and positive, got {pace!r}")
@@ -52,26 +53,23 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
     with contextlib.ExitStack() as stack:
         vehicle = _bound(stack, host, scenario.udp.vehicle_port)
         senders = {}
-        sources = {}
         for idx, cfg in enumerate(scenario.sensors):
             sock = _bound(stack, host, base + idx if base else 0)
             sock.connect(vehicle.getsockname())  # now named as recvfrom names it, even on 0.0.0.0
-            senders[cfg.sensor_id] = sock
-            sources[sock.getsockname()] = cfg.sensor_id
-        arrived = {source_id: collections.deque() for source_id in senders}
+            senders[cfg.sensor_id] = sock, sock.getsockname()
         t0 = time.monotonic()
 
         def cross(now, pairs):
             delay = t0 + now / pace - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            sent = [(source_id, encode_command(cmd).encode("utf-8")) for source_id, cmd in pairs]
-            for source_id, text in sent:
-                senders[source_id].send(text)
-            deadline = time.monotonic() + _TIMEOUT_S
-            received = []
-            for source_id, text in sent:
-                while not arrived[source_id]:
+            texts = [(source_id, encode_command(cmd).encode("utf-8")) for source_id, cmd in pairs]
+            for source_id, text in texts:
+                sock, address = senders[source_id]
+                sock.send(text)
+                deadline = time.monotonic() + _TIMEOUT_S
+                addr = None
+                while addr != address:
                     left = deadline - time.monotonic()
                     try:
                         if left <= 0.0:
@@ -81,13 +79,9 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
                     except TimeoutError:
                         raise OSError(f"datagram from sensor {source_id!r} not received "
                                       f"within {_TIMEOUT_S} s") from None
-                    if addr in sources:
-                        arrived[sources[addr]].append(data)
-                data = arrived[source_id].popleft()
                 if data != text:
                     raise OSError(f"datagram from sensor {source_id!r} arrived changed: "
                                   f"{data!r}, sent {text!r}")
-                received.append((source_id, data))
-            return received
+            return texts  # each as it arrived
 
         return run(scenario, out_dir, cross)

@@ -35,8 +35,7 @@ from fusedrive.perception import (
     fold_line_angle,
 )
 from fusedrive.runner import SensorRuntime, assemble_result, replace_dir, write_outputs
-from fusedrive.scenario import derive_seed
-from fusedrive.wire import (ZERO, MalformedDatagram, SimulatedChannel, SteeringCommand,
+from fusedrive.wire import (ZERO, MalformedDatagram, SteeringCommand,
                             decode_command, encode_command, format_field, merge_deliveries)
 from fusedrive.world import (_SAMPLE_STEP, GROUP_BLOCKS, SAMPLE_BLOCK, Pose, Sampling,
                              lateral_deviation, step_vehicle)
@@ -482,10 +481,8 @@ def oracle_drive(scenario, out_dir=None):
     command encoded at send, as a socket carries it, and decoded by the
     oracle node, which formats each drive-log row as it logs it."""
     seq = itertools.count().__next__
-    channels = [SimulatedChannel(s.channel_loss, s.channel_delay,
-                                 derive_seed(scenario.seed, s.sensor_id, "channel"), seq)
-                for s in scenario.sensors]
-    sensors = [SensorRuntime(scenario, s, ch) for s, ch in zip(scenario.sensors, channels)]
+    sensors = [SensorRuntime(scenario, s, seq) for s in scenario.sensors]
+    channels = [s.channel for s in sensors]
     node = OracleVehicleNode([s.sensor_id for s in scenario.sensors], scenario.fusion,
                        log_slots(scenario.sensors))
     x, y, tangent = scenario.track.point_at(scenario.start_arclength)

@@ -134,29 +134,44 @@ _ONBOARD = {"id": "pi", "kind": "onboard", "camera": {"pixels_per_meter": 1300}}
 _CAMERAS = [{"id": f"cam{i}", "kind": "infrastructure",
              "camera": {"coverage": [0.0, 0.0, 2.0, 2.0], "pixels_per_meter": 300,
                         "crop_size": 36}} for i in range(2)]
-_DELAYS = st.one_of(
-    st.sampled_from([0.0, 0.005, 0.01, 0.015, 0.0123, 0.05]),  # some on tick multiples
-    st.tuples(st.sampled_from([0.0, 0.005, 0.01]), st.sampled_from([0.0, 0.02, 0.1]))
-    .map(lambda lo_hi: [lo_hi[0], lo_hi[0] + lo_hi[1]]))
-_OUTAGES = st.one_of(
-    st.none(),
-    st.builds(lambda period, share: {"kind": "periodic", "period": period,
-                                     "duration": period * share},
-              st.sampled_from([0.005, 0.3, 1.0, 3.0]), st.sampled_from([0.0, 0.3, 1.0])),
-    st.builds(lambda interval, threshold: {"kind": "probabilistic", "interval": interval,
-                                           "threshold": threshold},
-              st.sampled_from([0.005, 0.1, 0.4]), st.integers(0, 100)))
+# Timesteps the loader accepts (each tiles a second); half the draws keep 5 ms.
+_CLOCKS = st.one_of(st.just(0.005), st.sampled_from([0.001, 0.002, 0.01, 1 / 3]))
+
+
+def _delays(ts):
+    return st.one_of(
+        st.sampled_from([0.0, ts, 2 * ts, 3 * ts, 0.0123, 0.05]),  # some on tick multiples
+        st.tuples(st.sampled_from([0.0, 0.005, 0.01]), st.sampled_from([0.0, 0.02, 0.1]))
+        .map(lambda lo_hi: [lo_hi[0], lo_hi[0] + lo_hi[1]]))
+
+
+def _spans(ts, spans):
+    """The spans a clock of ts admits: those of spans no shorter than ts, and ts."""
+    return st.sampled_from(sorted({ts, *(span for span in spans if span >= ts)}))
+
+
+def _outages(ts):
+    return st.one_of(
+        st.none(),
+        st.builds(lambda period, share: {"kind": "periodic", "period": period,
+                                         "duration": period * share},
+                  _spans(ts, [0.3, 1.0, 3.0]), st.sampled_from([0.0, 0.3, 1.0])),
+        st.builds(lambda interval, threshold: {"kind": "probabilistic", "interval": interval,
+                                               "threshold": threshold},
+                  _spans(ts, [0.1, 0.4]), st.integers(0, 100)))
+
+
 _GAINS = st.one_of(st.none(), st.fixed_dictionaries(
     {key: st.sampled_from([0.0, 1.0, 1e300]) for key in ("kp", "ki", "kd")}))
 
 
 @st.composite
-def _sensor(draw, base):
+def _sensor(draw, base, ts):
     sensor = dict(base,
-                  rate_hz=draw(st.floats(0.5, 200.0)),
+                  rate_hz=draw(st.floats(0.5, 1.0 / ts)),  # at most one frame a tick
                   channel={"loss": draw(st.sampled_from([0.0, 0.2, 1.0])),
-                           "delay": draw(_DELAYS)})
-    for key, strategy in (("outage", _OUTAGES), ("gains", _GAINS)):
+                           "delay": draw(_delays(ts))})
+    for key, strategy in (("outage", _outages(ts)), ("gains", _GAINS)):
         value = draw(strategy)
         if value is not None:
             sensor[key] = value
@@ -165,13 +180,16 @@ def _sensor(draw, base):
 
 @st.composite
 def _scenario_cfg(draw):
+    ts = draw(_CLOCKS)
     bases = draw(st.sampled_from([[_ONBOARD], _CAMERAS[:1], [_ONBOARD, *_CAMERAS]]))
     return {
         "seed": draw(st.integers(0, 2 ** 31)),
-        "duration": draw(st.floats(0.5, 5.0)),
+        # 100 to 1,000 ticks on every clock
+        "duration": draw(st.floats(0.5, 5.0)) * (ts / 0.005),
+        "timestep": ts,
         "track": draw(_TRACKS),
         "fusion": draw(st.sampled_from(POLICIES)),
-        "sensors": [draw(_sensor(base)) for base in bases],
+        "sensors": [draw(_sensor(base, ts)) for base in bases],
         "start_arclength": draw(st.floats(0.0, 10.0)),
         "crash": {"threshold_m": draw(st.floats(0.001, 0.25)),
                   "hold_s": draw(st.sampled_from([0.0, 0.005, 0.5]))},
@@ -181,8 +199,9 @@ def _scenario_cfg(draw):
 @settings(max_examples=80)
 @given(cfg=_scenario_cfg())
 def test_drawn_scenarios_match_the_full_loop(cfg):
-    # Any scenario a file can hold: the coasting, bound-fed loop and the
-    # oracle that runs, searches and carries text on every tick agree.
+    # Any scenario a file can hold, on any clock the loader accepts: the
+    # coasting, bound-fed loop and the oracle that runs, searches and carries
+    # text on every tick agree.
     actual, expected = _run_both(scenario_from_dict(cfg))
     _assert_same(actual, expected)
 

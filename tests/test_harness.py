@@ -135,6 +135,10 @@ MALFORMED = [
     # then failed to open that file.
     ("sensors[0].id", sensor_cfg(id="a/b")),
     ("sensors[0].id", sensor_cfg(id="a\0b")),
+    # error_<id>.csv past 255 bytes, NAME_MAX: these ran the whole simulation,
+    # then failed with "File name too long".
+    ("sensors[0].id", sensor_cfg(id="x" * 246)),
+    ("sensors[0].id", sensor_cfg(id="é" * 123)),  # 123 characters, 246 bytes
 ]
 
 # Used to load and run for ever: the tick count is capped.
@@ -684,6 +688,12 @@ class TestRunner:
         res = run(sc)
         assert "error_pi" in res.series
         assert len(res.series["error_pi"]) > 0
+
+    @pytest.mark.parametrize("sensor_id", ["x" * 245, "é" * 122 + "x"], ids=["ascii", "utf-8"])
+    def test_longest_sensor_id_writes_its_error_series(self, sensor_id, tmp_path):
+        # error_<id>.csv of 255 bytes, NAME_MAX, loads and is written.
+        run(scenario_from_dict(dict(sensor_cfg(id=sensor_id), duration=1.0)), tmp_path / "out")
+        assert os.path.isfile(tmp_path / "out" / f"error_{sensor_id}.csv")
 
     def test_total_loss_parks_vehicle(self):
         cfg = minimal_cfg(duration=5.0)

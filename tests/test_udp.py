@@ -292,6 +292,46 @@ class TestUdpFailures:
         assert "configuration error: pace" in capsys.readouterr().err
 
 
+class TestOneInFlight:
+    def test_one_sensors_datagrams_due_on_one_tick_cross_one_at_a_time(self, monkeypatch):
+        # Delays of up to 0.25 s, several periods of either sensor, let one
+        # sensor's datagrams fall due on the same tick, and a stray sender
+        # sprays the vehicle socket throughout: the run is still `run`.
+        cfg = udp_cfg([dict(s, channel={"loss": 0.2, "delay": [0.0, 0.25]}) for s in PAIR],
+                      duration=6.0)
+        merges = _recorded(monkeypatch, run, scenario_from_dict(cfg))
+        assert any(len(pairs) > len({source for source, _ in pairs}) for _, pairs in merges)
+        expected = run(scenario_from_dict(cfg))
+        real = socket.socket.send
+        vehicle = []
+        sprayed, stop = threading.Event(), threading.Event()
+
+        def send(sock, data):
+            vehicle.append(sock.getpeername())
+            sprayed.wait(timeout=10.0)  # a stray is queued ahead of the first datagram
+            return real(sock, data)
+
+        monkeypatch.setattr(socket.socket, "send", send)
+        strays = []
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+            def spray():
+                while not stop.wait(0.001):
+                    if vehicle:
+                        strays.append(stray.sendto(b"999;999;100;0;0;0", vehicle[-1]))
+                        sprayed.set()
+
+            helper = threading.Thread(target=spray)
+            helper.start()
+            try:
+                actual = run_udp(scenario_from_dict(cfg), pace=1e9)
+            finally:
+                stop.set()
+                helper.join(timeout=10.0)
+        assert not helper.is_alive()
+        assert strays
+        _assert_same(actual, expected)
+
+
 class TestLockstep:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cfg=_scenario_cfg())
