@@ -1,22 +1,20 @@
 """Vehicle-control node: per-source commands, fusion policies, and the drive log.
 
 The node keeps the latest scaled command per source and re-fuses on every
-datagram it receives.  Raw powers divide by 3.0 on ingest so full commanded
-power maps to about a third of the motor range.  When fusion degenerates
-(nobody confident, nobody active) the node holds the last applied powers and
-marks the log row with a trailing -1, instead of stopping the vehicle.
+command it receives; a socket's text is decoded before it reaches the node
+(udp.py).  Raw powers divide by 3.0 on ingest so full commanded power maps
+to about a third of the motor range.  When fusion degenerates (nobody
+confident, nobody active) the node holds the last applied powers and marks
+the log row with a trailing -1, instead of stopping the vehicle.
 
-The node records each datagram in its DriveLog, which formats its rows only
+The node records each command in its DriveLog, which formats its rows only
 as they are read: runner.write_outputs does, once per written run.
 """
 
-import logging
 import math
 
 from .perception import INFRASTRUCTURE, ONBOARD
-from .wire import ZERO, MalformedDatagram, SteeringCommand, decode_command, format_field
-
-log = logging.getLogger(__name__)
+from .wire import ZERO, SteeringCommand, format_field
 
 MAXIMUM_CONFIDENCE = "maximum_confidence"
 SIMPLE_AVERAGE = "simple_average"
@@ -129,12 +127,12 @@ _THIRDS = {k: format_field(k / 3.0) for k in range(766)}
 
 
 class DriveLog:
-    """A node's drive log: one record per datagram, formatted only when read.
+    """A node's drive log: one record per command, formatted only when read.
 
-    A record is (now, k, left, right, cmd, degenerate): cmd, as received or
-    decoded, fills source k's slot (k is None: no slot changes) under the applied
-    powers.  Iterating formats the rows one at a time and keeps none.  slots
-    maps the log column groups to source positions, n_sources for an empty one.
+    A record is (now, k, left, right, cmd, degenerate): cmd, as received,
+    fills source k's slot under the applied powers.  Iterating formats the
+    rows one at a time and keeps none.  slots maps the log column groups to
+    source positions, n_sources for an empty one.
     """
 
     def __init__(self, n_sources, slots):
@@ -151,7 +149,7 @@ class DriveLog:
         or confidence that is a key of _THIRDS takes its text from there;
         any other (negative, non-integral, huge) is formatted.  The lookup
         is exact for the ints and floats that flow (a sensor sends both,
-        decode_command floats).  An int or float equal to a key k has the
+        decoded text only floats).  An int or float equal to a key k has the
         value k, and every k is exact in a float, so raw / 3.0 is the float
         k / 3.0 and format_field gives it the table's text.  -0.0 finds key
         0, and both format as "0".  format_field gives a float that is not
@@ -161,23 +159,22 @@ class DriveLog:
         texts = ["0,0,0,0,0,0"] * (self._n_sources + 1)
         a, b, c = self._slots
         for now, k, left, right, cmd, degenerate in self.records:
-            if k is not None:
-                raw_left, raw_right, raw_confidence, p, i, d = cmd
-                scaled = (f"{_THIRDS.get(raw_left) or format_field(raw_left / 3.0)},"
-                          f"{_THIRDS.get(raw_right) or format_field(raw_right / 3.0)},"
-                          f"{_THIRDS.get(raw_confidence) or format_field(raw_confidence / 3.0)}")
-                if (type(p) is float and type(i) is float and type(d) is float
-                        and not (p.is_integer() or i.is_integer() or d.is_integer())):
-                    texts[k] = f"{scaled},{p!r},{i!r},{d!r}"
-                else:
-                    texts[k] = f"{scaled},{format_field(p)},{format_field(i)},{format_field(d)}"
+            raw_left, raw_right, raw_confidence, p, i, d = cmd
+            scaled = (f"{_THIRDS.get(raw_left) or format_field(raw_left / 3.0)},"
+                      f"{_THIRDS.get(raw_right) or format_field(raw_right / 3.0)},"
+                      f"{_THIRDS.get(raw_confidence) or format_field(raw_confidence / 3.0)}")
+            if (type(p) is float and type(i) is float and type(d) is float
+                    and not (p.is_integer() or i.is_integer() or d.is_integer())):
+                texts[k] = f"{scaled},{p!r},{i!r},{d!r}"
+            else:
+                texts[k] = f"{scaled},{format_field(p)},{format_field(i)},{format_field(d)}"
             yield (f"{now:.6f},{left},{right},{texts[a]},{texts[b]},{texts[c]}"
                    f"{',-1' if degenerate else ''}")
 
 
 class VehicleNode:
-    """Receives datagrams, keeps each source's latest command, fuses them,
-    and records each datagram in its drive log.
+    """Receives commands, keeps each source's latest one, fuses them, and
+    records each command in its drive log.
 
     commands holds, per source in source_ids order (which fixes the max
     tie-break), the command fusion reads.  slot_ids maps the three log
@@ -197,43 +194,30 @@ class VehicleNode:
                             [self._index.get(sid, len(source_ids)) for sid in slot_ids])
 
     def ingest(self, source_id, cmd: SteeringCommand):
-        """Store a decoded command, scaling powers and confidence by 1/3;
-        returns the source's position, or None for an unknown source.
+        """Store a command from one of source_ids, scaling powers and
+        confidence by 1/3; returns the source's position.
 
         A source counts only while it commands positive power; anything
-        else (zero-reports included) parks it on the zero command.  Unknown
-        sources are logged and ignored.
+        else (zero-reports included) parks it on the zero command.
         """
-        k = self._index.get(source_id)
-        if k is None:
-            log.warning("ignoring datagram from unknown source %r", source_id)
-            return
+        k = self._index[source_id]
         raw_left, raw_right, raw_confidence, p, i, d = cmd
         left, right = raw_left / 3.0, raw_right / 3.0
         scaled = SteeringCommand(left, right, raw_confidence / 3.0, p, i, d)
         self.commands[k] = scaled if left > 0 or right > 0 else ZERO
         return k
 
-    def handle_datagram(self, source_id, datagram, now: float):
-        """Ingest one datagram, a command or its text, and apply fused powers;
-        records one log row.  Only text (str or bytes) is decoded; malformed
-        text keeps the previous powers and records a degenerate row, as a
-        catch-all receive loop that never stops the motors would.
+    def handle_datagram(self, source_id, cmd: SteeringCommand, now: float):
+        """Ingest one command, as sent or as decoded from its text at the
+        socket, and apply fused powers; records one log row.
 
-        A sensor's command and its text give the same row.  A sensor sends
-        finite floats and ints exact in a float (powers: int() of a float
-        within 2**53 of 100; confidence: 0-100; the zero command: int 0s).
-        For each such v, float(format_field(v)) == v, and the node reads v
-        only by v / 3.0, > 0, != 0 and format_field(v), the same for float(v).
+        A sensor's command and its decoded text give the same row.  A sensor
+        sends finite floats and ints exact in a float (powers: int() of a
+        float within 2**53 of 100; confidence: 0-100; the zero command: int
+        0s).  For each such v, float(format_field(v)) == v, and the node reads
+        v only by v / 3.0, > 0, != 0 and format_field(v), the same for float(v).
         """
-        if isinstance(datagram, (str, bytes)):
-            try:
-                datagram = decode_command(datagram)
-            except MalformedDatagram as exc:
-                log.warning("dropping malformed datagram from %r: %s", source_id, exc)
-                self.log.append((now, None, *self.applied, None, True))
-                return self.applied
-        k = self.ingest(source_id, datagram)
+        k = self.ingest(source_id, cmd)
         self.applied, degenerate = drive_tick(self.commands, self.policy, self.applied)
-        self.log.append((now, k, *self.applied, datagram, degenerate))
+        self.log.append((now, k, *self.applied, cmd, degenerate))
         return self.applied

@@ -100,8 +100,8 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
     Each sensor's commands travel on its seeded SimulatedChannel, all on one
     sequence counter.  Each full tick takes merge_deliveries(channels, now),
     the (source_id, command) pairs due at now, and when cross is given hands
-    them to cross(now, pairs), which returns the same pairs in the same
-    order for the node to take, each datagram the command or its text.
+    them to cross(now, pairs), which returns the same sources in the same
+    order for the node to take, each command decoded from its crossed text.
     When out_dir is given the drive log, metric series, and summary are
     written there as well; it is claimed (replace_dir) before the first
     tick, so an unusable path is an OSError before any frame.

@@ -117,6 +117,15 @@ def _file_name(value, reserved=()) -> str:
     return name
 
 
+def _run_name(value) -> str:
+    name = _file_name(value, reserved=("", ".", ".."))
+    size = len(os.fsencode(name))
+    if size > 237:  # runner.replace_dir stages a run in .<name>.<16 hex>, within NAME_MAX
+        raise ValueError(f"{size} bytes is over the 237 that leave room for the "
+                         f".<name>.<16 hex digits> directory a run is staged in")
+    return name
+
+
 def _sensor_id(value) -> str:
     if len(os.fsencode(f"error_{value}.csv")) > 255:  # NAME_MAX on Linux and macOS
         raise ValueError(f"error_{value}.csv is longer than 255 bytes")
@@ -301,7 +310,7 @@ def _vehicle(**fields) -> dict:
 
 
 _SCENARIO_KEYS = {
-    "name": functools.partial(_file_name, reserved=("", ".", "..")),
+    "name": _run_name,
     "seed": _int,
     "duration": _positive,
     "timestep": _positive,
@@ -321,7 +330,8 @@ _SCENARIO_KEYS = {
 def scenario_from_dict(cfg, default_name: str = "scenario") -> Scenario:
     """Validate a parsed config mapping and build a Scenario."""
     fields = _read(cfg, "", _SCENARIO_KEYS, required=("track", "sensors"))
-    fields.setdefault("name", default_name)
+    if "name" not in fields:  # a file's name stands in, bounded alike
+        fields["name"] = _wrap("name", _run_name, default_name)
     fields.update(fields.pop("vehicle", {}))
     fields.update(fields.pop("crash", {}))
     scenario = Scenario(**fields)

@@ -5,8 +5,8 @@ seeded channels exactly as `run` does and writes the same files.  Only the
 crossing is real: `run` hands each tick's deliveries to a hook that carries
 one datagram at a time.  It sends a pair as its command's text from that
 sensor's socket, receives at the vehicle node's socket until a datagram
-arrives from that sensor's address, checks it against the text sent, and
-only then sends the next pair; the node decodes what arrived.  Datagrams
+arrives from that sensor's address, checks it against the text sent,
+decodes it for the node, and only then sends the next pair.  Datagrams
 from any other address are dropped.  A datagram that has not arrived within
 a second of its own send, or arrives changed, is an OSError that names its
 sensor, as is any other socket error.
@@ -20,7 +20,7 @@ import time
 
 from .runner import RunResult, run
 from .scenario import Scenario
-from .wire import encode_command
+from .wire import decode_command, encode_command
 from .world import ConfigError
 
 _RECV_BYTES = 1500
@@ -63,8 +63,9 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
             delay = t0 + now / pace - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            texts = [(source_id, encode_command(cmd).encode("utf-8")) for source_id, cmd in pairs]
-            for source_id, text in texts:
+            arrived = []
+            for source_id, cmd in pairs:
+                text = encode_command(cmd).encode("utf-8")
                 sock, address = senders[source_id]
                 sock.send(text)
                 deadline = time.monotonic() + _TIMEOUT_S
@@ -82,6 +83,7 @@ def run_udp(scenario: Scenario, out_dir=None, pace: float = 1.0) -> RunResult:
                 if data != text:
                     raise OSError(f"datagram from sensor {source_id!r} arrived changed: "
                                   f"{data!r}, sent {text!r}")
-            return texts  # each as it arrived
+                arrived.append((source_id, decode_command(data)))
+            return arrived
 
         return run(scenario, out_dir, cross)

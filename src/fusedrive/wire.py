@@ -5,8 +5,8 @@ The wire format is six semicolon-separated decimal fields,
 the name "error" on the sensor side but the receiver treats it as the
 confidence; it is one quantity.
 
-Only a socket carries that text: the simulated channel carries the command
-itself, which the vehicle node reads as it reads the text (fusion.py).
+Only a socket carries that text, decoded as it arrives (udp.py); the vehicle
+node reads commands only, as the simulated channel carries them (fusion.py).
 """
 
 import heapq

@@ -131,6 +131,10 @@ MALFORMED = [
     ("name", minimal_cfg(name="../escaped")),
     ("name", minimal_cfg(name="/")),
     ("name", minimal_cfg(name="a\0b")),
+    # A run is staged in .<name>.<16 hex digits>: past 237 bytes that sibling
+    # passes NAME_MAX, and the run failed with "File name too long".
+    ("name", minimal_cfg(name="x" * 238)),
+    ("name", minimal_cfg(name="é" * 119)),  # 119 characters, 238 bytes
     # A sensor id names its error_<id>.csv: these ran the whole simulation,
     # then failed to open that file.
     ("sensors[0].id", sensor_cfg(id="a/b")),
@@ -1029,6 +1033,24 @@ class TestCli:
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
         assert f"configuration error: {where}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name", ["x" * 237, "é" * 118 + "x"], ids=["ascii", "utf-8"])
+    def test_longest_name_runs(self, name, tmp_path):
+        # A 237-byte name leaves its staging sibling at 255 bytes, NAME_MAX.
+        path = tmp_path / "long.yaml"
+        path.write_text(yaml.safe_dump(minimal_cfg(name=name, duration=1.0)), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 0
+        assert os.listdir(tmp_path / "runs") == [name]
+        assert os.path.isfile(tmp_path / "runs" / name / "summary.json")
+
+    def test_file_name_too_long_to_stage_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # With no name: key the file's stem names the run, and is bounded alike.
+        monkeypatch.setattr("fusedrive.cli.run", pytest.fail)
+        path = tmp_path / ("x" * 238 + ".yaml")
+        path.write_text(yaml.safe_dump(minimal_cfg()), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
+        assert "configuration error: name: 238 bytes" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("argv", [["run", "s.yaml", "--seed", "1.5"],

@@ -22,10 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from fusedrive import runner
 from fusedrive.cli import main
 from fusedrive.faults import ProbabilisticOutage
+from fusedrive.fusion import VehicleNode
 from fusedrive.runner import run
 from fusedrive.scenario import load_scenario, scenario_from_dict
 from fusedrive.udp import run_udp
-from fusedrive.wire import encode_command
+from fusedrive.wire import SteeringCommand, decode_command, encode_command
 
 from test_drive import _assert_same, _scenario_cfg
 from test_golden import GOLDEN, LOSSY_BLACKOUT, SCENARIOS
@@ -163,6 +164,8 @@ def _dropping_send(changed_to, nth=10):
 
 class TestUdpWireText:
     def test_vehicle_socket_receives_command_text(self, monkeypatch):
+        # The socket carries each delivered command's text, and the node gets
+        # that text decoded: a command of six floats, never the int fields sent.
         sc = scenario_from_dict(udp_cfg(_lossy(ONBOARD), duration=2.0))
         delivered = [cmd for _, pairs in _recorded(monkeypatch, run, sc)
                      for _, cmd in pairs]
@@ -174,19 +177,52 @@ class TestUdpWireText:
             received.append(data)
             return data, addr
 
+        handle = VehicleNode.handle_datagram
+        taken = []
+
+        def handle_datagram(node, source_id, cmd, now):
+            taken.append(cmd)
+            return handle(node, source_id, cmd, now)
+
         monkeypatch.setattr(socket.socket, "recvfrom", recvfrom)
+        monkeypatch.setattr(VehicleNode, "handle_datagram", handle_datagram)
         run_udp(sc, pace=1e9)
         assert len(delivered) > 10
         assert received == [encode_command(cmd).encode("utf-8") for cmd in delivered]
+        assert taken == [decode_command(data) for data in received]
+        for cmd in taken:
+            assert type(cmd) is SteeringCommand
+            assert [type(v) for v in cmd] == [float] * 6
 
     def test_changed_datagram_fails_the_run(self, monkeypatch):
-        # Text the node could not decode never reaches it: the node's own
-        # handling of it is tested in test_fusion.
+        # Text that differs from what was sent, here text that would not
+        # even decode, never reaches the node: the run fails at the socket.
         send, sent = _dropping_send(b"left;right;60")
         monkeypatch.setattr(socket.socket, "send", send)
         with pytest.raises(OSError, match="sensor 'pi' arrived changed"):
             run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=10.0)
         assert len(sent) == 10
+
+    @pytest.mark.parametrize("changed_to", [b"inf;inf;inf;0;0;0", b"nan;nan;nan;0;0;0",
+                                            b"1e400;5;100;0;0;0", b"90;110;60;0;0;0"],
+                             ids=["inf", "nan", "overflow", "decodable"])
+    def test_changed_text_never_reaches_the_node(self, changed_to, monkeypatch):
+        # Non-finite text, and text that decodes but is not what was sent:
+        # the node takes the nine commands before it and nothing after.
+        send, sent = _dropping_send(changed_to)
+        handle = VehicleNode.handle_datagram
+        taken = []
+
+        def handle_datagram(node, source_id, cmd, now):
+            taken.append(cmd)
+            return handle(node, source_id, cmd, now)
+
+        monkeypatch.setattr(socket.socket, "send", send)
+        monkeypatch.setattr(VehicleNode, "handle_datagram", handle_datagram)
+        with pytest.raises(OSError, match="sensor 'pi' arrived changed"):
+            run_udp(scenario_from_dict(udp_cfg(ONBOARD, duration=2.0)), pace=1e9)
+        assert len(sent) == 10
+        assert taken == [decode_command(data) for data in sent[:9]]
 
 
 class TestUdpFailures:
