@@ -22,6 +22,7 @@ import math
 import os
 import random
 import shutil
+import stat
 from dataclasses import dataclass
 
 from .control import PidState, sensor_tick
@@ -242,20 +243,21 @@ def replace_dir(path):
     """Yield a fresh, empty directory that replaces path whole when the block
     ends, so that path never holds files of two runs.  On any exception the
     old directory is left as it was.  A symlink at path is followed and its
-    target replaced.  Only a killed process leaves the .<name>.<hex> sibling
-    the new directory is staged in.  A path that exists and is not a
-    directory, or a parent that cannot be made, is an OSError on entry.
-    None yields None: a run kept in memory writes nothing.
+    target replaced.  Only a killed process leaves the .fusedrive-<hex>
+    sibling the new directory is staged in.  A path that exists and is not a
+    directory, a name too long, or a parent that cannot be made, is an
+    OSError on entry.  None yields None: a run kept in memory writes nothing.
     """
     if path is None:
         yield None
         return
     path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
-    parent, name = os.path.split(path)
+    parent = os.path.dirname(path)
     os.makedirs(parent, exist_ok=True)
-    stage = os.path.join(parent, f".{name}.{os.urandom(8).hex()}")
+    with contextlib.suppress(FileNotFoundError):  # os.path.exists hides ENAMETOOLONG
+        if not stat.S_ISDIR(os.stat(path).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    stage = os.path.join(parent, f".fusedrive-{os.urandom(8).hex()}")
     os.mkdir(stage)
     new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
     try:

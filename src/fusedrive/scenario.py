@@ -110,26 +110,20 @@ _count = functools.partial(_int, low=1)
 _port = functools.partial(_int, low=0, high=65535)
 
 
-def _file_name(value, reserved=()) -> str:
-    name = str(value)  # a run's output directory, or a sensor's error_<id>.csv
+def _file_name(value, pattern="{}", reserved=()) -> str:
+    """str(value), which names the file pattern.format(value): no "/" or NUL,
+    none of reserved, and at most 255 bytes (NAME_MAX) by os.fsencode."""
+    name = str(value)
     if name in reserved or os.path.basename(name) != name or "\0" in name:
         raise ValueError(f"{name!r} cannot name a file")
+    size = len(os.fsencode(pattern.format(name)))
+    if size > 255:
+        raise ValueError(f"{pattern.format(name)!r} is {size} bytes, over NAME_MAX's 255")
     return name
 
 
-def _run_name(value) -> str:
-    name = _file_name(value, reserved=("", ".", ".."))
-    size = len(os.fsencode(name))
-    if size > 237:  # runner.replace_dir stages a run in .<name>.<16 hex>, within NAME_MAX
-        raise ValueError(f"{size} bytes is over the 237 that leave room for the "
-                         f".<name>.<16 hex digits> directory a run is staged in")
-    return name
-
-
-def _sensor_id(value) -> str:
-    if len(os.fsencode(f"error_{value}.csv")) > 255:  # NAME_MAX on Linux and macOS
-        raise ValueError(f"error_{value}.csv is longer than 255 bytes")
-    return _file_name(value)
+_run_name = functools.partial(_file_name, reserved=("", ".", ".."))
+_sensor_id = functools.partial(_file_name, pattern="error_{}.csv")
 
 
 def _numbers(value, n=2) -> tuple:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .runner import replace_dir, run
-from .scenario import _GAIN_KEYS, _OUTAGES, Scenario, _wrap, derive_seed
+from .scenario import _GAIN_KEYS, _OUTAGES, Scenario, _file_name, _wrap, derive_seed
 from .world import ConfigError
 
 _OUTAGE_AXES = {  # axis: (outage kind in a scenario file, field)
@@ -80,14 +80,16 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     before the first run, so an unusable path is an OSError before anything
     runs; each run writes into the staged tree as it ends, and nothing shows
     until the tree replaces out_dir.  A run is in <axis>_<value>_rep<rep>, the
-    value in the .dat value column's text; values that share that text would
-    share a directory and raise ConfigError too.
+    value in the .dat value column's text; values that share that text, or an
+    id too long for its <axis>_error_<id>.dat, raise ConfigError too.
     """
     values = list(spec.values)
     labels = [f"{value:.10g}" for value in values]
     for vi, label in enumerate(labels):
         if out_dir is not None and label in labels[:vi]:
             raise ConfigError(f"two sweep values share the run directory label {label!r}")
+    for i, sensor in enumerate(scenario.sensors if out_dir is not None else ()):
+        _wrap(f"sensors[{i}].id", _file_name, sensor.sensor_id, f"{spec.axis}_error_{{}}.dat")
     variants = [apply_axis(scenario, spec.axis, value) for value in values]
     metric_rows = {}
     crash_rate = []

@@ -2,6 +2,7 @@
 keeps no example database, so a run is repeatable and leaves no files in the
 checkout."""
 
+import os
 import tempfile
 
 from hypothesis import settings
@@ -10,7 +11,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 settings.register_profile("fusedrive", derandomize=True, database=None, deadline=None)
 settings.load_profile("fusedrive")
 
-# Hypothesis also caches the constants it reads from the source under test;
-# that cache goes to a temporary directory, removed at exit.
-_STORAGE = tempfile.TemporaryDirectory(prefix="fusedrive-hypothesis-")
-set_hypothesis_home_dir(_STORAGE.name)
+# Hypothesis caches the character map that st.text() draws from (some 2 s to
+# build) and the constants it reads from the source under test, keyed by that
+# source's hash.  A cache holds what a fresh build gives, so the draws are the
+# same either way; it is kept between runs, outside the checkout.
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "fusedrive-hypothesis"))

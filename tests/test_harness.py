@@ -131,10 +131,9 @@ MALFORMED = [
     ("name", minimal_cfg(name="../escaped")),
     ("name", minimal_cfg(name="/")),
     ("name", minimal_cfg(name="a\0b")),
-    # A run is staged in .<name>.<16 hex digits>: past 237 bytes that sibling
-    # passes NAME_MAX, and the run failed with "File name too long".
-    ("name", minimal_cfg(name="x" * 238)),
-    ("name", minimal_cfg(name="é" * 119)),  # 119 characters, 238 bytes
+    # Past 255 bytes, NAME_MAX, the output directory cannot be made.
+    ("name", minimal_cfg(name="x" * 256)),
+    ("name", minimal_cfg(name="é" * 128)),  # 128 characters, 256 bytes
     # A sensor id names its error_<id>.csv: these ran the whole simulation,
     # then failed to open that file.
     ("sensors[0].id", sensor_cfg(id="a/b")),
@@ -183,6 +182,11 @@ BAD_SWEEP_VALUES = [
     pytest.param(sensor_cfg(outage=PROBABILISTIC), "outage_threshold", 20, 150,
                  id="threshold-past-100"),
 ]
+
+# (axis, the outage model it needs, a value it takes), one for each sweep axis.
+SWEPT = [pytest.param(axis, outage, value, id=axis) for axis, outage, value in [
+    ("kp", None, 1.0), ("ki", None, 0.1), ("kd", None, 1.0),
+    ("outage_duration", PERIODIC, 0.2), ("outage_threshold", PROBABILISTIC, 30)]]
 
 
 NEEDS_LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
@@ -810,11 +814,12 @@ class TestRunner:
         assert sorted(os.listdir(tmp_path)) == ["link", "target"]
 
     @pytest.mark.parametrize("transport", [run, run_udp], ids=["sim", "udp"])
-    @pytest.mark.parametrize("out", ["file", "file/out"])
+    @pytest.mark.parametrize("out", ["file", "file/out", pytest.param("x" * 256, id="x*256")])
     def test_unusable_output_path_fails_before_the_first_frame(self, transport, out, tmp_path,
                                                                  monkeypatch):
-        # A file at the output path, or at its parent: the run raises before
-        # any sensor observes, instead of after its last tick.
+        # A file at the output path, or at its parent, or a name past NAME_MAX:
+        # the run raises before any sensor observes, instead of after its last
+        # tick.
         refuse_frames(monkeypatch)
         (tmp_path / "file").write_text("kept", encoding="utf-8")
         cfg = minimal_cfg(duration=1.0, udp={"vehicle_port": 0, "sensor_port_base": 0})
@@ -936,10 +941,10 @@ class TestSweep:
         assert snapshot(out) == before
         assert os.listdir(tmp_path) == ["out"]
 
-    @pytest.mark.parametrize("out", ["file", "file/out"])
+    @pytest.mark.parametrize("out", ["file", "file/out", pytest.param("x" * 256, id="x*256")])
     def test_unusable_output_path_fails_before_any_run(self, out, tmp_path, monkeypatch):
-        # A file at the output path, or at its parent: the sweep raises
-        # before its first run instead of after its last.
+        # A file at the output path, or at its parent, or a name past NAME_MAX:
+        # the sweep raises before its first run instead of after its last.
         calls = []
         monkeypatch.setattr("fusedrive.sweep.run", lambda *args: calls.append(args))
         (tmp_path / "file").write_text("kept", encoding="utf-8")
@@ -949,6 +954,26 @@ class TestSweep:
         assert calls == []
         assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
         assert os.listdir(tmp_path) == ["file"]
+
+    @pytest.mark.parametrize("axis, outage, value", SWEPT)
+    def test_longest_error_table_name_is_written(self, axis, outage, value, tmp_path):
+        # <axis>_error_<id>.dat of 255 bytes, NAME_MAX.
+        sensor_id = "x" * (255 - len(f"{axis}_error_.dat"))
+        sc = scenario_from_dict(dict(sensor_cfg(id=sensor_id, outage=outage), duration=1.0))
+        sweep(sc, SweepSpec(axis, (value,), reps=1), tmp_path / "out")
+        assert (tmp_path / "out" / f"{axis}_error_{sensor_id}.dat").is_file()
+
+    @pytest.mark.parametrize("axis, outage, value", SWEPT)
+    def test_error_table_name_past_name_max_stops_before_any_run(self, axis, outage, value,
+                                                                  tmp_path, monkeypatch):
+        # A sensor id that loads, but makes <axis>_error_<id>.dat 256 bytes:
+        # the sweep used to run every run, then fail to open that table.
+        sensor_id = "x" * (256 - len(f"{axis}_error_.dat"))
+        sc = scenario_from_dict(sensor_cfg(id=sensor_id, outage=outage))
+        monkeypatch.setattr("fusedrive.sweep.run", pytest.fail)
+        with pytest.raises(ConfigError, match=r"^sensors\[0\]\.id: .* is 256 bytes"):
+            sweep(sc, SweepSpec(axis, (value,), reps=1), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_values_sharing_a_dir_label_rejected(self, tmp_path):
         sc = scenario_from_dict(minimal_cfg(duration=1.0))
@@ -1035,23 +1060,46 @@ class TestCli:
         assert f"configuration error: {where}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("name", ["x" * 237, "é" * 118 + "x"], ids=["ascii", "utf-8"])
+    @pytest.mark.parametrize("name", ["x" * 255, "é" * 127 + "x"], ids=["ascii", "utf-8"])
     def test_longest_name_runs(self, name, tmp_path):
-        # A 237-byte name leaves its staging sibling at 255 bytes, NAME_MAX.
+        # A 255-byte name, NAME_MAX, names its output directory.
         path = tmp_path / "long.yaml"
         path.write_text(yaml.safe_dump(minimal_cfg(name=name, duration=1.0)), encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 0
         assert os.listdir(tmp_path / "runs") == [name]
         assert os.path.isfile(tmp_path / "runs" / name / "summary.json")
 
-    def test_file_name_too_long_to_stage_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # With no name: key the file's stem names the run, and is bounded alike.
-        monkeypatch.setattr("fusedrive.cli.run", pytest.fail)
-        path = tmp_path / ("x" * 238 + ".yaml")
-        path.write_text(yaml.safe_dump(minimal_cfg()), encoding="utf-8")
-        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 1
-        assert "configuration error: name: 238 bytes" in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
+    def test_file_name_too_long_to_stage_is_config_error(self):
+        # With no name: key the default name (load_scenario's file stem) names
+        # the run, and is bounded alike.  No file's stem passes 255 bytes, so
+        # the default is given here.
+        with pytest.raises(ConfigError, match="^name: '" + "x" * 256 + "' is 256 bytes"):
+            scenario_from_dict(minimal_cfg(), "x" * 256)
+
+    @pytest.mark.parametrize("axis, outage, value", SWEPT)
+    def test_longest_sweep_dir_name_is_written(self, axis, outage, value, tmp_path):
+        # <name>_<axis> of 255 bytes, NAME_MAX, names the sweep's directory.
+        name = "x" * (255 - len(f"_{axis}"))
+        path = self.write_scenario(tmp_path, name=name, duration=1.0,
+                                   sensors=sensor_cfg(outage=outage)["sensors"])
+        assert main(["sweep", path, "--axis", axis, "--values", str(value), "--reps", "1",
+                     "--out", str(tmp_path / "runs")]) == 0
+        assert os.listdir(tmp_path / "runs") == [f"{name}_{axis}"]
+
+    @pytest.mark.parametrize("axis, outage, value", SWEPT)
+    def test_sweep_dir_name_past_name_max_fails_before_any_run(self, axis, outage, value,
+                                                               tmp_path, capsys, monkeypatch):
+        # A name that loads, but makes <name>_<axis> 256 bytes: an error on
+        # entering the sweep's directory, before its first run.
+        monkeypatch.setattr("fusedrive.sweep.run", pytest.fail)
+        path = self.write_scenario(tmp_path, name="x" * (256 - len(f"_{axis}")),
+                                   sensors=sensor_cfg(outage=outage)["sensors"])
+        assert main(["sweep", path, "--axis", axis, "--values", str(value), "--reps", "1",
+                     "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: [Errno {errno.ENAMETOOLONG}]" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path / "runs") == []
 
     @pytest.mark.parametrize("argv", [["run", "s.yaml", "--seed", "1.5"],
                                       ["sweep", "s.yaml", "--axis", "kp", "--values", "1",
