@@ -7,11 +7,14 @@ to about a third of the motor range.  When fusion degenerates (nobody
 confident, nobody active) the node holds the last applied powers and marks
 the log row with a trailing -1, instead of stopping the vehicle.
 
-The node records each command in its DriveLog, which formats its rows only
-as they are read: runner.write_outputs does, once per written run.
+The node records each command in its DriveLog, which keeps the records in
+typed columns and formats them as rows only as they are read:
+runner.write_outputs does, once per written run.
 """
 
 import math
+from array import array
+from itertools import chain
 
 from .perception import INFRASTRUCTURE, ONBOARD
 from .wire import ZERO, SteeringCommand, format_field
@@ -124,25 +127,97 @@ def drive_tick(commands, policy: str, previous):
 # Drive-log text of raw / 3.0 for every raw value whose third lies in the
 # motor range [0, 255]: the scaled powers and confidences that really flow.
 _THIRDS = {k: format_field(k / 3.0) for k in range(766)}
+_FLOAT_OR_INT = frozenset((float, int))
+_BLOCK = 1024  # records a DriveLog holds as tuples before it packs them
+
+
+def _doubles(values):
+    """values (a list) as array('d') when that keeps each value and its
+    text: each a float, or an int (not a bool) that a double holds exactly.
+    None otherwise."""
+    if _FLOAT_OR_INT.issuperset(map(type, values)):
+        try:
+            doubles = array("d", values)
+        except OverflowError:  # an int past the largest double
+            return None
+        if doubles.tolist() == values:
+            return doubles
+    return None
 
 
 class DriveLog:
     """A node's drive log: one record per command, formatted only when read.
 
     A record is (now, k, left, right, cmd, degenerate): cmd, as received,
-    fills source k's slot under the applied powers.  Iterating formats the
-    rows one at a time and keeps none.  slots maps the log column groups to
-    source positions, n_sources for an empty one.
+    fills source k's slot under the applied powers.  slots maps the log
+    column groups to source positions, n_sources for an empty one.
+
+    Records are kept in typed columns, 60 bytes each: now and cmd's six
+    fields in array('d'), k, the applied powers (0-255) and the flag in
+    array('B').  A field that is a float, or an int (not a bool) equal to
+    its double, reads back as a float that formats as the field does (see
+    VehicleNode.handle_datagram).  A cmd with any other field, such as the
+    int 2**53 + 1, True or an np.float64, is kept whole in the side table
+    inexact, keyed by record number, over zeros in its columns.  Appending
+    holds a record as a tuple until _BLOCK of them are packed into the
+    columns at once, so the field checks run over a block; reading packs
+    what is held.  Iterating formats the rows one at a time and keeps none.
     """
 
     def __init__(self, n_sources, slots):
-        self.records = []
-        self.append = self.records.append
+        self.now = array("d")
+        self.source = array("B" if n_sources < 256 else "Q")
+        self.left = array("B")
+        self.right = array("B")
+        self.fields = tuple(array("d") for _ in SteeringCommand._fields)
+        self.degenerate = array("B")
+        self.inexact = {}
+        self._held = []
         self._n_sources = n_sources
         self._slots = slots
 
+    def append(self, now, k, applied, cmd, degenerate):
+        """Record cmd from source k at now, under the applied (left, right)."""
+        held = self._held
+        held.append((now, k, *applied, cmd, degenerate))
+        if len(held) == _BLOCK:
+            self.pack()
+
+    def pack(self):
+        """Move the held records into the columns."""
+        if not self._held:
+            return
+        now, source, left, right, commands, degenerate = zip(*self._held)
+        self._held = []
+        fields = list(chain.from_iterable(commands))
+        block = _doubles(fields)
+        if block is None:
+            first = len(self.now)
+            for j, cmd in enumerate(commands):
+                if _doubles(list(cmd)) is None:
+                    self.inexact[first + j] = cmd
+                    fields[6 * j:6 * j + 6] = ZERO
+            block = array("d", fields)
+        # array() reads a tuple faster than extend() does, item by item.
+        self.now.extend(array("d", now))
+        self.source.extend(array(self.source.typecode, source))
+        self.left.extend(array("B", left))
+        self.right.extend(array("B", right))
+        self.degenerate.extend(array("B", degenerate))
+        for j, column in enumerate(self.fields):
+            column.extend(block[j::6])
+
     def __len__(self):
-        return len(self.records)
+        return len(self.now) + len(self._held)
+
+    def records(self):
+        """The records in order, each cmd a tuple of six floats or its
+        side-table command."""
+        self.pack()
+        commands = zip(*self.fields)
+        if self.inexact:
+            commands = (self.inexact.get(j, cmd) for j, cmd in enumerate(commands))
+        return zip(self.now, self.source, self.left, self.right, commands, self.degenerate)
 
     def __iter__(self):
         """A slot text is format_field of each scaled field.  A raw left, right
@@ -158,7 +233,7 @@ class DriveLog:
         """
         texts = ["0,0,0,0,0,0"] * (self._n_sources + 1)
         a, b, c = self._slots
-        for now, k, left, right, cmd, degenerate in self.records:
+        for now, k, left, right, cmd, degenerate in self.records():
             raw_left, raw_right, raw_confidence, p, i, d = cmd
             scaled = (f"{_THIRDS.get(raw_left) or format_field(raw_left / 3.0)},"
                       f"{_THIRDS.get(raw_right) or format_field(raw_right / 3.0)},"
@@ -219,5 +294,5 @@ class VehicleNode:
         """
         k = self.ingest(source_id, cmd)
         self.applied, degenerate = drive_tick(self.commands, self.policy, self.applied)
-        self.log.append((now, k, *self.applied, cmd, degenerate))
+        self.log.append(now, k, self.applied, cmd, degenerate)
         return self.applied

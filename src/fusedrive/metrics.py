@@ -6,21 +6,29 @@ of that mean.
 """
 
 import math
+from array import array
 
 import numpy as np
 
 
 class SampleSeries:
-    """Timestamped values of one metric; timestamps strictly increase."""
+    """Timestamped values of one metric; timestamps strictly increase.
+
+    Times and values are kept in two array('d') columns, 16 bytes a sample.
+    Each reads back as a float; a run appends floats only, so its CSV rows
+    print as the values appended.
+    """
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.times = []
-        self.values = []
+        self.times = array("d")
+        self.values = array("d")
+        self._last = None  # times[-1], kept so that append builds no float from times
 
     def append(self, t: float, value: float):
-        if self.times and t <= self.times[-1]:
+        if self._last is not None and t <= self._last:
             raise ValueError(f"non-increasing timestamp {t} in series {self.name!r}")
+        self._last = t
         self.times.append(t)
         self.values.append(value)
 
@@ -28,7 +36,8 @@ class SampleSeries:
         return len(self.values)
 
     def as_arrays(self):
-        return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
+        """Copies of times and values as float64 arrays."""
+        return np.array(self.times, dtype=float), np.array(self.values, dtype=float)
 
 
 def correction_metric(left_applied: float, right_applied: float) -> float:

@@ -149,6 +149,14 @@ traffic = st.tuples(st.sampled_from(SOURCES), sensor_commands, st.booleans())
 @example([("pi", SteeringCommand(97, 103, 100, 2.0, -1.25, 3e-7), False)])
 @example([("cam1", SteeringCommand(97, 103, 100, 0.5, -0.0, 3e-7), False)])
 @example([("pi", SteeringCommand(97, 103, 100, 0.5, -1.25, 2.0), False)])
+# Fields whose text a double does not keep: an int past 2**53, one past
+# -(2**60), a bool, and an np.float64, each between plain commands.
+@example([("pi", SteeringCommand(97, 103, 100, 0.5, -1.25, 3e-7), False),
+          ("cam1", SteeringCommand(97, 103, 100, 2 ** 53 + 1, -(2 ** 60) - 1, True), False),
+          ("pi", SteeringCommand(100, 100, 50, 1.5, 0.0, -2.0), False)])
+@example([("cam1", SteeringCommand(97, 103, 100, 0.5, -1.25, 3e-7), False),
+          ("pi", SteeringCommand(97, 103, 100, np.float64(0.1), 2.0, -0.5), False),
+          ("cam1", ZERO, False)])
 def test_drive_log_rows_match_the_eager_node(policy, sends):
     # pi and cam1 fill the first and last column groups; the middle one is
     # empty.  Text crosses to the node decoded; the oracle decodes it itself.
