@@ -7,6 +7,10 @@ and aggregates the per-run summaries into one table row per value.
 
 import math
 import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,7 +85,10 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     runs; each run writes into the staged tree as it ends, and nothing shows
     until the tree replaces out_dir.  A run is in <axis>_<value>_rep<rep>, the
     value in the .dat value column's text; values that share that text, or an
-    id too long for its <axis>_error_<id>.dat, raise ConfigError too.
+    id too long for its <axis>_error_<id>.dat, raise ConfigError too.  The
+    runs are spread over every usable CPU, with no option to choose how
+    many: a run's outputs depend only on its scenario and seed, so the table,
+    table.runs and every file are those that one process would give.
     """
     values = list(spec.values)
     labels = [f"{value:.10g}" for value in values]
@@ -93,14 +100,13 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     variants = [apply_axis(scenario, spec.axis, value) for value in values]
     metric_rows = {}
     crash_rate = []
-    all_runs = []
     with replace_dir(out_dir) as new:
-        for vi, (value, label, variant) in enumerate(zip(values, labels, variants)):
-            results = [
-                run(replace(variant, seed=derive_seed(scenario.seed, spec.axis, value, rep)),
-                    None if new is None else os.path.join(new, f"{spec.axis}_{label}_rep{rep}"))
-                for rep in range(spec.reps)]
-            all_runs.append(results)
+        flat = _run_all([
+            (replace(variant, seed=derive_seed(scenario.seed, spec.axis, value, rep)),
+             None if new is None else os.path.join(new, f"{spec.axis}_{label}_rep{rep}"))
+            for value, label, variant in zip(values, labels, variants) for rep in range(spec.reps)])
+        all_runs = [flat[i:i + spec.reps] for i in range(0, len(flat), spec.reps)]
+        for vi, results in enumerate(all_runs):
             crash_rate.append(sum(1 for r in results if not r.completed) / len(results))
             for name in sorted({m for r in results for m in r.summaries}):
                 counted = [r.summaries[name] for r in results if r.summaries[name].get("count")]
@@ -113,6 +119,67 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
         if new is not None:
             emit_plot_data(table, new)
     return table
+
+
+def _run_all(jobs):
+    """run(*job) for every job, in job order, on every usable CPU.
+
+    The jobs are dealt in snake order (0..P-1, P-1..0, ...) to P processes:
+    this one and P - 1 children forked from it, which inherit the jobs and
+    any patched run and send back their results, or the exception one
+    raised, pickled over a pipe.  A child that dies without replying is a
+    ChildProcessError.  On any failure the children are killed; none
+    outlives the call.  One CPU or job, no os.fork, or a second Python
+    thread, which a fork would not copy: every job runs here.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    procs = min(len(jobs), cpus or 1)
+    if procs == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [run(*job) for job in jobs]
+    snake = [*range(procs), *reversed(range(procs))]
+    shares = [[i for i in range(len(jobs)) if snake[i % len(snake)] == p] for p in range(procs)]
+    pids, readers = [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            readers.append(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as writer, warnings.catch_warnings():
+                # Python 3.12+ warns on a fork while the OS thread count is
+                # above one, as numpy's OpenBLAS pool makes it; the pool's
+                # pthread_atfork handlers make the fork safe.
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+                if pid == 0:  # the child replies and exits here, never returns
+                    try:
+                        try:
+                            reply = [run(*jobs[i]) for i in share]
+                        except Exception as exc:
+                            reply = exc
+                        writer.write(pickle.dumps(reply))
+                        writer.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        results = {i: run(*jobs[i]) for i in shares[0]}
+        for pid, reader, share in zip(pids, readers, shares[1:]):
+            reply = reader.read()
+            if not reply:
+                raise ChildProcessError(f"sweep process {pid} died without replying")
+            reply = pickle.loads(reply)
+            if isinstance(reply, Exception):
+                raise reply
+            results.update(zip(share, reply))
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(jobs))]
 
 
 def emit_plot_data(table: SweepTable, out_dir):

@@ -2,10 +2,10 @@
 
 import contextlib
 import copy
+import dataclasses
 import errno
 import glob
 import io
-import itertools
 import json
 import math
 import os
@@ -14,7 +14,9 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import warnings
 
 import pytest
 import yaml
@@ -667,6 +669,39 @@ def fail_writing(monkeypatch, module, name):
     monkeypatch.setattr(f"{module}.open", failing_open, raising=False)
 
 
+def use_cpus(monkeypatch, n):
+    """Make n CPUs usable, as a sweep counts them; returns the list of the
+    pids that os.fork starts from here on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    # Not os.waitpid(-1, ...): a test that used a spawn pool leaves this
+    # process multiprocessing's resource tracker as a child for good.
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def run_fields(result):
+    """Every field of a RunResult, its drive log and series as their contents."""
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    fields["rows"] = list(result.rows.records())
+    fields["series"] = {k: (s.name, s.times, s.values) for k, s in result.series.items()}
+    return repr(fields)
+
+
 def fail_json_dump(monkeypatch):
     def failing_dump(*args, **kwargs):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -920,26 +955,102 @@ class TestSweep:
             "correction.csv", "deviation.csv", "drive_log.csv", "error_pi.csv", "summary.json",
         ]
 
-    @pytest.mark.parametrize("failing", ["run", "kp_deviation.dat"])
+    # Two jobs on two CPUs: this process runs job 0, a forked child job 1.
+    @pytest.mark.parametrize("failing", [pytest.param(1, id="run"), pytest.param(0, id="caller_run"),
+                                         "kp_deviation.dat"])
     def test_failed_rerun_leaves_the_earlier_sweep_whole(self, failing, tmp_path, monkeypatch):
         spec = SweepSpec("kp", (1.0, 2.0), reps=1)
         out = tmp_path / "out"
         sweep(scenario_from_dict(minimal_cfg(duration=2.0, seed=1)), spec, out)
         before = snapshot(out)
-        if failing == "run":  # the second run fails
-            calls = itertools.count()
-
-            def run_then_fail(*args):
-                if next(calls) == 1:
-                    raise RuntimeError("run failed")
-                return run(*args)
-            monkeypatch.setattr("fusedrive.sweep.run", run_then_fail)
-        else:
+        forked = use_cpus(monkeypatch, 2)
+        if failing == "kp_deviation.dat":
             fail_writing(monkeypatch, "fusedrive.sweep", failing)
-        with pytest.raises((RuntimeError, OSError)):
+            error = OSError
+        else:
+            failing_seed = derive_seed(2, "kp", spec.values[failing], 0)
+
+            def run_or_fail(variant, out_dir):
+                if variant.seed == failing_seed:
+                    raise RuntimeError("run failed")
+                return run(variant, out_dir)
+            monkeypatch.setattr("fusedrive.sweep.run", run_or_fail)
+            error = RuntimeError
+        with pytest.raises(error):
             sweep(scenario_from_dict(minimal_cfg(duration=2.0, seed=2)), spec, out)
         assert snapshot(out) == before
         assert os.listdir(tmp_path) == ["out"]
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forked_sweep_equals_the_sweep_run_here(self, cpus, tmp_path, monkeypatch):
+        sc = scenario_from_dict(dict(sensor_cfg(outage=PERIODIC), duration=4.0, seed=5))
+        spec = SweepSpec("kp", (1.0, 2.0), reps=2)
+        tables = {}
+        for n in (1, cpus):
+            forked = use_cpus(monkeypatch, n)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                tables[n] = sweep(sc, spec, tmp_path / str(n))
+            assert [str(w.message) for w in caught] == []
+        assert len(forked) == cpus - 1
+        assert_reaped(forked)
+        here, forked = tables[1], tables[cpus]
+        assert (forked.axis, forked.values, repr(forked.metrics), forked.crash_rate) == (
+            here.axis, here.values, repr(here.metrics), here.crash_rate)
+        assert [[run_fields(r) for r in rs] for rs in forked.runs] == [
+            [run_fields(r) for r in rs] for rs in here.runs]
+        assert snapshot(tmp_path / str(cpus)) == snapshot(tmp_path / "1")
+
+    @pytest.mark.parametrize("cpus, values, mine", [(2, (1.0, 2.0), [0, 3]),
+                                                    (3, (1.0, 2.0, 3.0), [0, 5])])
+    def test_this_process_runs_its_snake_share(self, cpus, values, mine, monkeypatch):
+        # Jobs are dealt 0..P-1, P-1..0, ...: this process takes the first
+        # and the last of every 2P.
+        seeds = [derive_seed(4, "kp", value, rep) for value in values for rep in range(2)]
+        ran = []
+
+        def recorded(variant, out_dir):
+            ran.append(variant.seed)
+            return run(variant, out_dir)
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr("fusedrive.sweep.run", recorded)
+        table = sweep(scenario_from_dict(minimal_cfg(duration=1.0, seed=4)),
+                      SweepSpec("kp", values, reps=2))
+        assert ran == [seeds[i] for i in mine]
+        assert [r.seed for rs in table.runs for r in rs] == seeds
+
+    def test_child_that_dies_makes_the_sweep_raise(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def die_in_child(variant, out_dir):
+            if os.getpid() != caller:
+                os._exit(3)
+            return run(variant, out_dir)
+        forked = use_cpus(monkeypatch, 2)
+        monkeypatch.setattr("fusedrive.sweep.run", die_in_child)
+        with pytest.raises(ChildProcessError, match="died without replying"):
+            sweep(scenario_from_dict(minimal_cfg(duration=1.0)),
+                  SweepSpec("kp", (1.0, 2.0), reps=1), tmp_path / "out")
+        assert os.listdir(tmp_path) == []
+        assert_reaped(forked)
+
+    def test_second_thread_keeps_every_run_in_this_process(self, monkeypatch):
+        def refuse_fork():
+            raise AssertionError("forked beside a second thread")
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        helper.start()
+        try:
+            table = sweep(scenario_from_dict(minimal_cfg(duration=1.0)),
+                          SweepSpec("kp", (1.0, 2.0), reps=1))
+        finally:
+            release.set()
+            helper.join(timeout=10)
+        assert not helper.is_alive()
+        assert [len(rs) for rs in table.runs] == [1, 1]
 
     @pytest.mark.parametrize("out", ["file", "file/out", pytest.param("x" * 256, id="x*256")])
     def test_unusable_output_path_fails_before_any_run(self, out, tmp_path, monkeypatch):
