@@ -10,6 +10,7 @@ import os
 import pickle
 import signal
 import threading
+import traceback
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -88,7 +89,9 @@ def sweep(scenario: Scenario, spec: SweepSpec, out_dir=None) -> SweepTable:
     id too long for its <axis>_error_<id>.dat, raise ConfigError too.  The
     runs are spread over every usable CPU, with no option to choose how
     many: a run's outputs depend only on its scenario and seed, so the table,
-    table.runs and every file are those that one process would give.
+    table.runs and every file are those that one process would give, and a
+    failed sweep raises the error of the first run, in value then rep
+    order, that failed, as one process would.
     """
     values = list(spec.values)
     labels = [f"{value:.10g}" for value in values]
@@ -126,16 +129,16 @@ def _run_all(jobs):
 
     The jobs are dealt in snake order (0..P-1, P-1..0, ...) to P processes:
     this one and P - 1 children forked from it, which inherit the jobs and
-    any patched run and send back their results, or the exception one
-    raised, pickled over a pipe.  A child that dies without replying is a
-    ChildProcessError.  On any failure the children are killed; none
-    outlives the call.  One CPU or job, no os.fork, or a second Python
+    any patched run and send back, pickled over a pipe, their results and
+    the exception, with its traceback, that stopped their share.  Every
+    process runs its share up to its first failure, and the failure of the
+    lowest job is raised, the one a single process would have met first; a
+    child that dies without replying is a ChildProcessError at its share's
+    first job.  No child outlives the call.  No os.fork, or a second Python
     thread, which a fork would not copy: every job runs here.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    procs = min(len(jobs), cpus or 1)
-    if procs == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [run(*job) for job in jobs]
+    procs = min(len(jobs), cpus or 1) if hasattr(os, "fork") and threading.active_count() == 1 else 1
     snake = [*range(procs), *reversed(range(procs))]
     shares = [[i for i in range(len(jobs)) if snake[i % len(snake)] == p] for p in range(procs)]
     pids, readers = [], []
@@ -152,24 +155,25 @@ def _run_all(jobs):
                 pid = os.fork()
                 if pid == 0:  # the child replies and exits here, never returns
                     try:
-                        try:
-                            reply = [run(*jobs[i]) for i in share]
-                        except Exception as exc:
-                            reply = exc
-                        writer.write(pickle.dumps(reply))
+                        done, failed = _run_share(jobs, share)
+                        writer.write(pickle.dumps((done, [
+                            (i, exc, "".join(traceback.format_exception(exc))) for i, exc in failed])))
                         writer.flush()
                     finally:
                         os._exit(0)
             pids.append(pid)
-        results = {i: run(*jobs[i]) for i in shares[0]}
+        results, failures = _run_share(jobs, shares[0])
         for pid, reader, share in zip(pids, readers, shares[1:]):
-            reply = reader.read()
-            if not reply:
-                raise ChildProcessError(f"sweep process {pid} died without replying")
-            reply = pickle.loads(reply)
-            if isinstance(reply, Exception):
-                raise reply
-            results.update(zip(share, reply))
+            try:  # loaded as it is read, so the whole reply is never held as bytes
+                done, failed = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                failures.append((share[0], ChildProcessError(
+                    f"sweep process {pid} died without replying")))
+                continue
+            results.update(done)
+            for i, exc, text in failed:
+                exc.__cause__ = Exception(f"raised in sweep process {pid}:\n{text}")
+                failures.append((i, exc))
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -179,7 +183,21 @@ def _run_all(jobs):
             reader.close()
         for pid in pids:
             os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return [results[i] for i in range(len(jobs))]
+
+
+def _run_share(jobs, share):
+    """Run a share's jobs in order up to the first that raises:
+    ({job: result}, [] or [(job, exception)])."""
+    done = {}
+    for i in share:
+        try:
+            done[i] = run(*jobs[i])
+        except Exception as exc:
+            return done, [(i, exc)]
+    return done, []
 
 
 def emit_plot_data(table: SweepTable, out_dir):

@@ -1020,6 +1020,39 @@ class TestSweep:
         assert ran == [seeds[i] for i in mine]
         assert [r.seed for rs in table.runs for r in rs] == seeds
 
+    # Four jobs: on 2 CPUs this process runs [0, 3] and a child [1, 2]; on 3,
+    # this process [0], the children [1] and [2, 3].
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [(1, 3), (2, 3), (0, 1), (3,)],
+                             ids=lambda jobs: ",".join(map(str, jobs)))
+    def test_failed_sweep_raises_the_first_failed_run_on_any_cpu_count(self, cpus, failing,
+                                                                      monkeypatch):
+        values = (1.0, 2.0)
+        seeds = [derive_seed(6, "kp", value, rep) for value in values for rep in range(2)]
+        caller = os.getpid()
+
+        def run_or_fail(variant, out_dir):
+            job = seeds.index(variant.seed)
+            if job in failing:
+                raise RuntimeError(f"job {job} failed")
+            return run(variant, out_dir)
+        forked = use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr("fusedrive.sweep.run", run_or_fail)
+        with pytest.raises(RuntimeError, match=f"^job {failing[0]} failed$") as raised:
+            sweep(scenario_from_dict(minimal_cfg(duration=1.0, seed=6)),
+                  SweepSpec("kp", values, reps=2))
+        assert len(forked) == cpus - 1
+        if forked:
+            assert_reaped(forked)
+        # A child's exception carries the child's traceback as its cause.
+        in_child = cpus == 3 and failing[0] > 0 or cpus == 2 and failing[0] in (1, 2)
+        cause = raised.value.__cause__
+        assert (cause is not None) == in_child
+        if in_child:
+            assert "Traceback (most recent call last)" in str(cause)
+            assert f"RuntimeError: job {failing[0]} failed" in str(cause)
+        assert os.getpid() == caller
+
     def test_child_that_dies_makes_the_sweep_raise(self, tmp_path, monkeypatch):
         caller = os.getpid()
 
