@@ -64,10 +64,12 @@ def commands_from_correction(correction: float):
     The correction clamps to +-MAX_CORRECTION first, so a huge gain sends
     powers of at most 17 characters, not hundreds of digits; the node clamps
     applied powers to [0, 255] anyway.  int() truncates toward zero,
-    matching the integer cast on the sensors.
+    matching the integer cast on the sensors; the power is that whole
+    number as a float, which holds it exactly, as every command field is
+    a float.
     """
     correction = min(MAX_CORRECTION, max(-MAX_CORRECTION, correction))
-    return int(100.0 - correction), int(100.0 + correction)
+    return float(int(100.0 - correction)), float(int(100.0 + correction))
 
 
 def sensor_tick(camera, gains: PidGains, state: PidState, observation):

@@ -14,7 +14,6 @@ runner.write_outputs does, once per written run.
 
 import math
 from array import array
-from itertools import chain
 
 from .perception import INFRASTRUCTURE, ONBOARD
 from .wire import ZERO, SteeringCommand, format_field
@@ -127,22 +126,6 @@ def drive_tick(commands, policy: str, previous):
 # Drive-log text of raw / 3.0 for every raw value whose third lies in the
 # motor range [0, 255]: the scaled powers and confidences that really flow.
 _THIRDS = {k: format_field(k / 3.0) for k in range(766)}
-_FLOAT_OR_INT = frozenset((float, int))
-_BLOCK = 1024  # records a DriveLog holds as tuples before it packs them
-
-
-def _doubles(values):
-    """values (a list) as array('d') when that keeps each value and its
-    text: each a float, or an int (not a bool) that a double holds exactly.
-    None otherwise."""
-    if _FLOAT_OR_INT.issuperset(map(type, values)):
-        try:
-            doubles = array("d", values)
-        except OverflowError:  # an int past the largest double
-            return None
-        if doubles.tolist() == values:
-            return doubles
-    return None
 
 
 class DriveLog:
@@ -152,16 +135,12 @@ class DriveLog:
     fills source k's slot under the applied powers.  slots maps the log
     column groups to source positions, n_sources for an empty one.
 
-    Records are kept in typed columns, 60 bytes each: now and cmd's six
-    fields in array('d'), k, the applied powers (0-255) and the flag in
-    array('B').  A field that is a float, or an int (not a bool) equal to
-    its double, reads back as a float that formats as the field does (see
-    VehicleNode.handle_datagram).  A cmd with any other field, such as the
-    int 2**53 + 1, True or an np.float64, is kept whole in the side table
-    inexact, keyed by record number, over zeros in its columns.  Appending
-    holds a record as a tuple until _BLOCK of them are packed into the
-    columns at once, so the field checks run over a block; reading packs
-    what is held.  Iterating formats the rows one at a time and keeps none.
+    Records are appended straight into typed columns, 60 bytes each: now
+    in array('d'), cmd's six fields in turn in the one array('d') commands,
+    and k, the applied powers (0-255) and the flag in array('B').  Every
+    field a sensor sends is a float (see VehicleNode.handle_datagram), so it
+    reads back as itself.  Iterating formats the rows one at a time and
+    keeps none.
     """
 
     def __init__(self, n_sources, slots):
@@ -169,67 +148,39 @@ class DriveLog:
         self.source = array("B" if n_sources < 256 else "Q")
         self.left = array("B")
         self.right = array("B")
-        self.fields = tuple(array("d") for _ in SteeringCommand._fields)
+        self.commands = array("d")
         self.degenerate = array("B")
-        self.inexact = {}
-        self._held = []
         self._n_sources = n_sources
         self._slots = slots
 
     def append(self, now, k, applied, cmd, degenerate):
         """Record cmd from source k at now, under the applied (left, right)."""
-        held = self._held
-        held.append((now, k, *applied, cmd, degenerate))
-        if len(held) == _BLOCK:
-            self.pack()
-
-    def pack(self):
-        """Move the held records into the columns."""
-        if not self._held:
-            return
-        now, source, left, right, commands, degenerate = zip(*self._held)
-        self._held = []
-        fields = list(chain.from_iterable(commands))
-        block = _doubles(fields)
-        if block is None:
-            first = len(self.now)
-            for j, cmd in enumerate(commands):
-                if _doubles(list(cmd)) is None:
-                    self.inexact[first + j] = cmd
-                    fields[6 * j:6 * j + 6] = ZERO
-            block = array("d", fields)
-        # array() reads a tuple faster than extend() does, item by item.
-        self.now.extend(array("d", now))
-        self.source.extend(array(self.source.typecode, source))
-        self.left.extend(array("B", left))
-        self.right.extend(array("B", right))
-        self.degenerate.extend(array("B", degenerate))
-        for j, column in enumerate(self.fields):
-            column.extend(block[j::6])
+        self.now.append(now)
+        self.source.append(k)
+        self.left.append(applied[0])
+        self.right.append(applied[1])
+        self.commands.extend(cmd)
+        self.degenerate.append(degenerate)
 
     def __len__(self):
-        return len(self.now) + len(self._held)
+        return len(self.now)
 
     def records(self):
-        """The records in order, each cmd a tuple of six floats or its
-        side-table command."""
-        self.pack()
-        commands = zip(*self.fields)
-        if self.inexact:
-            commands = (self.inexact.get(j, cmd) for j, cmd in enumerate(commands))
-        return zip(self.now, self.source, self.left, self.right, commands, self.degenerate)
+        """The records in order, each cmd a tuple of six floats."""
+        commands = iter(self.commands)
+        return zip(self.now, self.source, self.left, self.right, zip(*[commands] * 6),
+                   self.degenerate)
 
     def __iter__(self):
         """A slot text is format_field of each scaled field.  A raw left, right
         or confidence that is a key of _THIRDS takes its text from there;
-        any other (negative, non-integral, huge) is formatted.  The lookup
-        is exact for the ints and floats that flow (a sensor sends both,
-        decoded text only floats).  An int or float equal to a key k has the
-        value k, and every k is exact in a float, so raw / 3.0 is the float
-        k / 3.0 and format_field gives it the table's text.  -0.0 finds key
-        0, and both format as "0".  format_field gives a float that is not
-        integral its repr, so when p, i and d are all such floats the slot
-        takes their reprs directly; otherwise each goes through format_field.
+        any other (negative, non-integral, huge) is formatted.  A float equal
+        to a key k has the value k, and every k is exact in a float, so
+        raw / 3.0 is the float k / 3.0 and format_field gives it the table's
+        text.  -0.0 finds key 0, and both format as "0".  format_field gives
+        a float that is not integral its repr, so when p, i and d are all
+        such floats the slot takes their reprs directly; otherwise each goes
+        through format_field.
         """
         texts = ["0,0,0,0,0,0"] * (self._n_sources + 1)
         a, b, c = self._slots
@@ -238,8 +189,7 @@ class DriveLog:
             scaled = (f"{_THIRDS.get(raw_left) or format_field(raw_left / 3.0)},"
                       f"{_THIRDS.get(raw_right) or format_field(raw_right / 3.0)},"
                       f"{_THIRDS.get(raw_confidence) or format_field(raw_confidence / 3.0)}")
-            if (type(p) is float and type(i) is float and type(d) is float
-                    and not (p.is_integer() or i.is_integer() or d.is_integer())):
+            if not (p.is_integer() or i.is_integer() or d.is_integer()):
                 texts[k] = f"{scaled},{p!r},{i!r},{d!r}"
             else:
                 texts[k] = f"{scaled},{format_field(p)},{format_field(i)},{format_field(d)}"
@@ -287,10 +237,10 @@ class VehicleNode:
         socket, and apply fused powers; records one log row.
 
         A sensor's command and its decoded text give the same row.  A sensor
-        sends finite floats and ints exact in a float (powers: int() of a
-        float within 2**53 of 100; confidence: 0-100; the zero command: int
-        0s).  For each such v, float(format_field(v)) == v, and the node reads
-        v only by v / 3.0, > 0, != 0 and format_field(v), the same for float(v).
+        sends six finite floats (powers: whole numbers within 2**53 of 100;
+        confidence: a whole number in 0-100; the zero command: 0.0s).  For
+        each such v, float(format_field(v)) == v, and the node reads v only
+        by v / 3.0, > 0, != 0 and format_field(v).
         """
         k = self.ingest(source_id, cmd)
         self.applied, degenerate = drive_tick(self.commands, self.policy, self.applied)

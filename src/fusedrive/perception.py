@@ -455,6 +455,7 @@ def onboard_offset(x_min: float, center: float) -> float:
     return 0.333 * (center - x_min)
 
 
-def confidence_from_visibility(fraction: float) -> int:
-    """Confidence in [0, 100] from the visible fraction of a full view."""
-    return int(round(100.0 * fraction))
+def confidence_from_visibility(fraction: float) -> float:
+    """Confidence in [0, 100] from the visible fraction of a full view: a
+    whole float, as every command field is one."""
+    return float(round(100.0 * fraction))

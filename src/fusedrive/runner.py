@@ -203,7 +203,6 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
             pose = Pose(x, y, heading)
             i += stepped
 
-        node.log.pack()  # the result keeps the log's columns only
         result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
         if new is not None:
             write_outputs(result, new)

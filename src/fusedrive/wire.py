@@ -34,19 +34,16 @@ class SteeringCommand(NamedTuple):
         return not any(self)
 
 
-ZERO = SteeringCommand(0, 0, 0, 0, 0, 0)  # the zero-report; one shared value
+ZERO = SteeringCommand(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # the zero-report; one shared value
 
 
 def format_field(value) -> str:
-    """One field as text: an int as str(value); any other value is read as
-    a float, and prints without a decimal point when integral, else in its
-    shortest round-trip form.
+    """One field as text: the value, read as a float, prints without a
+    decimal point when integral, else in its shortest round-trip form.
 
     value.is_integer() holds exactly when the float is finite and equals
     int(value), so -0.0 gives "0", and inf and nan give repr(value).
     """
-    if isinstance(value, int):
-        return str(value)
     value = float(value)
     return str(int(value)) if value.is_integer() else repr(value)
 

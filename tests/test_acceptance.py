@@ -11,12 +11,10 @@ under fixed seeds and pin their own wall-clock budgets; everything is
 deterministic, so a verdict never flips between machines.
 """
 
-import concurrent.futures
 import contextlib
 import copy
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import statistics
@@ -46,7 +44,7 @@ from fusedrive.perception import (
 )
 from fusedrive.runner import run
 from fusedrive.scenario import load_scenario
-from fusedrive.sweep import SweepSpec, sweep
+from fusedrive.sweep import SweepSpec, _run_all, sweep
 from fusedrive.wire import (
     ZERO,
     SimulatedChannel,
@@ -318,11 +316,6 @@ def test_longer_blackouts_degrade_recovery_then_crash():
 # --- 6. fused streams survive harsher random blackouts ----------------------
 
 
-def _completes(scenario):
-    """Whether a run of the scenario completes; a task for a process pool."""
-    return run(scenario).completed
-
-
 def test_fused_streams_survive_harsher_random_blackouts():
     with _verdict("fusion robustness: max survivable blackout threshold is "
                   "onboard < infra pair <= weighted, weighted > max-pick "
@@ -336,17 +329,16 @@ def test_fused_streams_survive_harsher_random_blackouts():
             "max_pick": _fixture("combined_max"),
             "simple_avg": _fixture("combined_simple"),
         }
-        # A run depends on nothing but its scenario, so the grid's runs may
-        # go to a pool in any order.
+        # The grid's runs take the fork path every sweep takes, which
+        # leaves no child process behind.
         cases = [(arm, threshold, seed) for arm in arms for threshold in grid
                  for seed in SEEDS]
-        scenarios = [
-            _seeded(arms[arm], seed, ProbabilisticOutage(interval=0.4, threshold=threshold))
+        jobs = [
+            (_seeded(arms[arm], seed, ProbabilisticOutage(interval=0.4, threshold=threshold)), None)
             for arm, threshold, seed in cases]
-        spawn = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(min(4, os.cpu_count() or 1),
-                                                    mp_context=spawn) as pool:
-            completed = dict(zip(cases, pool.map(_completes, scenarios)))
+        completed = dict(zip(cases, (result.completed for result in _run_all(jobs))))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
         def survives_all_seeds(arm, threshold):
             return all(completed[arm, threshold, seed] for seed in SEEDS)
