@@ -10,18 +10,16 @@ line from pixel coordinates alone.
 
 Image coordinates are y-down, so projecting from the y-up board flips y.
 
-A frame masks only the centreline blocks that its window's box can reach.
-It finds them in two levels: the boxes of the groups of blocks first, then
-the boxes of the blocks in each group whose box meets the window.  A frame
-reads the longest run of its mask through a slice when the run is one
-stretch of the mask (most frames), and through its index array when it is
-joined across sample 0 or split.  The slice path is exact: it holds the
-same samples in the same order as the index array, both contiguous, so
-np.add.reduce sums the same sequence the same way, and the middle tangent
-is the same sample.  The masks are built in place from the same float
-operations as the full-mask oracle in the tests, and each observer writes
-out its pixel arithmetic (projection, jitter, clamp, chunk centre) in the
-oracle's order.
+A frame masks only the centreline samples from the first to the last block
+whose box meets its window's box.  A frame reads the longest run of its
+mask through a slice when the run is one stretch of the mask (most
+frames), and through its index array when it is joined across sample 0 or
+split.  The slice path is exact: it holds the same samples in the same
+order as the index array, both contiguous, so np.add.reduce sums the same
+sequence the same way, and the middle tangent is the same sample.  The
+masks are built in place from the same float operations as the full-mask
+oracle in the tests, and each observer writes out its pixel arithmetic
+(projection, jitter, clamp, chunk centre) in the oracle's order.
 """
 
 import math
@@ -30,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .world import GROUP_BLOCKS, SAMPLE_BLOCK
+from .world import SAMPLE_BLOCK
 
 ONBOARD = "onboard"
 INFRASTRUCTURE = "infrastructure"
@@ -173,23 +171,13 @@ def _window(track, x0, x1, y0, y1):
 
     The slice runs from the first to the last sample block whose bounding
     box meets the rectangle; a sample inside the rectangle lies in its
-    block's box, so that block is one of them.  The scan has two levels: a
-    block's box is tested only when the box of its group (GROUP_BLOCKS
-    blocks) meets the rectangle, and a block's box lies inside its group's,
-    so no block that meets it is skipped.  When the hit blocks include the
-    first and the last one (a window across sample 0) the slice is the whole
-    loop, so circular runs still join.
+    block's box, so that block is one of them.  When the hit blocks include
+    the first and the last one (a window across sample 0) the slice is the
+    whole loop, so circular runs still join.
     """
     sampling = track.sampling
-    boxes = sampling.boxes
-    hit = []
-    g = 0  # the group's first block
-    for gx0, gx1, gy0, gy1 in sampling.groups:
-        if gx0 <= x1 and gx1 >= x0 and gy0 <= y1 and gy1 >= y0:
-            for i, (bx0, bx1, by0, by1) in enumerate(boxes[g:g + GROUP_BLOCKS], g):
-                if bx0 <= x1 and bx1 >= x0 and by0 <= y1 and by1 >= y0:
-                    hit.append(i)
-        g += GROUP_BLOCKS
+    hit = [i for i, (bx0, bx1, by0, by1) in enumerate(sampling.boxes)
+           if bx0 <= x1 and bx1 >= x0 and by0 <= y1 and by1 >= y0]
     if not hit:
         return None
     lo, hi = hit[0] * SAMPLE_BLOCK, (hit[-1] + 1) * SAMPLE_BLOCK

@@ -177,8 +177,7 @@ _DEG_TO_RAD = math.pi / 180.0  # math.radians(v) is v * _DEG_TO_RAD
 # Samples a track may have, so that its arrays cost no more than a scenario
 # file can justify: a 262 m line, 44 times the longest shipped loop.
 _MAX_SAMPLES = 1 << 17
-SAMPLE_BLOCK = 64  # samples per box of Sampling.boxes
-GROUP_BLOCKS = 8  # blocks per box of Sampling.groups
+SAMPLE_BLOCK = 128  # samples per box of Sampling.boxes
 
 
 class Sampling(NamedTuple):
@@ -187,8 +186,7 @@ class Sampling(NamedTuple):
     xs, ys and tans are contiguous (N,) arrays equal, sample for sample, to
     Track.point_at(k * step).  boxes holds one (x_lo, x_hi, y_lo, y_hi) float
     tuple per block: box i bounds samples i * SAMPLE_BLOCK to
-    (i + 1) * SAMPLE_BLOCK - 1, and the last block may be shorter.  groups
-    holds one such box per GROUP_BLOCKS blocks, which bounds theirs.
+    (i + 1) * SAMPLE_BLOCK - 1, and the last block may be shorter.
     """
 
     xs: np.ndarray
@@ -196,7 +194,6 @@ class Sampling(NamedTuple):
     tans: np.ndarray
     step: float
     boxes: list
-    groups: list
 
 
 @dataclass
@@ -240,12 +237,12 @@ class Track:
         ends = [0, *np.searchsorted(s, cum[1:-1]).tolist(), n]
         for seg, c, lo, hi in zip(self.segments, cum, ends, ends[1:]):
             seg.fill(np.subtract(s[lo:hi], c, out=s[lo:hi]), xs[lo:hi], ys[lo:hi], tans[lo:hi])
-        boxes, groups = (list(zip(*(f.reduceat(c, np.arange(0, n, stride)).tolist()
-                                    for c in (xs, ys) for f in (np.minimum, np.maximum))))
-                         for stride in (SAMPLE_BLOCK, SAMPLE_BLOCK * GROUP_BLOCKS))
+        starts = np.arange(0, n, SAMPLE_BLOCK)
+        boxes = list(zip(*(f.reduceat(c, starts).tolist()
+                           for c in (xs, ys) for f in (np.minimum, np.maximum))))
         for a in (xs, ys, tans):
             a.flags.writeable = False  # runs share the track: none may write it
-        self.sampling = Sampling(xs, ys, tans, step, boxes, groups)
+        self.sampling = Sampling(xs, ys, tans, step, boxes)
 
     def point_at(self, s: float):
         """Centerline point and tangent (deg) at arclength s, wrapped."""

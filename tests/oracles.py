@@ -37,7 +37,7 @@ from fusedrive.perception import (
 from fusedrive.runner import SensorRuntime, assemble_result, replace_dir, write_outputs
 from fusedrive.wire import (ZERO, MalformedDatagram, SteeringCommand,
                             decode_command, encode_command, format_field, merge_deliveries)
-from fusedrive.world import (_SAMPLE_STEP, GROUP_BLOCKS, SAMPLE_BLOCK, Pose, Sampling,
+from fusedrive.world import (_SAMPLE_STEP, SAMPLE_BLOCK, Pose, Sampling,
                              lateral_deviation, step_vehicle)
 
 
@@ -325,8 +325,7 @@ def oracle_track_samples(track, n, step):
 
 def oracle_track_sampling(track):
     """track.sampling from one walk along the segments, sample by sample,
-    with each block's and each group's box as plain min and max over its
-    samples."""
+    with each block's box as plain min and max over its samples."""
     segments = track.segments
     cum = list(itertools.accumulate((seg.length for seg in segments), initial=0.0))
     n = max(8, int(round(cum[-1] / _SAMPLE_STEP)))
@@ -343,12 +342,11 @@ def oracle_track_sampling(track):
         seg = segments[i]
         local = s - cum[i]
         xs[k], ys[k], tans[k] = seg.point_at(local)
-    boxes, groups = [], []
-    for stride, out in ((SAMPLE_BLOCK, boxes), (SAMPLE_BLOCK * GROUP_BLOCKS, groups)):
-        for k in range(0, n, stride):
-            bx, by = xs[k:k + stride].tolist(), ys[k:k + stride].tolist()
-            out.append((min(bx), max(bx), min(by), max(by)))
-    return Sampling(xs, ys, tans, step, boxes, groups)
+    boxes = []
+    for k in range(0, n, SAMPLE_BLOCK):
+        bx, by = xs[k:k + SAMPLE_BLOCK].tolist(), ys[k:k + SAMPLE_BLOCK].tolist()
+        boxes.append((min(bx), max(bx), min(by), max(by)))
+    return Sampling(xs, ys, tans, step, boxes)
 
 
 def _oracle_longest_run(mask):

@@ -329,24 +329,28 @@ def test_fused_streams_survive_harsher_random_blackouts():
             "max_pick": _fixture("combined_max"),
             "simple_avg": _fixture("combined_simple"),
         }
-        # The grid's runs take the fork path every sweep takes, which
+        # An arm's best threshold is the highest one that all its seeds
+        # survive, so the grid runs from the top in rounds: each round runs
+        # the next threshold's seeds of every arm still open, and an arm
+        # closes at the first threshold that they all survive (0 if none
+        # does).  The runs take the fork path every sweep takes, which
         # leaves no child process behind.
-        cases = [(arm, threshold, seed) for arm in arms for threshold in grid
-                 for seed in SEEDS]
-        jobs = [
-            (_seeded(arms[arm], seed, ProbabilisticOutage(interval=0.4, threshold=threshold)), None)
-            for arm, threshold, seed in cases]
-        completed = dict(zip(cases, (result.completed for result in _run_all(jobs))))
+        best = {}
+        for threshold in reversed(grid):
+            open_arms = [arm for arm in arms if arm not in best]
+            if not open_arms:
+                break
+            cases = [(arm, seed) for arm in open_arms for seed in SEEDS]
+            jobs = [
+                (_seeded(arms[arm], seed, ProbabilisticOutage(interval=0.4, threshold=threshold)), None)
+                for arm, seed in cases]
+            completed = dict(zip(cases, (result.completed for result in _run_all(jobs))))
+            for arm in open_arms:
+                if all(completed[arm, seed] for seed in SEEDS):
+                    best[arm] = threshold
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-        def survives_all_seeds(arm, threshold):
-            return all(completed[arm, threshold, seed] for seed in SEEDS)
-
-        best = {}
-        for arm in arms:
-            passing = [t for t in grid if survives_all_seeds(arm, t)]
-            best[arm] = max(passing) if passing else 0
+        best = {arm: best.get(arm, 0) for arm in arms}
 
         assert best["onboard"] < best["infra_pair"] <= best["weighted"], best
         assert best["weighted"] > best["max_pick"], best

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from fusedrive import perception, world
 from fusedrive.faults import ProbabilisticOutage
 from fusedrive.runner import SensorRuntime, run
 from fusedrive.scenario import load_scenario
@@ -167,13 +168,18 @@ def test_reference_scenario_outputs_match_golden(name, tmp_path):
     assert _output_digests(scenario, tmp_path) == GOLDEN[name]
 
 
-def test_lossy_blackout_variant_matches_golden(tmp_path):
-    scenario = load_scenario(SCENARIOS / "combined_weighted.yaml")
+def _lossy_blackout(scenario):
+    """combined_weighted as LOSSY_BLACKOUT runs it."""
     outage = ProbabilisticOutage(interval=0.4, threshold=35)
     scenario.sensors = [
         dataclasses.replace(s, channel_loss=0.2, channel_delay=(0.0, 0.03), outage=outage)
         for s in scenario.sensors
     ]
+    return scenario
+
+
+def test_lossy_blackout_variant_matches_golden(tmp_path):
+    scenario = _lossy_blackout(load_scenario(SCENARIOS / "combined_weighted.yaml"))
     assert _output_digests(scenario, tmp_path) == LOSSY_BLACKOUT
 
 
@@ -340,6 +346,31 @@ def _track_state(track):
 
 def _written(out_dir):
     return {path.name: path.read_bytes() for path in Path(out_dir).iterdir()}
+
+
+@pytest.mark.parametrize("block", [1, 7, "loop"])
+@pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy_blackout"])
+def test_outputs_do_not_depend_on_the_sample_block(lossy, block, tmp_path, monkeypatch):
+    # A frame slices the samples from its first to its last hit block, so
+    # the block size changes what it slices, never what it writes.  At the
+    # loop's sample count every frame takes the whole loop and its circular
+    # join.
+    def outputs(out_dir):
+        scenario = load_scenario(SCENARIOS / "combined_weighted.yaml")
+        scenario.duration = 10.0
+        if lossy:
+            _lossy_blackout(scenario)
+        run(scenario, out_dir)
+        return scenario.track.sampling, _written(out_dir)
+
+    sampling, expected = outputs(tmp_path / "default")
+    n = sampling.xs.size
+    block = n if block == "loop" else block
+    monkeypatch.setattr(world, "SAMPLE_BLOCK", block)
+    monkeypatch.setattr(perception, "SAMPLE_BLOCK", block)
+    sampling, got = outputs(tmp_path / "patched")
+    assert len(sampling.boxes) == -(-n // block)
+    assert got == expected
 
 
 def test_runs_sharing_a_process_and_a_scenario_are_independent(tmp_path):

@@ -360,13 +360,12 @@ def _observe_poses(track, seed):
 
 
 def _strip_edge_poses(boxes, camera):
-    """Heading-0 poses that put the extreme sample of each box (a sample
-    block's or a group's) on a strip edge.
+    """Heading-0 poses that put the extreme sample of each sample block's
+    box on a strip edge.
 
     With heading 0, u and v are plain differences, so a block whose only
     candidate samples sit exactly on the edge is found only if the window's
-    box reaches the block's box, and its group's; each pose is also nudged
-    by a few ulps.
+    box reaches the block's box; each pose is also nudged by a few ulps.
     """
     near = camera.look_ahead
     far = near + camera.crop_size / camera.pixels_per_meter
@@ -393,7 +392,6 @@ def test_observe_matches_full_mask_oracle(track_name, camera_name):
     poses = _observe_poses(track, 23)
     if camera.kind == "onboard":
         poses += _strip_edge_poses(track.sampling.boxes, camera)
-        poses += _strip_edge_poses(track.sampling.groups, camera)
     seen = 0
     for k, pose in enumerate(poses):
         got = observe(camera, track, pose, rng=random.Random(k))

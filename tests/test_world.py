@@ -3,7 +3,6 @@
 import math
 import random
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusedrive import world
-from fusedrive.scenario import load_scenario, track_from_config
+from fusedrive.scenario import track_from_config
 from fusedrive.world import (
-    GROUP_BLOCKS,
     Arc,
     ConfigError,
     Motion,
@@ -264,25 +262,6 @@ def test_sample_boxes_bound_each_block(name):
         assert all(type(v) is float for v in box)
 
 
-SHIPPED_TRACKS = {path.name: (lambda path=path: load_scenario(path).track)
-                  for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").iterdir())}
-
-
-@pytest.mark.parametrize("name", sorted(FAST_PATH_TRACKS) + sorted(SHIPPED_TRACKS))
-def test_group_boxes_bound_their_blocks(name):
-    # Each group box is the min and max of its blocks' boxes, so a block's
-    # box lies inside its group's; the last group may hold fewer blocks.
-    sampling = {**FAST_PATH_TRACKS, **SHIPPED_TRACKS}[name]().sampling
-    boxes = sampling.boxes
-    starts = range(0, len(boxes), GROUP_BLOCKS)
-    assert len(sampling.groups) == len(starts)
-    for group, k in zip(sampling.groups, starts):
-        members = boxes[k:k + GROUP_BLOCKS]
-        assert group == (min(b[0] for b in members), max(b[1] for b in members),
-                         min(b[2] for b in members), max(b[3] for b in members))
-        assert all(type(v) is float for v in group)
-
-
 def _reversed(seg):
     if isinstance(seg, Arc):
         return Arc(seg.cx, seg.cy, seg.radius, seg.start_deg + seg.sweep_deg, -seg.sweep_deg)
@@ -358,7 +337,6 @@ def test_sampling_equals_per_sample_walk(track):
         assert a.tobytes() == b.tobytes()
     assert got.step == exp.step
     assert got.boxes == exp.boxes
-    assert got.groups == exp.groups
 
 
 def test_arc_sampling_calls_libm(monkeypatch):
