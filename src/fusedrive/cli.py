@@ -82,6 +82,12 @@ def _cmd_run(args) -> int:
         if summary.get("count"):
             print(f"  {name}: mean |x| = {summary['mean_abs']:.4g} "
                   f"(std {summary['std_abs']:.4g}, n={summary['count']})")
+    for sensor in scenario.sensors:
+        if not result.summaries[f"error_{sensor.sensor_id}"].get("count"):
+            print(f"warning: sensor {sensor.sensor_id} sent no steering command outside its "
+                  "outages", file=sys.stderr)
+    if not any(result.rows.left) and not any(result.rows.right):
+        print("warning: the vehicle node never applied non-zero power", file=sys.stderr)
     return 0 if result.completed else 2
 
 

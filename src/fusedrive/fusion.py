@@ -8,8 +8,9 @@ confident, nobody active) the node holds the last applied powers and marks
 the log row with a trailing -1, instead of stopping the vehicle.
 
 The node records each command in its DriveLog, which keeps the records in
-typed columns and formats them as rows only as they are read:
-runner.write_outputs does, once per written run.
+typed columns and formats them as rows only as they are read: once per
+written run, by runner.write_outputs in this process or, on a spare CPU, in
+the run's formatter child, a chunk of records at a time.
 """
 
 import math
@@ -150,7 +151,9 @@ class DriveLog:
         self.right = array("B")
         self.commands = array("d")
         self.degenerate = array("B")
-        self._n_sources = n_sources
+        self.columns = (self.now, self.source, self.left, self.right, self.commands,
+                        self.degenerate)
+        self.blank_texts = ("0,0,0,0,0,0",) * (n_sources + 1)  # the slots' before any record
         self._slots = slots
 
     def append(self, now, k, applied, cmd, degenerate):
@@ -165,14 +168,18 @@ class DriveLog:
     def __len__(self):
         return len(self.now)
 
-    def records(self):
-        """The records in order, each cmd a tuple of six floats."""
-        commands = iter(self.commands)
-        return zip(self.now, self.source, self.left, self.right, zip(*[commands] * 6),
-                   self.degenerate)
+    def records(self, start=0):
+        """The records from start on, in order, each cmd a tuple of six floats."""
+        commands = iter(self.commands[6 * start:])
+        return zip(self.now[start:], self.source[start:], self.left[start:],
+                   self.right[start:], zip(*[commands] * 6), self.degenerate[start:])
 
-    def __iter__(self):
-        """A slot text is format_field of each scaled field.  A raw left, right
+    def rows(self, start=0, texts=None):
+        """The rows of the records from start on; iterating gives them all.
+        texts, each slot's text as the records before start left it (None:
+        blank_texts), is updated in place for the next call to go on from.
+
+        A slot text is format_field of each scaled field.  A raw left, right
         or confidence that is a key of _THIRDS takes its text from there;
         any other (negative, non-integral, huge) is formatted.  A float equal
         to a key k has the value k, and every k is exact in a float, so
@@ -182,9 +189,9 @@ class DriveLog:
         such floats the slot takes their reprs directly; otherwise each goes
         through format_field.
         """
-        texts = ["0,0,0,0,0,0"] * (self._n_sources + 1)
+        texts = list(self.blank_texts) if texts is None else texts
         a, b, c = self._slots
-        for now, k, left, right, cmd, degenerate in self.records():
+        for now, k, left, right, cmd, degenerate in self.records(start):
             raw_left, raw_right, raw_confidence, p, i, d = cmd
             scaled = (f"{_THIRDS.get(raw_left) or format_field(raw_left / 3.0)},"
                       f"{_THIRDS.get(raw_right) or format_field(raw_right / 3.0)},"
@@ -195,6 +202,8 @@ class DriveLog:
                 texts[k] = f"{scaled},{format_field(p)},{format_field(i)},{format_field(d)}"
             yield (f"{now:.6f},{left},{right},{texts[a]},{texts[b]},{texts[c]}"
                    f"{',-1' if degenerate else ''}")
+
+    __iter__ = rows
 
 
 class VehicleNode:

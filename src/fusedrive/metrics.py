@@ -23,6 +23,7 @@ class SampleSeries:
         self.name = name
         self.times = array("d")
         self.values = array("d")
+        self.columns = (self.times, self.values)
         self._last = None  # times[-1], kept so that append builds no float from times
 
     def append(self, t: float, value: float):

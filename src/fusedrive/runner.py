@@ -8,9 +8,13 @@ can matter coast: the vehicle steps alone.  Everything derives from the
 scenario seed, so a run is a pure function of (scenario, seed) and its
 artifacts are byte-identical across repeats.  `udp.run_udp` runs the same
 loop and hands `run` a hook that carries each delivery across a socket.
-`run` claims its output directory before the first tick and `write_outputs`
-fills it: the one place a run's drive log (RunResult.rows) is formatted,
-each row once, as it streams to the file.
+`run` claims its output directory before the first tick.  On a process that
+may fork onto a spare CPU (usable_cpus), a written run that can log
+FORK_FRAMES records hands them, a chunk at a time, to a formatter child that
+writes the files as the loop runs; otherwise `write_outputs` fills the
+directory after the last tick.
+Either host formats each drive-log row (RunResult.rows) once, with the one
+code in _write, as it streams to the file.
 """
 
 import contextlib
@@ -20,9 +24,14 @@ import itertools
 import json
 import math
 import os
+import pickle
 import random
 import shutil
+import signal
 import stat
+import threading
+import traceback
+import warnings
 from dataclasses import dataclass
 
 from .control import PidState, sensor_tick
@@ -45,6 +54,11 @@ from .wire import (
     merge_deliveries,
 )
 from .world import Motion, Pose, lateral_deviation
+
+CHUNK = 256  # drive-log records a written run hands its formatter child at a time
+# A written run forks its formatter only if it can log this many records (one
+# a frame at most): formatting fewer costs about what the fork costs.
+FORK_FRAMES = 2048
 
 
 @dataclass
@@ -142,7 +156,7 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
     bound.  Then it would step the vehicle under the powers it holds, as
     Motion.advance does, one tick at a time.
     """
-    with replace_dir(out_dir) as new:
+    with replace_dir(out_dir) as new, _Formatter() as formatter:
         seq = itertools.count().__next__
         sensors = [SensorRuntime(scenario, s, seq) for s in scenario.sensors]
         channels = [s.channel for s in sensors]  # merge_deliveries' argument
@@ -153,6 +167,7 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
 
         correction = SampleSeries("correction")
         deviation = SampleSeries("deviation")
+        series = {ser.name: ser for ser in (correction, deviation, *(s.errors for s in sensors))}
         detector = CrashDetector(scenario.crash_threshold, scenario.crash_hold)
         crash_time = None
 
@@ -164,6 +179,9 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
         vehicle = scenario.vehicle
         applied = motion = None
         n_ticks = scenario.n_ticks()
+        frames = sum(-(-n_ticks // s.period_ticks) for s in sensors)
+        hand_off = (CHUNK if new is not None and frames >= FORK_FRAMES and usable_cpus() > 1
+                    else math.inf)
         i = 0
         while i < n_ticks:
             now = i * ts
@@ -184,6 +202,8 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
             if delivered:
                 correction.append(now, correction_metric(*node.applied))
                 deviation.append(now, dev)
+                if len(node.log) >= hand_off:
+                    hand_off = formatter.send(new, node.log, series)
             crash_time = detector.update(now, dev)
             if crash_time is not None:
                 break
@@ -203,20 +223,20 @@ def run(scenario: Scenario, out_dir=None, cross=None) -> RunResult:
             pose = Pose(x, y, heading)
             i += stepped
 
-        result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
-        if new is not None:
+        result = assemble_result(scenario, node, sensors, series, crash_time)
+        if formatter.pid is not None:
+            formatter.send(new, node.log, series, _summary(result))
+        elif new is not None:
             write_outputs(result, new)
     return result
 
 
-def assemble_result(scenario, node, sensors, correction, deviation,
-                    crash_time) -> RunResult:
-    """Fold the raw run state into summaries and a RunResult."""
+def assemble_result(scenario, node, sensors, series, crash_time) -> RunResult:
+    """Fold the raw run state into summaries and a RunResult; series maps the
+    correction, deviation and sensor error series by name."""
     completed = crash_time is None
     run_end = scenario.duration if completed else crash_time
 
-    series = {"correction": correction, "deviation": deviation}
-    series.update({s.errors.name: s.errors for s in sensors})
     summaries = {name: summarize(ser, crash_time) for name, ser in series.items()}
     if any(s.config.outage is not None for s in sensors):
         ends = sorted(end for s in sensors for _, end in s.outage.windows(run_end))
@@ -275,28 +295,140 @@ def replace_dir(path):
         shutil.rmtree(stage)
 
 
+def usable_cpus():
+    """The processes work may spread over: every usable CPU when this process
+    has os.fork and one Python thread, which a fork would not copy; else 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+
+
+def fork_child(work):
+    """Fork a child that runs work(), writes its return value pickled to a
+    pipe and exits; returns its pid and the pipe's reader (EOF if no reply)."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while the OS thread count is above
+            # one, as numpy's OpenBLAS pool makes it; the pool's
+            # pthread_atfork handlers make the fork safe.
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the child replies and exits here, never returns
+        try:
+            os.write(write, pickle.dumps(work()))  # a blocking pipe takes it whole
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+class _Formatter(contextlib.AbstractContextManager):
+    """The child that writes a run's files into new while the loop runs: the
+    first send forks it, and each later one hands it over a pipe what every
+    column (_columns) gained since the last.  The send with the summary
+    raises the error that stopped the child, or ChildProcessError if it died
+    without replying.  Leaving kills the child if it still runs, and reaps it."""
+
+    pid = feed = None
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.replies.close()
+        if self.feed is not None:
+            with contextlib.suppress(BrokenPipeError):  # what a dead child left unread
+                self.feed.close()
+
+    def send(self, new, log, series, summary=None):
+        """Hand the child what log and series gained since the last send;
+        returns the drive-log length at which to send next."""
+        columns = _columns(log, series)
+        if self.pid is None:
+            read, write = os.pipe()
+            self.feed = os.fdopen(write, "wb")
+            with os.fdopen(read, "rb") as feed:  # closed here once the child has its copy
+                self.pid, self.replies = fork_child(
+                    lambda: _format(feed, self.feed, new, log, series))
+        else:
+            with contextlib.suppress(BrokenPipeError):  # a child that stopped replies why
+                parts = [column[n:] for column, n in zip(columns, self.sent)]
+                self.feed.write(pickle.dumps((parts, summary)))
+                self.feed.flush()
+        self.sent = [len(c) for c in columns]
+        if summary is not None:
+            try:
+                reply = pickle.load(self.replies)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(
+                    f"formatter process {self.pid} died without replying") from None
+            if reply != "ok":
+                raise reply[0] from Exception(
+                    f"raised in formatter process {self.pid}:\n{reply[1]}")
+        return len(log) + CHUNK
+
+
+def _format(feed, writer, new, log, series):
+    """A formatter child's work: close its copy of the caller's writer, then
+    _write what feed brings; "ok", or the exception that stopped it and its
+    traceback."""
+    writer.close()
+    try:
+        with feed:
+            _write(new, log, series, functools.partial(pickle.load, feed))
+        return "ok"
+    except BaseException as exc:
+        return exc, "".join(traceback.format_exception(exc))
+
+
+def _columns(log, series):
+    return [column for owner in (log, *series.values()) for column in owner.columns]
+
+
+def _write(out_dir, log, series, take):
+    """Write the CSV files of log and series into out_dir, then, while take()
+    returns (new, None), extend each of _columns by its part of new and write
+    on; the summary that ends it goes into summary.json."""
+    texts, summary = list(log.blank_texts), None
+    headers = {"drive_log": DRIVE_LOG_HEADER, **{name: f"time,{name}" for name in series}}
+    written = dict.fromkeys(headers, 0)
+    with contextlib.ExitStack() as stack:
+        files = {}
+        for name, header in headers.items():
+            files[name] = stack.enter_context(open(os.path.join(out_dir, f"{name}.csv"), "w",
+                                                   encoding="utf-8", newline="\n"))
+            files[name].write(header + "\n")
+        while True:
+            fh = files["drive_log"]
+            for row in log.rows(written["drive_log"], texts):
+                fh.write(row + "\n")
+            for name, ser in series.items():
+                fh = files[name]
+                for t, v in zip(ser.times[written[name]:], ser.values[written[name]:]):
+                    fh.write(f"{t:.6f},{v!r}\n")
+            written = {"drive_log": len(log), **{name: len(ser) for name, ser in series.items()}}
+            if summary is not None:
+                break
+            new, summary = take()
+            for column, part in zip(_columns(log, series), new):
+                column.extend(part)
+        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _summary(result):
+    return {"scenario": result.scenario_name, "seed": result.seed, "fusion": result.fusion,
+            "duration": result.duration, "completed": result.completed,
+            "crash_time": result.crash_time, "metrics": result.summaries}
+
+
 def write_outputs(result: RunResult, out_dir):
     """Write the drive log, metric series, and the JSON summary into out_dir."""
-    with open(os.path.join(out_dir, "drive_log.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(DRIVE_LOG_HEADER + "\n")
-        for row in result.rows:
-            fh.write(row + "\n")
-
-    for name, ser in result.series.items():
-        with open(os.path.join(out_dir, f"{name}.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"time,{name}\n")
-            for t, v in zip(ser.times, ser.values):
-                fh.write(f"{t:.6f},{v!r}\n")
-
-    summary = {
-        "scenario": result.scenario_name,
-        "seed": result.seed,
-        "fusion": result.fusion,
-        "duration": result.duration,
-        "completed": result.completed,
-        "crash_time": result.crash_time,
-        "metrics": result.summaries,
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(out_dir, result.rows, result.series, lambda: ((), _summary(result)))

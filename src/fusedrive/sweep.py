@@ -5,18 +5,17 @@ scenario a few times per value with seeds derived from (seed, value, rep),
 and aggregates the per-run summaries into one table row per value.
 """
 
+import functools
 import math
 import os
 import pickle
 import signal
-import threading
 import traceback
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .runner import replace_dir, run
+from .runner import fork_child, replace_dir, run, usable_cpus
 from .scenario import _GAIN_KEYS, _OUTAGES, Scenario, _file_name, _wrap, derive_seed
 from .world import ConfigError
 
@@ -137,43 +136,27 @@ def _run_all(jobs):
     first job.  No child outlives the call.  No os.fork, or a second Python
     thread, which a fork would not copy: every job runs here.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    procs = min(len(jobs), cpus or 1) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    procs = min(len(jobs), usable_cpus())
     snake = [*range(procs), *reversed(range(procs))]
     shares = [[i for i in range(len(jobs)) if snake[i % len(snake)] == p] for p in range(procs)]
     pids, readers = [], []
     try:
         for share in shares[1:]:
-            read, write = os.pipe()
-            readers.append(os.fdopen(read, "rb"))
-            with os.fdopen(write, "wb") as writer, warnings.catch_warnings():
-                # Python 3.12+ warns on a fork while the OS thread count is
-                # above one, as numpy's OpenBLAS pool makes it; the pool's
-                # pthread_atfork handlers make the fork safe.
-                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-                if pid == 0:  # the child replies and exits here, never returns
-                    try:
-                        done, failed = _run_share(jobs, share)
-                        writer.write(pickle.dumps((done, [
-                            (i, exc, "".join(traceback.format_exception(exc))) for i, exc in failed])))
-                        writer.flush()
-                    finally:
-                        os._exit(0)
+            pid, reader = fork_child(functools.partial(_run_share, jobs, share))
             pids.append(pid)
+            readers.append(reader)
         results, failures = _run_share(jobs, shares[0])
         for pid, reader, share in zip(pids, readers, shares[1:]):
             try:  # loaded as it is read, so the whole reply is never held as bytes
                 done, failed = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
                 failures.append((share[0], ChildProcessError(
-                    f"sweep process {pid} died without replying")))
+                    f"sweep process {pid} died without replying"), None))
                 continue
             results.update(done)
             for i, exc, text in failed:
                 exc.__cause__ = Exception(f"raised in sweep process {pid}:\n{text}")
-                failures.append((i, exc))
+            failures += failed
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -190,13 +173,13 @@ def _run_all(jobs):
 
 def _run_share(jobs, share):
     """Run a share's jobs in order up to the first that raises:
-    ({job: result}, [] or [(job, exception)])."""
+    ({job: result}, [] or [(job, exception, its traceback text)])."""
     done = {}
     for i in share:
         try:
             done[i] = run(*jobs[i])
         except Exception as exc:
-            return done, [(i, exc)]
+            return done, [(i, exc, "".join(traceback.format_exception(exc)))]
     return done, []
 
 

@@ -15,15 +15,18 @@ command as datagram text for the node to decode.  The kinematics oracle is
 the one-tick step in closed form.  The text oracles are the field formatter
 and the maximum-confidence pick as they were before their fast paths, and the
 vehicle node as it was when it formatted each drive-log row as it logged it.
-read_plot_data reads an emitted sweep table back.
+read_plot_data reads an emitted sweep table back.  use_cpus and
+assert_reaped set and check the processes a run or a sweep forks.
 """
 
 import itertools
 import logging
 import math
+import os
 import random
 
 import numpy as np
+import pytest
 
 from fusedrive.fusion import _THIRDS, POLICIES, drive_tick, log_slots
 from fusedrive.metrics import CrashDetector, SampleSeries, correction_metric
@@ -512,7 +515,8 @@ def oracle_drive(scenario, out_dir=None):
             break
         pose = step_vehicle(pose, node.applied[0], node.applied[1], ts, scenario.vehicle)
 
-    result = assemble_result(scenario, node, sensors, correction, deviation, crash_time)
+    series = {ser.name: ser for ser in (correction, deviation, *(s.errors for s in sensors))}
+    result = assemble_result(scenario, node, sensors, series, crash_time)
     if out_dir is not None:
         with replace_dir(out_dir) as new:
             write_outputs(result, new)
@@ -544,3 +548,28 @@ def read_plot_data(path):
         rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
     return header, data
+
+
+def use_cpus(monkeypatch, n):
+    """Make n CPUs usable, as runner.usable_cpus counts them for a sweep or a
+    written run; returns the list of the pids that os.fork starts from here on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    # Not os.waitpid(-1, ...): a test that used a spawn pool leaves this
+    # process multiprocessing's resource tracker as a child for good.
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -14,6 +14,7 @@ every tick, and straight-line driving off the track.
 """
 
 import dataclasses
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from fusedrive.fusion import POLICIES
 from fusedrive.scenario import load_scenario, scenario_from_dict
 from fusedrive.sweep import apply_axis
 
-from oracles import oracle_drive
+from oracles import assert_reaped, oracle_drive, use_cpus
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -204,6 +205,26 @@ def test_drawn_scenarios_match_the_full_loop(cfg):
     # text on every tick agree.
     actual, expected = _run_both(scenario_from_dict(cfg))
     _assert_same(actual, expected)
+
+
+@settings(max_examples=30)
+@given(cfg=_scenario_cfg(), chunk=st.integers(1, 64))
+def test_drawn_scenarios_write_the_same_bytes_on_either_formatter_host(cfg, chunk):
+    # One usable CPU formats in this process; two fork a formatter once the
+    # drive log holds a chunk of records, here shrunk to lengths the drawn
+    # runs reach, with no bound on the frames a forking run must take.
+    written = {}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "CHUNK", chunk)
+        mp.setattr(runner, "FORK_FRAMES", 0)
+        for cpus in (1, 2):
+            forked = use_cpus(mp, cpus)
+            result = runner.run(scenario_from_dict(cfg), Path(tmp) / str(cpus))
+            assert len(forked) == (cpus == 2 and len(result.rows) >= chunk)
+            written[cpus] = {p.name: p.read_bytes() for p in (Path(tmp) / str(cpus)).iterdir()}
+    if forked:
+        assert_reaped(forked)
+    assert written[1] == written[2]
 
 
 def test_ground_truth_searched_on_delivery_ticks_and_few_others(monkeypatch):

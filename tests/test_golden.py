@@ -18,11 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from fusedrive import perception, world
+from fusedrive import perception, runner, world
 from fusedrive.faults import ProbabilisticOutage
 from fusedrive.runner import SensorRuntime, run
 from fusedrive.scenario import load_scenario
 from fusedrive.sweep import SweepSpec, sweep
+
+from oracles import assert_reaped, use_cpus
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -181,6 +183,24 @@ def _lossy_blackout(scenario):
 def test_lossy_blackout_variant_matches_golden(tmp_path):
     scenario = _lossy_blackout(load_scenario(SCENARIOS / "combined_weighted.yaml"))
     assert _output_digests(scenario, tmp_path) == LOSSY_BLACKOUT
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "lossy_blackout"])
+def test_both_formatter_hosts_write_the_golden_bytes(name, tmp_path, monkeypatch):
+    # On one usable CPU the run formats its files in this process after the
+    # last tick; on two a forked child formats them as the loop runs.  The
+    # onboard-only runs take 1,112 frames, under runner.FORK_FRAMES, so the
+    # bound is lifted for them to fork too.
+    monkeypatch.setattr(runner, "FORK_FRAMES", 0)
+    lossy = name == "lossy_blackout"
+    for cpus in (1, 2):
+        scenario = load_scenario(SCENARIOS / f"{'combined_weighted' if lossy else name}.yaml")
+        forked = use_cpus(monkeypatch, cpus)
+        digests = _output_digests(_lossy_blackout(scenario) if lossy else scenario,
+                                  tmp_path / str(cpus))
+        assert len(forked) == cpus - 1
+        assert digests == (LOSSY_BLACKOUT if lossy else GOLDEN[name])
+    assert_reaped(forked)
 
 
 def test_outage_under_way_at_start_matches_golden(tmp_path):

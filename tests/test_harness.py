@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import glob
 import io
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from fusedrive.udp import run_udp
 from fusedrive.wire import SimulatedChannel, encode_command
 from fusedrive.world import ConfigError
 
-from oracles import read_plot_data
+from oracles import assert_reaped, read_plot_data, use_cpus
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -669,31 +670,6 @@ def fail_writing(monkeypatch, module, name):
     monkeypatch.setattr(f"{module}.open", failing_open, raising=False)
 
 
-def use_cpus(monkeypatch, n):
-    """Make n CPUs usable, as a sweep counts them; returns the list of the
-    pids that os.fork starts from here on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
-def assert_reaped(pids):
-    # Not os.waitpid(-1, ...): a test that used a spawn pool leaves this
-    # process multiprocessing's resource tracker as a child for good.
-    assert pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def run_fields(result):
     """Every field of a RunResult, its drive log and series as their contents."""
     fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
@@ -879,18 +855,101 @@ class TestRunner:
         monkeypatch.setattr("fusedrive.fusion.format_field", refuse)
         assert summaries() == expected
 
-    def test_written_run_reads_its_drive_log_once(self, tmp_path, monkeypatch):
-        reads = []
-        iterate = DriveLog.__iter__
-
-        def counted(log):
-            reads.append(log)
-            return iterate(log)
-        monkeypatch.setattr(DriveLog, "__iter__", counted)
+    @pytest.mark.parametrize("fork_frames, forks", [(23, True), (24, False)])
+    def test_formatter_forks_only_for_a_run_that_can_log_fork_frames(self, fork_frames, forks,
+                                                                    tmp_path, monkeypatch):
+        # 11 Hz, every 18th tick of 400: a 2 s run takes 23 frames, each sending
+        # a command that logs one record at most.
+        monkeypatch.setattr(runner_module, "CHUNK", 4)
+        monkeypatch.setattr(runner_module, "FORK_FRAMES", fork_frames)
+        forked = use_cpus(monkeypatch, 2)
         res = run(scenario_from_dict(minimal_cfg(duration=2.0)), tmp_path / "out")
-        assert len(reads) == 1 and reads[0] is res.rows
-        with open(tmp_path / "out" / "drive_log.csv", "r", encoding="utf-8") as fh:
-            assert len(fh.readlines()) == len(res.rows) + 1 > 1
+        assert len(res.rows) == 23
+        assert len(forked) == forks
+        if forks:
+            assert_reaped(forked)
+
+    def test_written_run_reads_its_drive_log_once(self, tmp_path, monkeypatch):
+        # Each host formats the rows in calls that go on from where the last
+        # stopped.  The forked formatter's calls run in its own process, so
+        # each call notes its log, its start and its row count in a file.
+        rows = DriveLog.rows
+
+        def counted(log, start=0, texts=None):
+            n = 0
+            for row in rows(log, start, texts):
+                n += 1
+                yield row
+            with open(tmp_path / "reads", "a", encoding="utf-8") as fh:
+                fh.write(f"{id(log)} {start} {n}\n")
+        monkeypatch.setattr(DriveLog, "rows", counted)
+        monkeypatch.setattr(runner_module, "CHUNK", 5)
+        monkeypatch.setattr(runner_module, "FORK_FRAMES", 0)
+        for cpus in (1, 2):  # formatted in this process, then by a forked child
+            forked = use_cpus(monkeypatch, cpus)
+            res = run(scenario_from_dict(minimal_cfg(duration=2.0)), tmp_path / "out")
+            assert len(forked) == cpus - 1
+            calls = [tuple(map(int, line.split()))
+                     for line in (tmp_path / "reads").read_text(encoding="utf-8").splitlines()]
+            (tmp_path / "reads").unlink()
+            assert {log for log, _, _ in calls} == {id(res.rows)}
+            assert [start for _, start, _ in calls] == list(
+                itertools.accumulate([0] + [n for _, _, n in calls[:-1]]))
+            assert sum(n for _, _, n in calls) == len(res.rows)
+            with open(tmp_path / "out" / "drive_log.csv", "r", encoding="utf-8") as fh:
+                assert len(fh.readlines()) == len(res.rows) + 1 > 1
+        assert_reaped(forked)
+
+    # A 2 s run logs 23 records; at 4 records a chunk, and no bound on the
+    # frames a forking run must be able to take, it forks its formatter after
+    # the fourth and hands it four more at a time.
+    @pytest.mark.parametrize("failing", [*RUN_FILES, "json.dump"])
+    def test_formatter_that_fails_makes_the_run_raise(self, failing, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run(scenario_from_dict(minimal_cfg(duration=2.0, seed=1)), out)
+        before = snapshot(out)
+        monkeypatch.setattr(runner_module, "CHUNK", 4)
+        monkeypatch.setattr(runner_module, "FORK_FRAMES", 0)
+        forked = use_cpus(monkeypatch, 2)
+        if failing == "json.dump":
+            fail_json_dump(monkeypatch)
+        else:
+            fail_writing(monkeypatch, "fusedrive.runner", failing)
+        with pytest.raises(OSError) as raised:
+            run(scenario_from_dict(minimal_cfg(duration=2.0, seed=2)), out)
+        assert raised.value.errno == errno.ENOSPC
+        assert "raised in formatter process" in str(raised.value.__cause__)
+        assert "Traceback (most recent call last)" in str(raised.value.__cause__)
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert snapshot(out) == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("fault, error", [("kill_formatter", ChildProcessError),
+                                              ("raise_in_loop", RuntimeError)])
+    def test_run_that_fails_after_the_fork_reaps_its_formatter(self, fault, error, tmp_path,
+                                                               monkeypatch):
+        out = tmp_path / "out"
+        run(scenario_from_dict(minimal_cfg(duration=2.0, seed=1)), out)
+        before = snapshot(out)
+        monkeypatch.setattr(runner_module, "CHUNK", 4)
+        monkeypatch.setattr(runner_module, "FORK_FRAMES", 0)
+        forked = use_cpus(monkeypatch, 2)
+        metric = runner_module.correction_metric
+
+        def faulty(*applied):  # the loop calls it on every delivery tick
+            if forked and fault == "raise_in_loop":
+                raise RuntimeError("loop failed")
+            if forked:
+                os.kill(forked[0], signal.SIGKILL)
+            return metric(*applied)
+        monkeypatch.setattr(runner_module, "correction_metric", faulty)
+        with pytest.raises(error):
+            run(scenario_from_dict(minimal_cfg(duration=2.0, seed=2)), out)
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert snapshot(out) == before
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestSweep:
@@ -1193,6 +1252,28 @@ class TestCli:
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "runs")]) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vehicle, sensor", [
+        ({"marker_separation": 1e-300}, {"id": "cam", "kind": "infrastructure",
+                                         "camera": {"coverage": [0, 0, 2, 2], "noise_px": 0}}),
+        ({}, {"id": "pi", "kind": "onboard", "camera": {"look_ahead": 1e300}}),
+    ], ids=["markers_on_one_pixel", "blind_onboard_camera"])
+    def test_run_that_never_steers_warns(self, vehicle, sensor, tmp_path, capsys):
+        # Every frame is blind, so the sensor sends only zero-reports and the
+        # vehicle stays parked; the run still completes, with its files.
+        cfg = {"duration": 2.0, "track": {"kind": "circle"}, "vehicle": vehicle,
+               "sensors": [sensor]}
+        path = tmp_path / "parked.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: sensor {sensor['id']} sent no steering command outside its outages",
+            "warning: the vehicle node never applied non-zero power"]
+        assert sorted(os.listdir(tmp_path / "runs" / "parked")) == [
+            "correction.csv", "deviation.csv", "drive_log.csv", f"error_{sensor['id']}.csv",
+            "summary.json"]
+        assert main(["run", self.write_scenario(tmp_path), "--out", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("where, cfg", MALFORMED)
     def test_malformed_file_exits_one_before_running(self, where, cfg, tmp_path,
